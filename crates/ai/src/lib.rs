@@ -36,11 +36,9 @@
 mod context;
 mod domain;
 mod icfg;
-mod regions;
 mod solver;
 
 pub use context::{Ctx, CtxId, CtxTable, Frame, VivuConfig};
 pub use domain::Domain;
 pub use icfg::{IEdge, IEdgeId, IEdgeKind, Icfg, IcfgError, Node, NodeId};
-pub use regions::{carve_regions, solve_with_regions, RegionOutcome, RegionPlan, RegionSpec};
 pub use solver::{solve, solve_reference, Fixpoint, Transfer};

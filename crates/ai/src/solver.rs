@@ -117,7 +117,7 @@ impl<S: Domain> Fixpoint<S> {
 
 /// The widening points of a graph: targets of back edges (and of any
 /// retreating edge by RPO, to be safe with return-edge cycles).
-pub(crate) fn widening_points(icfg: &Icfg) -> Vec<bool> {
+fn widening_points(icfg: &Icfg) -> Vec<bool> {
     let mut widen_at = vec![false; icfg.nodes().len()];
     for e in icfg.edges() {
         let retreating = icfg.rpo_index(e.to) <= icfg.rpo_index(e.from);
@@ -136,7 +136,7 @@ pub(crate) fn widening_points(icfg: &Icfg) -> Vec<bool> {
 /// cursor that only ever scans forward between re-insertions. Both
 /// operations are O(1) amortized; no allocation happens after
 /// construction.
-pub(crate) struct RpoWorklist {
+struct RpoWorklist {
     /// One bit per RPO position; set = node is in the worklist.
     pending: Vec<u64>,
     /// The node occupying each RPO position.
@@ -146,7 +146,7 @@ pub(crate) struct RpoWorklist {
 }
 
 impl RpoWorklist {
-    pub(crate) fn new(icfg: &Icfg) -> RpoWorklist {
+    fn new(icfg: &Icfg) -> RpoWorklist {
         let n = icfg.nodes().len();
         let mut node_at = vec![NodeId(u32::MAX); n];
         for nd in icfg.nodes() {
@@ -159,7 +159,7 @@ impl RpoWorklist {
     }
 
     /// Inserts the node with the given RPO index (no-op when present).
-    pub(crate) fn insert(&mut self, rpo: u32) {
+    fn insert(&mut self, rpo: u32) {
         debug_assert!(rpo != u32::MAX, "unreachable node scheduled");
         let (w, b) = (rpo as usize / 64, rpo as usize % 64);
         self.pending[w] |= 1 << b;
@@ -167,7 +167,7 @@ impl RpoWorklist {
     }
 
     /// Removes and returns the node with the smallest RPO index.
-    pub(crate) fn pop(&mut self) -> Option<NodeId> {
+    fn pop(&mut self) -> Option<NodeId> {
         while self.cursor < self.pending.len() {
             let word = self.pending[self.cursor];
             if word != 0 {

@@ -84,17 +84,6 @@
 //! itself across the 64 → 640 decade (sub-linear in solver terms —
 //! the monolithic solve grows super-linearly over the same span).
 //!
-//! The **microarchitectural summaries** are measured under a `uarch`
-//! key: the E6 series with the cache phase timed in three forms — the
-//! executable-specification reference analysis, the optimized
-//! monolithic fixpoint, and the per-procedure region-summary
-//! composition — plus a corpus-wide batch identity check. `--check`
-//! gates on WCET and classification identity at every size, on the
-//! corpus results being byte-identical between summarized and
-//! monolithic modes, on the summarized path actually engaging at the
-//! largest size, and on it beating the reference analysis by ≥ 5×
-//! there.
-//!
 //! The emitted JSON carries a `before` section: wall times recorded with
 //! this same harness at the pre-refactor kernel (commit 848c9d7, full
 //! `State::clone`-per-edge solver, `BTreeMap` cache sets), so the file
@@ -347,104 +336,6 @@ fn summaries_rows(reps: usize) -> Vec<SummaryRow> {
         });
     }
     rows
-}
-
-/// One E6 program's cache phase in three implementations: the naive
-/// executable-specification reference (`refdom`: `BTreeMap` domains
-/// driven by the naive solver), the optimized monolithic fixpoint, and
-/// the per-procedure region-summary composition.
-struct UarchRow {
-    constructs: usize,
-    reference_cache_ms: f64,
-    monolithic_cache_ms: f64,
-    summarized_cache_ms: f64,
-    /// fetch/data classification histograms identical across all three
-    /// implementations.
-    classes_identical: bool,
-    /// Full-analysis WCET identical with uarch summaries on and off.
-    wcet_identical: bool,
-    /// The summarized path engaged (no validation fallback).
-    engaged: bool,
-    regions: usize,
-    computed: usize,
-    reused: usize,
-}
-
-/// The microarchitectural-summary workload: the E6 series (same rng
-/// discipline as [`scaling_rows`], so the programs are identical) with
-/// the cache phase timed in reference / monolithic / summarized form.
-/// The reference analysis is deliberately naive, so past 64 constructs
-/// it is measured once instead of `reps` times.
-fn uarch_rows(reps: usize) -> Vec<UarchRow> {
-    use stamp_ai::{Icfg, VivuConfig};
-    use stamp_cache::{CacheAnalysis, LocalUarchMemo};
-    use stamp_cfg::CfgBuilder;
-    use stamp_value::{ValueAnalysis, ValueOptions};
-
-    let classes = |c: &CacheAnalysis| (c.fetch_stats(), c.data_stats());
-    let mut rng = StdRng::seed_from_u64(0xE6);
-    let mut rows = Vec::new();
-    for &constructs in SCALING_SIZES {
-        let cfg = GenConfig { constructs, functions: 2, ..GenConfig::default() };
-        let src = generate(&mut rng, &cfg);
-        let program = assemble(&src).expect("generated");
-        let hw = HwConfig::default();
-        let cfg_b = CfgBuilder::new(&program).build().expect("cfg");
-        let icfg = Icfg::build(&cfg_b, &VivuConfig::default()).expect("icfg");
-        let va = ValueAnalysis::run(&program, &hw, &cfg_b, &icfg, &ValueOptions::default());
-
-        let (summarized_cache_ms, summarized) = best_ms(reps, || {
-            let mut memo = LocalUarchMemo::default();
-            CacheAnalysis::run_summarized(&hw, &cfg_b, &icfg, &va, &mut memo)
-        });
-        let (monolithic_cache_ms, mono) =
-            best_ms(reps, || CacheAnalysis::run(&hw, &cfg_b, &icfg, &va));
-        let ref_reps = if constructs > 64 { 1 } else { reps };
-        let (reference_cache_ms, reference) =
-            best_ms(ref_reps, || CacheAnalysis::run_reference(&hw, &cfg_b, &icfg, &va));
-
-        let (engaged, summarized_classes, stats) = match &summarized {
-            Some((ca, stats)) => (true, classes(ca), *stats),
-            None => (false, classes(&mono), Default::default()),
-        };
-        let classes_identical =
-            summarized_classes == classes(&mono) && classes(&reference) == classes(&mono);
-
-        let on = WcetAnalysis::new(&program).run().expect("summarized analysis");
-        let off =
-            WcetAnalysis::new(&program).uarch_summaries(false).run().expect("monolithic analysis");
-        rows.push(UarchRow {
-            constructs,
-            reference_cache_ms,
-            monolithic_cache_ms,
-            summarized_cache_ms,
-            classes_identical,
-            wcet_identical: on.wcet == off.wcet,
-            engaged,
-            regions: stats.regions,
-            computed: stats.computed,
-            reused: stats.reused,
-        });
-    }
-    rows
-}
-
-/// Corpus-wide identity: the deterministic batch results with uarch
-/// summaries on versus off, byte-compared. The variant names match in
-/// both requests, so the only possible difference is a summarization
-/// bug that slipped past the validating fallback.
-fn uarch_corpus_identity() -> bool {
-    let on = run_batch(&corpus_matrix(&[BatchVariant::default()]), 4).expect("summarized corpus");
-    let off = run_batch(
-        &corpus_matrix(&[BatchVariant {
-            name: "default".to_string(),
-            config: AnalysisConfig { uarch_summaries: false, ..AnalysisConfig::default() },
-            sampling: None,
-        }]),
-        4,
-    )
-    .expect("monolithic corpus");
-    on.results_json().to_string() == off.results_json().to_string()
 }
 
 /// Per-phase wall times on `matmult` (the criterion `phases` bench,
@@ -994,7 +885,6 @@ fn print_diff_table(
     corpus: &[CorpusRow],
     scaling: &[ScalingRow],
     summaries: &[SummaryRow],
-    uarch: &[UarchRow],
     phases: &[(&'static str, f64)],
     batch: &BatchBench,
     artifacts: &ArtifactBench,
@@ -1080,20 +970,6 @@ fn print_diff_table(
             .and_then(Json::as_f64);
         row(format!("summaries/{}", r.constructs), committed, r.summarized_path_ms);
     }
-    for r in uarch {
-        let committed = doc
-            .get("uarch")
-            .and_then(|s| s.get("series"))
-            .and_then(Json::as_arr)
-            .and_then(|arr| {
-                arr.iter().find(|e| {
-                    e.get("constructs").and_then(Json::as_u64) == Some(r.constructs as u64)
-                })
-            })
-            .and_then(|e| e.get("summarized_cache_ms"))
-            .and_then(Json::as_f64);
-        row(format!("uarch/{}", r.constructs), committed, r.summarized_cache_ms);
-    }
     for (name, ms) in phases {
         row(format!("phases/{name}"), committed_ms(&["phases_ms", name]), *ms);
     }
@@ -1178,9 +1054,6 @@ fn main() {
     let scaling = scaling_rows(reps);
     eprintln!("kernel_bench: procedure summaries (monolithic vs summarized path solver)...");
     let summaries = summaries_rows(reps);
-    eprintln!("kernel_bench: uarch summaries (reference vs monolithic vs summarized cache)...");
-    let uarch = uarch_rows(reps);
-    let uarch_corpus_identical = uarch_corpus_identity();
     eprintln!("kernel_bench: matmult phase breakdown...");
     let phases = phase_rows(reps);
     eprintln!("kernel_bench: batch engine (corpus × 3 variants at 1/2/4/8 workers)...");
@@ -1221,12 +1094,6 @@ fn main() {
     let endpoint_speedup = sum_top.inlined_path_ms / sum_top.summarized_path_ms.max(1e-9);
     let summarized_growth = sum_top.summarized_path_ms / sum_base.summarized_path_ms.max(1e-9);
     let ilp_growth = sum_top.ilp_vars as f64 / sum_base.ilp_vars as f64;
-
-    // ---- Derived uarch-summary figures: the headline ratio is the
-    // executable-specification reference against the summarized cache
-    // phase at the largest size.
-    let uarch_top = uarch.last().expect("nonempty uarch series");
-    let uarch_speedup = uarch_top.reference_cache_ms / uarch_top.summarized_cache_ms.max(1e-9);
 
     // ---- Drift check against the pinned corpus (CI bench-smoke gate).
     let mut drift = Vec::new();
@@ -1281,47 +1148,6 @@ fn main() {
                 "summaries: path wall time grew {summarized_growth:.1}x over 64→{} constructs \
                  while the ILP grew {ilp_growth:.1}x (super-linear; ceiling is 3x the ILP growth)",
                 sum_top.constructs
-            ));
-        }
-        // The uarch-summary gates: the composition must be exact — the
-        // WCET and classification histograms identical to the direct
-        // analyses at every E6 size and the corpus results byte-identical
-        // to a monolithic batch — it must actually engage at the
-        // largest size (a silent fallback would make the timing moot),
-        // and the summarized cache phase must beat the
-        // executable-specification reference by ≥ 5× there.
-        for r in &uarch {
-            if !r.wcet_identical {
-                drift.push(format!(
-                    "uarch/{}: WCET differs between summarized and monolithic analysis",
-                    r.constructs
-                ));
-            }
-            if !r.classes_identical {
-                drift.push(format!(
-                    "uarch/{}: classification histograms differ across \
-                     reference/monolithic/summarized",
-                    r.constructs
-                ));
-            }
-        }
-        if !uarch_corpus_identical {
-            drift.push(
-                "uarch: corpus batch results differ between summarized and monolithic modes"
-                    .to_string(),
-            );
-        }
-        if !uarch_top.engaged {
-            drift.push(format!(
-                "uarch: summarized cache analysis fell back to monolithic at {} constructs",
-                uarch_top.constructs
-            ));
-        }
-        if uarch_speedup < 5.0 {
-            drift.push(format!(
-                "uarch: summarized cache phase only {uarch_speedup:.1}x faster than the \
-                 reference analysis at {} constructs (floor 5x)",
-                uarch_top.constructs
             ));
         }
         // The batch determinism gate: the 4-worker merged report must be
@@ -1566,35 +1392,6 @@ fn main() {
             ]),
         ),
         (
-            "uarch",
-            Json::obj([
-                (
-                    "series",
-                    Json::Arr(
-                        uarch
-                            .iter()
-                            .map(|r| {
-                                Json::obj([
-                                    ("constructs", Json::int(r.constructs as u64)),
-                                    ("reference_cache_ms", Json::Num(r.reference_cache_ms)),
-                                    ("monolithic_cache_ms", Json::Num(r.monolithic_cache_ms)),
-                                    ("summarized_cache_ms", Json::Num(r.summarized_cache_ms)),
-                                    ("classes_identical", Json::Bool(r.classes_identical)),
-                                    ("wcet_identical", Json::Bool(r.wcet_identical)),
-                                    ("engaged", Json::Bool(r.engaged)),
-                                    ("regions", Json::int(r.regions as u64)),
-                                    ("computed", Json::int(r.computed as u64)),
-                                    ("reused", Json::int(r.reused as u64)),
-                                ])
-                            })
-                            .collect(),
-                    ),
-                ),
-                ("endpoint_speedup_vs_reference", Json::Num(uarch_speedup)),
-                ("corpus_identical", Json::Bool(uarch_corpus_identical)),
-            ]),
-        ),
-        (
             "batch",
             Json::obj([
                 ("cores", Json::int(batch.cores as u64)),
@@ -1723,7 +1520,6 @@ fn main() {
             &corpus,
             &scaling,
             &summaries,
-            &uarch,
             &phases,
             &batch,
             &artifacts,
@@ -1786,16 +1582,6 @@ fn main() {
         summarized_growth,
         sum_top.constructs,
         ilp_growth,
-    );
-    eprintln!(
-        "kernel_bench: uarch summaries: cache phase at {} constructs {:.1} ms reference vs \
-         {:.2} ms summarized ({:.0}x, monolithic {:.2} ms); corpus identical: {}",
-        uarch_top.constructs,
-        uarch_top.reference_cache_ms,
-        uarch_top.summarized_cache_ms,
-        uarch_speedup,
-        uarch_top.monolithic_cache_ms,
-        uarch_corpus_identical,
     );
     eprintln!(
         "kernel_bench: corpus {:.1} ms (before {:.1}), scaling {:.1} ms (before {:.1}), phases {:.1} ms (before {:.1})",

@@ -24,12 +24,12 @@ use stamp_hw::CacheConfig;
 /// Inline capacity of one abstract cache set. Covers every modeled
 /// associativity; a must set can never exceed the associativity, and
 /// may/persistence sets only spill under heavy address-set joins.
-pub(crate) const INLINE_LINES: usize = 8;
+const INLINE_LINES: usize = 8;
 
 /// One abstract cache set: `(line address, age bound)` pairs sorted by
 /// line, stored inline with a heap spill.
 #[derive(Clone, Debug, Default)]
-pub(crate) struct LineSet {
+struct LineSet {
     /// Number of live `inline` entries.
     len: u8,
     inline: [(u32, u8); INLINE_LINES],
@@ -56,20 +56,20 @@ impl LineSet {
     }
 
     /// The age bound of `line`, if resident.
-    pub(crate) fn get(&self, line: u32) -> Option<u8> {
+    fn get(&self, line: u32) -> Option<u8> {
         self.entries().binary_search_by_key(&line, |&(l, _)| l).ok().map(|i| self.entries()[i].1)
     }
 
-    pub(crate) fn contains(&self, line: u32) -> bool {
+    fn contains(&self, line: u32) -> bool {
         self.get(line).is_some()
     }
 
-    pub(crate) fn iter(&self) -> impl Iterator<Item = (u32, u8)> + '_ {
+    fn iter(&self) -> impl Iterator<Item = (u32, u8)> + '_ {
         self.entries().iter().copied()
     }
 
     /// Inserts or updates `line`.
-    pub(crate) fn insert(&mut self, line: u32, age: u8) {
+    fn insert(&mut self, line: u32, age: u8) {
         match self.entries().binary_search_by_key(&line, |&(l, _)| l) {
             Ok(i) => self.entries_mut()[i].1 = age,
             Err(i) => {
@@ -94,7 +94,7 @@ impl LineSet {
     /// One in-place pass: keep each `(line, age)` entry for which `f`
     /// returns a new age, drop the rest. `f` must not change line order
     /// (ages only — line keys are never rewritten).
-    pub(crate) fn update_retain(&mut self, mut f: impl FnMut(u32, u8) -> Option<u8>) {
+    fn update_retain(&mut self, mut f: impl FnMut(u32, u8) -> Option<u8>) {
         let slice = if self.spill.is_empty() {
             &mut self.inline[..self.len as usize]
         } else {
@@ -128,7 +128,7 @@ impl Eq for LineSet {}
 /// One abstract cache set of the may analysis. `Top` means "any line may
 /// be present at any age".
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub(crate) enum SetState {
+enum SetState {
     Map(LineSet),
     Top,
 }
@@ -270,16 +270,6 @@ impl MustCache {
             || self.sets.iter().zip(other.sets.iter()).all(|(s, o)| {
                 Rc::ptr_eq(s, o) || o.iter().all(|(k, oa)| s.get(k).is_some_and(|sa| sa <= oa))
             })
-    }
-
-    /// Direct read access to one cache set (procedure summaries).
-    pub(crate) fn set(&self, si: usize) -> &LineSet {
-        &self.sets[si]
-    }
-
-    /// Direct write access to one cache set (procedure summaries).
-    pub(crate) fn set_mut(&mut self, si: usize) -> &mut LineSet {
-        Rc::make_mut(&mut Rc::make_mut(&mut self.sets)[si])
     }
 }
 
@@ -435,16 +425,6 @@ impl MayCache {
         changed
     }
 
-    /// Direct read access to one cache set (procedure summaries).
-    pub(crate) fn set(&self, si: usize) -> &SetState {
-        &self.sets[si]
-    }
-
-    /// Direct write access to one cache set (procedure summaries).
-    pub(crate) fn set_mut(&mut self, si: usize) -> &mut SetState {
-        Rc::make_mut(&mut Rc::make_mut(&mut self.sets)[si])
-    }
-
     /// Partial order: fewer possibilities ⊑ more possibilities.
     pub fn le(&self, other: &MayCache) -> bool {
         Rc::ptr_eq(&self.sets, &other.sets)
@@ -469,7 +449,7 @@ impl MayCache {
 /// associativity. Once it can reach the associativity the line may have
 /// been evicted and the record saturates ([`Conflicts::Sat`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum Conflicts {
+enum Conflicts {
     /// At most these distinct conflicting lines since the last access
     /// (`len` live entries, sorted). `len` is strictly below the
     /// associativity — reaching it saturates instead.
@@ -479,13 +459,13 @@ pub(crate) enum Conflicts {
 }
 
 impl Conflicts {
-    pub(crate) fn none() -> Conflicts {
+    fn none() -> Conflicts {
         Conflicts::Among { len: 0, lines: [0; INLINE_LINES] }
     }
 
     /// Adds one conflicting line, saturating at `assoc` distinct
     /// conflicts (at which point the line may be evicted).
-    pub(crate) fn add(&mut self, line: u32, assoc: u8) {
+    fn add(&mut self, line: u32, assoc: u8) {
         if let Conflicts::Among { len, lines } = self {
             let n = *len as usize;
             if lines[..n].contains(&line) {
@@ -503,7 +483,7 @@ impl Conflicts {
     }
 
     /// Set union, saturating at `assoc`.
-    pub(crate) fn union(&mut self, other: &Conflicts, assoc: u8) {
+    fn union(&mut self, other: &Conflicts, assoc: u8) {
         match other {
             Conflicts::Sat => *self = Conflicts::Sat,
             Conflicts::Among { len, lines } => {
@@ -527,7 +507,7 @@ impl Conflicts {
 }
 
 /// One persistence set: `line → conflicts`, sorted by line.
-pub(crate) type PersSet = Vec<(u32, Conflicts)>;
+type PersSet = Vec<(u32, Conflicts)>;
 
 /// The **persistence** cache, in the conflict-set formulation: for each
 /// line ever accessed it tracks the distinct other lines that may have
@@ -667,16 +647,6 @@ impl PersCache {
             changed = true;
         }
         changed
-    }
-
-    /// Direct read access to one cache set (procedure summaries).
-    pub(crate) fn set(&self, si: usize) -> &PersSet {
-        &self.sets[si]
-    }
-
-    /// Direct write access to one cache set (procedure summaries).
-    pub(crate) fn set_mut(&mut self, si: usize) -> &mut PersSet {
-        Rc::make_mut(&mut Rc::make_mut(&mut self.sets)[si])
     }
 
     /// Partial order: fewer recorded lines / smaller conflict sets ⊑

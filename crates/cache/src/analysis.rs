@@ -33,7 +33,7 @@ pub struct CacheState {
 }
 
 impl CacheState {
-    pub(crate) fn new(icache: Option<CacheConfig>, dcache: Option<CacheConfig>) -> CacheState {
+    fn new(icache: Option<CacheConfig>, dcache: Option<CacheConfig>) -> CacheState {
         CacheState {
             imust: icache.map(crate::MustCache::new),
             imay: icache.map(crate::MayCache::new),
@@ -137,25 +137,25 @@ const MAX_LINES: usize = 64;
 
 /// Precomputed effect of one data access on the D-cache domains.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub(crate) enum DataAccess {
+enum DataAccess {
     /// Bounded candidate line set (possibly a single line).
     Lines(Vec<u32>),
     /// Too many candidates: clobber the given sets (`None` = all).
     Clobber(Option<Vec<u32>>),
 }
 
-pub(crate) struct CacheTransfer<'a> {
-    pub(crate) cfg: &'a Cfg,
-    pub(crate) icache: Option<CacheConfig>,
-    pub(crate) dcache: Option<CacheConfig>,
+struct CacheTransfer<'a> {
+    cfg: &'a Cfg,
+    icache: Option<CacheConfig>,
+    dcache: Option<CacheConfig>,
     /// Supergraph edges the value analysis proved infeasible: the cache
     /// analysis must not propagate along them, both for precision and so
     /// that every visited node has value-analysis access information.
-    pub(crate) infeasible: std::collections::HashSet<stamp_ai::IEdgeId>,
+    infeasible: std::collections::HashSet<stamp_ai::IEdgeId>,
     /// Candidate-line information per load instance, precomputed once so
     /// neither the fixpoint nor the classification replay re-enumerates
     /// value-analysis address sets.
-    pub(crate) data: HashMap<(u32, CtxId), DataAccess>,
+    data: HashMap<(u32, CtxId), DataAccess>,
 }
 
 /// The candidate line addresses of a data access, or `None` when too
@@ -181,7 +181,7 @@ pub(crate) fn lines_of(cfg: CacheConfig, addrs: &SInt, width: MemWidth) -> Optio
 /// Precomputes the D-cache effect of every load instance in the
 /// supergraph, so the fixpoint and the classification replay both read
 /// the same table instead of re-enumerating address sets per visit.
-pub(crate) fn data_accesses(
+fn data_accesses(
     dcache: Option<CacheConfig>,
     cfg: &Cfg,
     icfg: &Icfg,
@@ -287,9 +287,8 @@ impl CacheTransfer<'_> {
     }
 }
 
-/// Classifies one reference against the current abstract state (shared
-/// by the monolithic replay and the per-region summary replay).
-pub(crate) fn classify(state: &CacheState, lines: &[u32], data: bool) -> Classification {
+/// Classifies one reference against the current abstract state.
+fn classify(state: &CacheState, lines: &[u32], data: bool) -> Classification {
     let (must, may, pers) = if data {
         (&state.dmust, &state.dmay, &state.dpers)
     } else {
@@ -343,25 +342,6 @@ impl CacheAnalysis {
     /// Runs the must/may/persistence analyses over the supergraph and
     /// classifies every instruction fetch and data load.
     pub fn run(hw: &HwConfig, cfg: &Cfg, icfg: &Icfg, va: &ValueAnalysis) -> CacheAnalysis {
-        CacheAnalysis::run_impl(hw, cfg, icfg, va)
-    }
-
-    /// The executable-specification analysis: naive `BTreeMap` domains
-    /// driven by the naive reference solver
-    /// ([`stamp_ai::solve_reference`]), with per-visit address
-    /// enumeration and no same-line fetch skip (see [`crate::refdom`]).
-    /// The differential tests and the `uarch` bench section compare
-    /// against it.
-    pub fn run_reference(
-        hw: &HwConfig,
-        cfg: &Cfg,
-        icfg: &Icfg,
-        va: &ValueAnalysis,
-    ) -> CacheAnalysis {
-        crate::refdom::run_reference(hw, cfg, icfg, va)
-    }
-
-    fn run_impl(hw: &HwConfig, cfg: &Cfg, icfg: &Icfg, va: &ValueAnalysis) -> CacheAnalysis {
         let mut transfer = CacheTransfer {
             cfg,
             icache: hw.icache,
@@ -441,15 +421,14 @@ impl CacheAnalysis {
 }
 
 /// Replays every solved node's abstract state through its block,
-/// classifying each fetch and load and collecting the persistent lines
-/// (shared by the monolithic run and the summarized run's inline nodes).
+/// classifying each fetch and load and collecting the persistent lines.
 type ReplayOut = (
     HashMap<(u32, CtxId), AccessClass>,
     std::collections::BTreeSet<u32>,
     std::collections::BTreeSet<u32>,
 );
 
-pub(crate) fn replay_classes(
+fn replay_classes(
     transfer: &CacheTransfer<'_>,
     hw: &HwConfig,
     cfg: &Cfg,

@@ -53,9 +53,11 @@
 
 mod absdom;
 mod analysis;
+mod compat;
+#[cfg(test)]
 mod refdom;
-mod summary;
 
 pub use absdom::{MayCache, MustCache, PersCache};
 pub use analysis::{AccessClass, CacheAnalysis, CacheState, ClassStats, Classification};
-pub use summary::{LocalUarchMemo, UarchMemo, UarchSummaryStats};
+#[doc(hidden)]
+pub use compat::{LocalUarchMemo, UarchSummaryStats};

@@ -1,7 +1,7 @@
-//! Naive reference implementation of the cache domains.
+//! Naive reference implementation of the cache domains (test-only).
 //!
 //! This module is the *executable specification* the optimized domains in
-//! [`crate::absdom`] and the per-procedure summaries in [`crate::summary`]
+//! [`crate::absdom`] and the optimized transfer in [`crate::analysis`]
 //! are differentially tested against. Everything here favors obvious
 //! correctness over speed:
 //!
@@ -15,10 +15,8 @@
 //!   also validate that the skip is an exact no-op.
 //!
 //! The fixpoint is driven by [`stamp_ai::solve_reference`], the naive
-//! chaotic-iteration solver. [`CacheAnalysis::run_reference`] produces a
-//! full [`CacheAnalysis`] from these domains; the `uarch` bench section
-//! uses its wall time as the honest baseline the summarized analysis is
-//! measured against.
+//! chaotic-iteration solver. [`run_reference`] produces a full
+//! [`CacheAnalysis`] from these domains for the lockstep tests below.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
@@ -610,7 +608,7 @@ mod tests {
         let icfg = Icfg::build(&cfg, &VivuConfig::default()).expect("expands");
         let va = ValueAnalysis::run(&p, hw, &cfg, &icfg, &ValueOptions::default());
         let fast = CacheAnalysis::run(hw, &cfg, &icfg, &va);
-        let reference = CacheAnalysis::run_reference(hw, &cfg, &icfg, &va);
+        let reference = run_reference(hw, &cfg, &icfg, &va);
         let mut keys: Vec<_> = fast.classes().keys().copied().collect();
         keys.sort_unstable();
         let mut ref_keys: Vec<_> = reference.classes().keys().copied().collect();

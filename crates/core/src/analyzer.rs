@@ -46,14 +46,10 @@ pub struct AnalysisConfig {
     /// Solve the path ILP via memoized per-segment summaries shared
     /// through the artifact store (see `stamp_path::SummaryMemo`); the
     /// WCET is exactly the monolithic optimum. Disable to force the
-    /// whole-supergraph solve.
+    /// whole-supergraph solve (a test oracle, not a manifest key).
     pub summaries: bool,
-    /// Run the cache and pipeline phases via memoized per-procedure
-    /// microarchitectural summaries shared through the artifact store
-    /// (see `stamp_cache::UarchMemo`); classifications and times are
-    /// exactly the monolithic fixpoint's, and any program the
-    /// summarizer cannot handle falls back to the monolithic solve.
-    /// Disable to force the monolithic fixpoints.
+    /// Exists only so `stampbench` builds; nothing reads it.
+    #[doc(hidden)]
     pub uarch_summaries: bool,
     /// Maximum CFG ↔ value-analysis iterations for indirect jumps.
     pub max_cfg_iterations: usize,
@@ -67,7 +63,7 @@ impl Default for AnalysisConfig {
             value: ValueOptions::default(),
             use_infeasible: true,
             summaries: true,
-            uarch_summaries: true,
+            uarch_summaries: false,
             max_cfg_iterations: 4,
         }
     }
@@ -171,68 +167,6 @@ impl stamp_path::SummaryMemo for StoreSummaryMemo<'_> {
     }
 }
 
-/// Routes microarchitectural region-summary lookups through the shared
-/// [`ArtifactStore`] (with a job-local front cache), so identical
-/// procedure bodies entered under the same cache-state class are
-/// analyzed once per store — across call sites, batch jobs, `serve`
-/// requests, and, with a durable backend, processes. The payload is the
-/// summary's canonical byte form; the consuming analysis validates it
-/// structurally and falls back to the monolithic fixpoint when the
-/// bytes do not decode (see `stamp_cache::UarchMemo`).
-struct StoreUarchMemo<'s> {
-    store: &'s ArtifactStore,
-    /// `"cache"` or `"pipeline"` — separates the two key spaces.
-    kind: &'static str,
-    local: std::collections::HashMap<Vec<u8>, std::rc::Rc<Vec<u8>>>,
-    computed: u64,
-    reused: u64,
-}
-
-impl<'s> StoreUarchMemo<'s> {
-    fn new(store: &'s ArtifactStore, kind: &'static str) -> StoreUarchMemo<'s> {
-        StoreUarchMemo { store, kind, local: Default::default(), computed: 0, reused: 0 }
-    }
-}
-
-impl stamp_cache::UarchMemo for StoreUarchMemo<'_> {
-    fn recall(&mut self, key: &[u8], compute: &mut dyn FnMut() -> Vec<u8>) -> std::rc::Rc<Vec<u8>> {
-        if let Some(hit) = self.local.get(key) {
-            self.reused += 1;
-            return std::rc::Rc::clone(hit);
-        }
-        let fp = phase::uarch_fingerprint(self.kind, key);
-        let bytes = match self.store.claim(PhaseId::Uarch, fp) {
-            ArtifactClaim::Disabled => {
-                self.computed += 1;
-                std::rc::Rc::new(compute())
-            }
-            ArtifactClaim::Ready(stored) => {
-                match stored.ok().and_then(|any| any.downcast::<Vec<u8>>().ok()) {
-                    Some(shared) => {
-                        self.reused += 1;
-                        std::rc::Rc::new((*shared).clone())
-                    }
-                    // A uarch slot never holds an error or a foreign
-                    // type; recover by computing locally if one ever
-                    // does.
-                    None => {
-                        self.computed += 1;
-                        std::rc::Rc::new(compute())
-                    }
-                }
-            }
-            ArtifactClaim::Fill(guard) => {
-                self.computed += 1;
-                let bytes = compute();
-                guard.fulfill(Ok(Arc::new(bytes.clone())));
-                std::rc::Rc::new(bytes)
-            }
-        };
-        self.local.insert(key.to_vec(), std::rc::Rc::clone(&bytes));
-        bytes
-    }
-}
-
 /// The front half of the phase graph behind a [`WcetReport`]: the CFG,
 /// the VIVU supergraph and the value-analysis fixpoint, exactly as the
 /// path analysis saw them. Returned by
@@ -322,13 +256,6 @@ impl<'p> WcetAnalysis<'p> {
     /// solve.
     pub fn summaries(mut self, on: bool) -> Self {
         self.config.summaries = on;
-        self
-    }
-
-    /// Enables or disables the summarized (per-procedure, memoized)
-    /// cache and pipeline solves.
-    pub fn uarch_summaries(mut self, on: bool) -> Self {
-        self.config.uarch_summaries = on;
         self
     }
 
@@ -484,23 +411,11 @@ impl<'p> WcetAnalysis<'p> {
             reused,
         });
 
-        // ---- Phase 4: cache analysis. With `uarch_summaries` the
-        // fixpoint runs over memoized per-procedure summaries; any
-        // program (or stored byte string) the summarizer rejects falls
-        // back to the monolithic solve — the classifications are
-        // identical either way.
+        // ---- Phase 4: cache analysis.
         stamp_exec::cancel::checkpoint_now();
         let t = Instant::now();
-        let cache_fp = phase::cache_fingerprint(value_fp, &cfg_opts.hw, cfg_opts.uarch_summaries);
-        let mut cache_memo = StoreUarchMemo::new(store, "cache");
+        let cache_fp = phase::cache_fingerprint(value_fp, &cfg_opts.hw);
         let (ca, reused) = store.get_or_compute(PhaseId::Cache, cache_fp, || {
-            if cfg_opts.uarch_summaries {
-                if let Some((ca, _)) =
-                    CacheAnalysis::run_summarized(&cfg_opts.hw, &cfg, &icfg, &va, &mut cache_memo)
-                {
-                    return Ok(ca);
-                }
-            }
             Ok(CacheAnalysis::run(&cfg_opts.hw, &cfg, &icfg, &va))
         })?;
         phases.push(PhaseStats {
@@ -509,26 +424,11 @@ impl<'p> WcetAnalysis<'p> {
             reused,
         });
 
-        // ---- Phase 5: pipeline analysis (summarized under the same
-        // contract as the cache phase).
+        // ---- Phase 5: pipeline analysis.
         stamp_exec::cancel::checkpoint_now();
         let t = Instant::now();
-        let pipeline_fp =
-            phase::pipeline_fingerprint(cache_fp, &cfg_opts.hw, cfg_opts.uarch_summaries);
-        let mut pipe_memo = StoreUarchMemo::new(store, "pipeline");
+        let pipeline_fp = phase::pipeline_fingerprint(cache_fp, &cfg_opts.hw);
         let (pa, reused) = store.get_or_compute(PhaseId::Pipeline, pipeline_fp, || {
-            if cfg_opts.uarch_summaries {
-                if let Some((pa, _)) = PipelineAnalysis::run_summarized(
-                    &cfg_opts.hw,
-                    &cfg,
-                    &icfg,
-                    &ca,
-                    &va,
-                    &mut pipe_memo,
-                ) {
-                    return Ok(pa);
-                }
-            }
             Ok(PipelineAnalysis::run(&cfg_opts.hw, &cfg, &icfg, &ca, &va))
         })?;
         phases.push(PhaseStats {
@@ -536,8 +436,6 @@ impl<'p> WcetAnalysis<'p> {
             seconds: t.elapsed().as_secs_f64(),
             reused,
         });
-        let (uarch_computed, uarch_reused) =
-            (cache_memo.computed + pipe_memo.computed, cache_memo.reused + pipe_memo.reused);
 
         // ---- Phase 6: path analysis (IPET).
         stamp_exec::cancel::checkpoint_now();
@@ -577,7 +475,6 @@ impl<'p> WcetAnalysis<'p> {
             &result,
             phases,
             (summaries_computed, summaries_reused),
-            (uarch_computed, uarch_reused),
         );
         Ok((report, PhaseArtifacts { cfg, icfg, va, lb, ca, pa, path: result }))
     }

@@ -491,14 +491,6 @@ fn run_job(job: &BatchJob, store: &ArtifactStore) -> JobResult {
                         for _ in 0..report.summaries_reused {
                             result.provenance.push((PhaseId::Summary, true));
                         }
-                        // Microarchitectural region summaries, same
-                        // contract.
-                        for _ in 0..report.uarch_computed {
-                            result.provenance.push((PhaseId::Uarch, false));
-                        }
-                        for _ in 0..report.uarch_reused {
-                            result.provenance.push((PhaseId::Uarch, true));
-                        }
                         // Sampling rides on the finished phase DAG: no
                         // phase is recomputed, only walked.
                         if let Some(params) = &job.sampling {

@@ -26,7 +26,6 @@
 //! | `path`     | `pipeline` + `loopbound` + `use_infeasible` + `summaries` |
 //! | `stack`    | `value` (default-VIVU chain) + resolved recursion depths |
 //! | `summary`  | the canonical byte form of one supergraph segment's ILP |
-//! | `uarch`    | the canonical byte form of one region's cache/pipeline entry class |
 //!
 //! Notably *absent* dependencies are what make cross-variant sharing
 //! work: the CFG does not depend on any hardware knob, and the value
@@ -72,16 +71,11 @@ pub enum PhaseId {
     /// jobs and processes). Appended after `Stack` so the dense
     /// indices of the earlier phases stay stable on disk.
     Summary,
-    /// One procedure region × entry-state class → its microarchitectural
-    /// summary (sub-artifacts of the cache and pipeline phases; the
-    /// payload is the summary's canonical byte form). Appended last so
-    /// earlier on-disk indices stay stable.
-    Uarch,
 }
 
 impl PhaseId {
     /// Every phase, in pipeline order.
-    pub const ALL: [PhaseId; 11] = [
+    pub const ALL: [PhaseId; 10] = [
         PhaseId::Assemble,
         PhaseId::Cfg,
         PhaseId::Context,
@@ -92,7 +86,6 @@ impl PhaseId {
         PhaseId::Path,
         PhaseId::Stack,
         PhaseId::Summary,
-        PhaseId::Uarch,
     ];
 
     /// Dense index (for per-phase counters).
@@ -118,7 +111,6 @@ impl PhaseId {
             PhaseId::Path => "path",
             PhaseId::Stack => "stack",
             PhaseId::Summary => "summary",
-            PhaseId::Uarch => "uarch",
         }
     }
 
@@ -136,7 +128,6 @@ impl PhaseId {
             PhaseId::Path => "path analysis (ILP)",
             PhaseId::Stack => "stack analysis",
             PhaseId::Summary => "procedure summaries",
-            PhaseId::Uarch => "uarch summaries",
         }
     }
 }
@@ -264,29 +255,19 @@ pub fn loopbound_fingerprint(value: Fingerprint, options: &LoopBoundOptions) -> 
 }
 
 /// `cache`: the value analysis plus the I/D cache geometries (and
-/// nothing else — timing does not influence classifications), plus the
-/// summarized-solve switch. The two modes produce identical
-/// classifications, but their artifacts must not mix: sharing one slot
-/// would silently mask a summarization bug behind whichever mode
-/// computed first.
-pub fn cache_fingerprint(value: Fingerprint, hw: &HwConfig, uarch_summaries: bool) -> Fingerprint {
-    let mut fp = Fp::new("stamp/cache/2");
+/// nothing else — timing does not influence classifications).
+pub fn cache_fingerprint(value: Fingerprint, hw: &HwConfig) -> Fingerprint {
+    let mut fp = Fp::new("stamp/cache/3");
     fp.fp(value);
     cache_fields(&mut fp, hw.icache);
     cache_fields(&mut fp, hw.dcache);
-    fp.bool(uarch_summaries);
     fp.finish()
 }
 
 /// `pipeline`: the cache analysis plus the whole hardware model (the
 /// pipeline reads timing, both cache geometries and, transitively, the
-/// memory map), plus the summarized-solve switch (see
-/// [`cache_fingerprint`]).
-pub fn pipeline_fingerprint(
-    cache: Fingerprint,
-    hw: &HwConfig,
-    uarch_summaries: bool,
-) -> Fingerprint {
+/// memory map).
+pub fn pipeline_fingerprint(cache: Fingerprint, hw: &HwConfig) -> Fingerprint {
     let HwConfig { icache, dcache, ref mem, timing } = *hw;
     let Timing {
         i_miss_penalty,
@@ -296,7 +277,7 @@ pub fn pipeline_fingerprint(
         div_latency,
         load_use_hazard,
     } = timing;
-    let mut fp = Fp::new("stamp/pipeline/2");
+    let mut fp = Fp::new("stamp/pipeline/3");
     fp.fp(cache);
     cache_fields(&mut fp, icache);
     cache_fields(&mut fp, dcache);
@@ -307,7 +288,6 @@ pub fn pipeline_fingerprint(
     fp.u32(mul_latency);
     fp.u32(div_latency);
     fp.bool(load_use_hazard);
-    fp.bool(uarch_summaries);
     fp.finish()
 }
 
@@ -336,18 +316,6 @@ pub fn path_fingerprint(
 pub fn summary_fingerprint(canonical: &[u8]) -> Fingerprint {
     let mut fp = Fp::new("stamp/summary/1");
     fp.bytes(canonical);
-    fp.finish()
-}
-
-/// `uarch`: a microarchitectural region summary is keyed by nothing but
-/// its canonical key — the region's instruction bytes, shape and
-/// hardware geometry plus the projected entry-state class (see
-/// `stamp_cache::UarchMemo`). `kind` separates the cache and pipeline
-/// key spaces, which are otherwise free to collide byte-for-byte.
-pub fn uarch_fingerprint(kind: &'static str, key: &[u8]) -> Fingerprint {
-    let mut fp = Fp::new("stamp/uarch/1");
-    fp.str(kind);
-    fp.bytes(key);
     fp.finish()
 }
 
@@ -444,9 +412,9 @@ pub fn plan_job(job: &BatchJob) -> Result<Vec<PhaseRequest>, String> {
         };
         let lb = loopbound_fingerprint(val, &lb_opts);
         push(PhaseId::LoopBound, lb);
-        let ca = cache_fingerprint(val, &job.config.hw, job.config.uarch_summaries);
+        let ca = cache_fingerprint(val, &job.config.hw);
         push(PhaseId::Cache, ca);
-        let pi = pipeline_fingerprint(ca, &job.config.hw, job.config.uarch_summaries);
+        let pi = pipeline_fingerprint(ca, &job.config.hw);
         push(PhaseId::Pipeline, pi);
         push(
             PhaseId::Path,

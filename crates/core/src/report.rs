@@ -77,13 +77,6 @@ pub struct WcetReport {
     pub summaries_computed: u64,
     /// Path-segment summaries recalled from a memo or the store.
     pub summaries_reused: u64,
-    /// Microarchitectural region summaries this run computed
-    /// (provenance, timing layer only — see
-    /// [`WcetReport::summaries_computed`]).
-    pub uarch_computed: u64,
-    /// Microarchitectural region summaries recalled from a memo or the
-    /// store.
-    pub uarch_reused: u64,
     /// Per-block worst-case profile: `(block start, count, cycles)`.
     pub block_profile: Vec<(u32, u64, u64)>,
     /// Block start addresses on the worst-case path prefix.
@@ -106,7 +99,6 @@ impl WcetReport {
         result: &WcetResult,
         phases: Vec<PhaseStats>,
         summaries: (u64, u64),
-        uarch: (u64, u64),
     ) -> WcetReport {
         // Per-block worst-case cycle attribution.
         let mut profile: BTreeMap<BlockId, (u64, u64)> = BTreeMap::new();
@@ -172,8 +164,6 @@ impl WcetReport {
             phases,
             summaries_computed: summaries.0,
             summaries_reused: summaries.1,
-            uarch_computed: uarch.0,
-            uarch_reused: uarch.1,
             block_profile,
             worst_path,
             evaluations: va.evaluations + ca.evaluations + pa.evaluations,
@@ -283,13 +273,6 @@ impl WcetReport {
                 out,
                 "{:<24} {} computed, {} reused",
                 "procedure summaries", self.summaries_computed, self.summaries_reused
-            );
-        }
-        if self.uarch_computed + self.uarch_reused > 0 {
-            let _ = writeln!(
-                out,
-                "{:<24} {} computed, {} reused",
-                "uarch summaries", self.uarch_computed, self.uarch_reused
             );
         }
         out

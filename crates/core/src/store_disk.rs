@@ -290,9 +290,6 @@ pub(crate) fn encode_artifact(phase: PhaseId, any: &(dyn Any + Send + Sync)) -> 
         PhaseId::Path => enc::<stamp_path::WcetResult>(any),
         PhaseId::Stack => enc::<crate::stack_tool::StackReport>(any),
         PhaseId::Summary => enc::<stamp_path::SegmentSummary>(any),
-        // The payload is already the summary's canonical byte form; the
-        // consuming analysis validates it structurally on decode.
-        PhaseId::Uarch => enc::<Vec<u8>>(any),
     }
 }
 
@@ -318,7 +315,6 @@ pub(crate) fn decode_artifact(
         PhaseId::Path => dec::<stamp_path::WcetResult>(bytes),
         PhaseId::Stack => dec::<crate::stack_tool::StackReport>(bytes),
         PhaseId::Summary => dec::<stamp_path::SegmentSummary>(bytes),
-        PhaseId::Uarch => dec::<Vec<u8>>(bytes),
     }
 }
 

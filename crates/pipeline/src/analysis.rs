@@ -25,19 +25,19 @@ pub struct PipelineAnalysis {
     pub evaluations: u64,
 }
 
-pub(crate) struct PipeTransfer<'a> {
-    pub(crate) cfg: &'a Cfg,
-    pub(crate) hw: &'a HwConfig,
-    pub(crate) ca: &'a CacheAnalysis,
+struct PipeTransfer<'a> {
+    cfg: &'a Cfg,
+    hw: &'a HwConfig,
+    ca: &'a CacheAnalysis,
     /// Edges the value analysis proved infeasible (not propagated).
-    pub(crate) infeasible: std::collections::HashSet<stamp_ai::IEdgeId>,
+    infeasible: std::collections::HashSet<stamp_ai::IEdgeId>,
 }
 
 impl PipeTransfer<'_> {
     /// Walks a block from one incoming pipeline state, returning the
     /// cycle count (excluding the outgoing control-transfer penalty) and
     /// the outgoing state.
-    pub(crate) fn walk(&self, icfg: &Icfg, node: NodeId, entry: PipeState) -> (u64, PipeState) {
+    fn walk(&self, icfg: &Icfg, node: NodeId, entry: PipeState) -> (u64, PipeState) {
         let n = icfg.node(node);
         let block = self.cfg.block(n.block);
         let t = self.hw.timing;
@@ -158,14 +158,18 @@ impl PipelineAnalysis {
         }
     }
 
-    /// Assembles a result from precomputed parts (summarized mode).
-    pub(crate) fn from_parts(
-        times: HashMap<NodeId, u64>,
-        branch_penalty: u64,
-        ps_extra: u64,
-        evaluations: u64,
-    ) -> PipelineAnalysis {
-        PipelineAnalysis { times, branch_penalty, ps_extra, evaluations }
+    /// Exists only so `stampbench` builds; always `None`, so
+    /// callers fall back to [`PipelineAnalysis::run`].
+    #[doc(hidden)]
+    pub fn run_summarized(
+        _hw: &HwConfig,
+        _cfg: &Cfg,
+        _icfg: &Icfg,
+        _ca: &CacheAnalysis,
+        _va: &stamp_value::ValueAnalysis,
+        _memo: &mut stamp_cache::LocalUarchMemo,
+    ) -> Option<(PipelineAnalysis, stamp_cache::UarchSummaryStats)> {
+        None
     }
 
     /// One-time miss budget for all persistent lines (added to the ILP

@@ -21,7 +21,6 @@
 
 mod analysis;
 mod state;
-mod summary;
 
 pub use analysis::PipelineAnalysis;
 pub use state::{PipeSet, PipeState};

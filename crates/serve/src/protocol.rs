@@ -17,8 +17,7 @@
 //! `benchmark` / `file` / `source`+`name`, plus `loop_bounds`,
 //! `recursion`, `wcet`), and `variant` (a manifest *variant* object:
 //! `hw`, `peel`, `max_call_depth`, `max_contexts`, `domain`,
-//! `widen_delay`, `small_set`, `use_infeasible`, `uarch_summaries`,
-//! `sampling`; `name`
+//! `widen_delay`, `small_set`, `use_infeasible`, `sampling`; `name`
 //! defaults to `"default"`). The job vocabulary *is* the `stamp batch`
 //! manifest vocabulary — requests are parsed through the same
 //! `stamp_suite::manifest` code path, so unknown keys are rejected
@@ -282,6 +281,16 @@ mod tests {
                 "unknown hw",
             ),
             (r#"{"id": "f", "job": {"benchmark": "crc"}, "deadline_ms": -1}"#, Some("f"), "dead"),
+            (
+                r#"{"id": "g", "job": {"benchmark": "crc"}, "variant": {"summaries": false}}"#,
+                Some("g"),
+                "unknown variant key `summaries`",
+            ),
+            (
+                r#"{"id": "h", "job": {"benchmark": "crc"}, "variant": {"uarch_summaries": true}}"#,
+                Some("h"),
+                "unknown variant key `uarch_summaries`",
+            ),
         ];
         for (line, id, needle) in cases {
             let e = parse_request(line, base()).unwrap_err();

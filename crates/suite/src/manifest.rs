@@ -29,15 +29,14 @@
 //! `"no-cache"`, `"ideal"` or `{"cache_bytes": N}`), `peel`,
 //! `max_call_depth`, `max_contexts` (VIVU), `domain` (`"const"`,
 //! `"interval"`, `"strided"`), `widen_delay`, `small_set` (value
-//! analysis), `use_infeasible` (bool, ILP), `summaries` (bool, solve
-//! the path ILP via memoized per-segment summaries; default true),
-//! `uarch_summaries` (bool, compose cache/pipeline analyses from
-//! per-region microarchitectural summaries; default true),
-//! `sampling` (probabilistic path sampling: `{}` for the defaults or
-//! `{"samples": N, "seed": N}`).
+//! analysis), `use_infeasible` (bool, ILP), `sampling` (probabilistic
+//! path sampling: `{}` for the defaults or `{"samples": N, "seed": N}`).
 //!
 //! Unknown keys are rejected everywhere: a misspelled knob must fail
-//! the parse, not silently run the default configuration.
+//! the parse, not silently run the default configuration. Solver
+//! implementation switches are not knobs: the monolithic path ILP is
+//! reachable only from Rust (`AnalysisConfig::summaries`), as a test
+//! oracle.
 
 use std::path::Path;
 
@@ -248,8 +247,6 @@ fn parse_variant(v: &Json) -> Result<BatchVariant, ManifestError> {
             "widen_delay",
             "small_set",
             "use_infeasible",
-            "summaries",
-            "uarch_summaries",
             "sampling",
         ],
     )?;
@@ -320,14 +317,6 @@ fn parse_variant(v: &Json) -> Result<BatchVariant, ManifestError> {
         config.use_infeasible =
             u.as_bool().ok_or(ManifestError("`use_infeasible` must be a boolean".into()))?;
     }
-    if let Some(u) = v.get("summaries") {
-        config.summaries =
-            u.as_bool().ok_or(ManifestError("`summaries` must be a boolean".into()))?;
-    }
-    if let Some(u) = v.get("uarch_summaries") {
-        config.uarch_summaries =
-            u.as_bool().ok_or(ManifestError("`uarch_summaries` must be a boolean".into()))?;
-    }
     let mut sampling = None;
     if let Some(s) = v.get("sampling") {
         if s.as_obj().is_none() {
@@ -371,7 +360,7 @@ mod tests {
               "variants": [
                 {"name": "default"},
                 {"name": "lean", "hw": "no-cache", "peel": 0, "domain": "interval",
-                 "widen_delay": 4, "use_infeasible": false, "uarch_summaries": false}
+                 "widen_delay": 4, "use_infeasible": false}
               ]
             }"#,
             Path::new("."),
@@ -383,7 +372,6 @@ mod tests {
         assert!(lean.config.hw.icache.is_none());
         assert_eq!(lean.config.vivu.peel, 0);
         assert!(!lean.config.use_infeasible);
-        assert!(!lean.config.uarch_summaries);
         assert!(!req.jobs[2].wcet);
     }
 
@@ -466,6 +454,17 @@ mod tests {
                 r#"{"targets": [{"benchmark": "crc"}],
                     "variants": [{"name": "a", "sampling": {"samples": "many"}}]}"#,
                 "`samples` must be an integer",
+            ),
+            // Solver implementation switches are not variant knobs.
+            (
+                r#"{"targets": [{"benchmark": "crc"}],
+                    "variants": [{"name": "a", "summaries": false}]}"#,
+                "unknown variant key `summaries`",
+            ),
+            (
+                r#"{"targets": [{"benchmark": "crc"}],
+                    "variants": [{"name": "a", "uarch_summaries": false}]}"#,
+                "unknown variant key `uarch_summaries`",
             ),
         ];
         for (text, needle) in cases {

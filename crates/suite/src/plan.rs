@@ -156,9 +156,6 @@ pub fn describe_config(config: &AnalysisConfig) -> String {
     if config.use_infeasible != default.use_infeasible {
         knobs.push(format!("use_infeasible={}", config.use_infeasible));
     }
-    if config.uarch_summaries != default.uarch_summaries {
-        knobs.push(format!("uarch_summaries={}", config.uarch_summaries));
-    }
     if knobs.is_empty() {
         "(defaults)".to_string()
     } else {
