@@ -1,13 +1,14 @@
-//! # stamp-bench — the evaluation harness
+//! # stamp_bench — the evaluation harness
 //!
-//! Shared machinery for the experiment tables (see `src/bin/experiments.rs`
-//! and EXPERIMENTS.md) and the Criterion benchmarks (`benches/`).
+//! Shared machinery for the experiment tables (`src/bin/experiments.rs`)
+//! and the pinned corpus results ([`pins`]). Timing lives in the
+//! repository benchmark (`BENCHMARK.json`, run by `stampbench/`).
 //!
 //! The experiment index lives in DESIGN.md: each table/figure E1–E10
 //! reproduces one quantitative claim of the paper. Run
 //!
 //! ```sh
-//! cargo run -p stamp-bench --release --bin experiments
+//! cargo run -p stamp_bench --release --bin experiments
 //! ```
 //!
 //! to regenerate all of them.

@@ -8,11 +8,11 @@
 //! solver `evaluations` — or the worklist reordering changed analysis
 //! semantics rather than just its speed.
 //!
-//! Checked by the `corpus_pins` regression test and by
-//! `kernel_bench --check` (the CI `bench-smoke` job). Regenerate with
-//! `cargo run -p stamp_bench --release --bin kernel_bench -- --print-pins`
-//! — but only after convincing yourself the drift is an intended
-//! precision change, not an accident.
+//! Checked by the `corpus_pins` regression test and by `stamp batch
+//! --corpus --check-pins` (the CI `batch-smoke` job). On drift, `cargo
+//! test -p stamp_bench --test corpus_pins` prints the measured values
+//! in the table format below; paste them in — but only after convincing
+//! yourself the drift is an intended precision change, not an accident.
 
 /// Pinned per-benchmark analysis invariants.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -34,7 +34,7 @@ pub struct CorpusPin {
 }
 
 /// The pinned corpus results (see module docs for provenance).
-#[rustfmt::skip] // table: one pin per line, matching --print-pins output
+#[rustfmt::skip] // table: one pin per line, matching the corpus_pins drift output
 pub const CORPUS: &[CorpusPin] = &[
     CorpusPin { name: "fibcall", wcet: Some(242), stack: 0, evaluations: 20, fetch: [11, 3, 0, 0], data: [0, 0, 0, 0] },
     CorpusPin { name: "insertsort", wcet: Some(1090), stack: 0, evaluations: 75, fetch: [42, 6, 1, 0], data: [1, 1, 3, 0] },
@@ -100,9 +100,7 @@ impl MeasuredTask {
 
 /// Compares measured corpus results against [`CORPUS`], returning one
 /// human-readable drift line per divergence (empty means green). The
-/// single comparison used by every pin gate — `kernel_bench --check`
-/// and `stamp batch --check-pins` — so a pin-field change cannot make
-/// the two gates diverge.
+/// comparison behind `stamp batch --check-pins`.
 pub fn check_corpus(measured: &[MeasuredTask]) -> Vec<String> {
     let mut drift = Vec::new();
     for pin in CORPUS {

@@ -3,10 +3,14 @@
 //! recorded with the pre-refactor kernel exactly. Guards against
 //! accidental precision or termination changes from worklist reordering,
 //! state-sharing bugs, or cache-set representation drift.
+//!
+//! On drift, each test prints the measured values as the source of its
+//! pin table, so an intended change is fixed by pasting them into
+//! `crates/bench/src/pins.rs`.
 
 use stamp_bench::pins::{CorpusPin, CORPUS, SCALING_EVALS};
 use stamp_core::{AnalysisConfig, StackAnalysis, WcetAnalysis};
-use stamp_suite::benchmarks;
+use stamp_suite::{benchmarks, Benchmark};
 
 #[test]
 fn every_corpus_benchmark_is_pinned() {
@@ -19,55 +23,62 @@ fn every_corpus_benchmark_is_pinned() {
     }
 }
 
+/// Measures one benchmark in pin form.
+fn measure(b: &Benchmark) -> CorpusPin {
+    let program = b.program();
+    let stack = StackAnalysis::new(&program)
+        .annotations(b.annotations())
+        .run()
+        .expect("stack analysis")
+        .bound;
+    if !b.supports_wcet {
+        return CorpusPin {
+            name: b.name,
+            wcet: None,
+            stack,
+            evaluations: 0,
+            fetch: [0; 4],
+            data: [0; 4],
+        };
+    }
+    let r = WcetAnalysis::new(&program)
+        .config(AnalysisConfig::default())
+        .annotations(b.annotations())
+        .run()
+        .expect("wcet analysis");
+    let (f, d) = (&r.fetch_stats, &r.data_stats);
+    CorpusPin {
+        name: b.name,
+        wcet: Some(r.wcet),
+        stack,
+        evaluations: r.evaluations,
+        fetch: [f.hit, f.miss, f.persistent, f.unclassified],
+        data: [d.hit, d.miss, d.persistent, d.unclassified],
+    }
+}
+
 #[test]
 fn corpus_results_match_pins_bit_for_bit() {
-    for b in benchmarks() {
-        let pin = CORPUS.iter().find(|p| p.name == b.name).expect("pinned");
-        let program = b.program();
-        let stack = StackAnalysis::new(&program)
-            .annotations(b.annotations())
-            .run()
-            .expect("stack analysis")
-            .bound;
-        let measured = if b.supports_wcet {
-            let r = WcetAnalysis::new(&program)
-                .config(AnalysisConfig::default())
-                .annotations(b.annotations())
-                .run()
-                .expect("wcet analysis");
-            CorpusPin {
-                name: b.name,
-                wcet: Some(r.wcet),
-                stack,
-                evaluations: r.evaluations,
-                fetch: [
-                    r.fetch_stats.hit,
-                    r.fetch_stats.miss,
-                    r.fetch_stats.persistent,
-                    r.fetch_stats.unclassified,
-                ],
-                data: [
-                    r.data_stats.hit,
-                    r.data_stats.miss,
-                    r.data_stats.persistent,
-                    r.data_stats.unclassified,
-                ],
-            }
-        } else {
-            CorpusPin {
-                name: b.name,
-                wcet: None,
-                stack,
-                evaluations: 0,
-                fetch: [0; 4],
-                data: [0; 4],
-            }
-        };
-        assert_eq!(
-            *pin, measured,
-            "{}: drift from pinned kernel results — if intended, regenerate \
-             with `kernel_bench --print-pins`",
-            b.name
+    let measured: Vec<CorpusPin> = benchmarks().iter().map(measure).collect();
+    let drifted: Vec<&str> = measured
+        .iter()
+        .filter(|m| CORPUS.iter().find(|p| p.name == m.name) != Some(*m))
+        .map(|m| m.name)
+        .collect();
+    if !drifted.is_empty() {
+        let table: String = measured
+            .iter()
+            .map(|p| {
+                format!(
+                    "    CorpusPin {{ name: {:?}, wcet: {:?}, stack: {}, evaluations: {}, \
+                     fetch: {:?}, data: {:?} }},\n",
+                    p.name, p.wcet, p.stack, p.evaluations, p.fetch, p.data
+                )
+            })
+            .collect();
+        panic!(
+            "drift from pinned kernel results in {drifted:?}. If intended, replace the \
+             body of `CORPUS` in crates/bench/src/pins.rs with:\n{table}"
         );
     }
 }
@@ -80,11 +91,21 @@ fn scaling_series_evaluations_match_pins() {
     use stamp_suite::{generate, GenConfig};
 
     let mut rng = StdRng::seed_from_u64(0xE6);
-    for &(constructs, pinned) in SCALING_EVALS {
-        let cfg = GenConfig { constructs, functions: 2, ..GenConfig::default() };
-        let src = generate(&mut rng, &cfg);
-        let program = assemble(&src).expect("generated");
-        let report = WcetAnalysis::new(&program).run().expect("analysis");
-        assert_eq!(report.evaluations, pinned, "scaling/{constructs}: solver evaluations drifted");
+    let measured: Vec<(usize, u64)> = SCALING_EVALS
+        .iter()
+        .map(|&(constructs, _)| {
+            let cfg = GenConfig { constructs, functions: 2, ..GenConfig::default() };
+            let src = generate(&mut rng, &cfg);
+            let program = assemble(&src).expect("generated");
+            let report = WcetAnalysis::new(&program).run().expect("analysis");
+            (constructs, report.evaluations)
+        })
+        .collect();
+    if measured != SCALING_EVALS {
+        let table: String = measured.iter().map(|(c, e)| format!("    ({c}, {e}),\n")).collect();
+        panic!(
+            "E6 scaling series: solver evaluations drifted. If intended, replace the body \
+             of `SCALING_EVALS` in crates/bench/src/pins.rs with:\n{table}"
+        );
     }
 }

@@ -167,21 +167,6 @@ impl stamp_path::SummaryMemo for StoreSummaryMemo<'_> {
     }
 }
 
-/// The front half of the phase graph behind a [`WcetReport`]: the CFG,
-/// the VIVU supergraph and the value-analysis fixpoint, exactly as the
-/// path analysis saw them. Returned by
-/// [`WcetAnalysis::run_with_artifacts`] so differential oracles (the
-/// soundness fuzzer) can check concrete simulator states against the
-/// abstract exit states without re-running any phase.
-pub struct ValueArtifacts {
-    /// The control-flow graph (with resolved indirect targets).
-    pub cfg: Arc<Cfg>,
-    /// The interprocedural supergraph.
-    pub icfg: Arc<Icfg>,
-    /// The value-analysis fixpoint over `icfg`.
-    pub va: ValueAnalysis,
-}
-
 /// Every phase artifact behind a [`WcetReport`], exactly as the report
 /// was assembled from them. Returned by [`WcetAnalysis::run_full`] so
 /// downstream consumers — the probabilistic path sampler, the
@@ -285,32 +270,16 @@ impl<'p> WcetAnalysis<'p> {
     /// As [`WcetAnalysis::run`]. Phase errors are cached and replayed
     /// identically to sharing jobs.
     pub fn run_with(&self, store: &ArtifactStore) -> Result<WcetReport, AnalysisError> {
-        self.run_with_artifacts(store).map(|(report, _)| report)
+        self.run_full(store).map(|(report, _)| report)
     }
 
-    /// Like [`WcetAnalysis::run_with`], but also hands back the
-    /// [`ValueArtifacts`] the report was assembled from. This is the
-    /// entry point of the differential soundness oracle: the fuzzer
-    /// simulates the program and checks every concrete register against
-    /// `artifacts.va`'s abstract exit state at the halt site — one
-    /// analysis run serves both the bound and the containment check.
-    ///
-    /// # Errors
-    ///
-    /// As [`WcetAnalysis::run`].
-    pub fn run_with_artifacts(
-        &self,
-        store: &ArtifactStore,
-    ) -> Result<(WcetReport, ValueArtifacts), AnalysisError> {
-        self.run_full(store)
-            .map(|(report, a)| (report, ValueArtifacts { cfg: a.cfg, icfg: a.icfg, va: a.va }))
-    }
-
-    /// Like [`WcetAnalysis::run_with_artifacts`], but hands back *every*
-    /// phase artifact ([`PhaseArtifacts`]), not just the value-analysis
-    /// front half. This is the entry point for consumers layered on a
-    /// finished analysis — the probabilistic path sampler walks the
-    /// supergraph against `lb`/`pa` without re-running any phase.
+    /// Like [`WcetAnalysis::run_with`], but also hands back every phase
+    /// artifact ([`PhaseArtifacts`]) the report was assembled from. This
+    /// is the entry point for consumers layered on a finished analysis:
+    /// the differential soundness oracle checks concrete simulator
+    /// states against `va`'s abstract exit states, and the probabilistic
+    /// path sampler walks the supergraph against `lb`/`pa`, without
+    /// re-running any phase.
     ///
     /// # Errors
     ///

@@ -339,9 +339,8 @@ fn batch(args: &[String]) -> Result<(), CliError> {
 
     let mut drift: Vec<String> = Vec::new();
     if check_pins {
-        // Same comparison as `kernel_bench --check` (the shared
-        // stamp_bench::pins::check_corpus helper), so the two pin gates
-        // cannot diverge.
+        // The corpus pins of stamp_bench::pins, also checked by its
+        // `corpus_pins` test.
         let measured: Vec<stamp::bench::pins::MeasuredTask> = report
             .results
             .iter()

@@ -1,12 +1,12 @@
 //! The sampling backend's contract: seed-pinned byte-identity across
-//! worker counts, the nearest-rank percentile edge cases, the
-//! soundness invariant (observed-max ≤ ILP WCET) on the whole pinned
-//! corpus, and the fuzz oracle's sampling leg catching an injected
-//! fault.
+//! worker counts and store states, the nearest-rank percentile edge
+//! cases, the soundness invariant (observed-max ≤ ILP WCET) on the
+//! whole pinned corpus, reuse of a plain batch's phase artifacts, and
+//! the fuzz oracle's sampling leg catching an injected fault.
 
 use std::process::Command;
 
-use stamp::analyzer::SampleParams;
+use stamp::analyzer::{run_batch_with, ArtifactStore, BatchRequest, SampleParams};
 use stamp::run_batch;
 use stamp::sample::percentile;
 use stamp::suite::fuzz::{run_campaign, FuzzConfig};
@@ -93,17 +93,23 @@ fn manifest_sampling_matches_the_in_process_api() {
     }
 }
 
-/// The soundness invariant on the full pinned corpus: every completed
-/// walk costs at most the job's ILP WCET bound, and the distribution
-/// statistics are internally consistent.
-#[test]
-fn corpus_observed_max_never_exceeds_the_ilp_bound() {
+/// The pinned corpus with every WCET job walking 64 seed-0 paths.
+fn corpus_sampling_request() -> BatchRequest {
     let mut request = corpus_request();
     for job in &mut request.jobs {
         if job.wcet {
             job.sampling = Some(SampleParams { samples: 64, seed: 0 });
         }
     }
+    request
+}
+
+/// The soundness invariant on the full pinned corpus: every completed
+/// walk costs at most the job's ILP WCET bound, and the distribution
+/// statistics are internally consistent.
+#[test]
+fn corpus_observed_max_never_exceeds_the_ilp_bound() {
+    let request = corpus_sampling_request();
     let report = run_batch(&request, 4).unwrap();
     assert_eq!(report.errors(), 0);
     let mut sampled = 0;
@@ -121,6 +127,35 @@ fn corpus_observed_max_never_exceeds_the_ilp_bound() {
         assert_eq!(s.completed + s.dead_ends, s.samples, "{}", r.name);
     }
     assert!(sampled >= 10, "corpus should sample most benchmarks, got {sampled}");
+}
+
+/// Sampling on top of a store primed by a *plain* (non-sampling) batch
+/// reuses that batch's phase artifacts and only adds the walks: the
+/// warm 4-worker report is byte-identical to a serial cold-store run,
+/// at least half of its phase requests hit the store, and every
+/// observed-max stays within its job's WCET bound.
+#[test]
+fn sampling_reuses_a_plain_batch_store_without_changing_results() {
+    let request = corpus_sampling_request();
+    let store = ArtifactStore::new();
+    run_batch_with(&corpus_request(), 4, &store).unwrap();
+
+    let warm = run_batch_with(&request, 4, &store).unwrap();
+    assert_eq!(warm.errors(), 0);
+    let cold = run_batch(&request, 1).unwrap();
+    assert_eq!(
+        warm.results_json().to_string(),
+        cold.results_json().to_string(),
+        "warm 4-worker sampling differs from serial cold-store sampling"
+    );
+    let hit_rate = warm.artifacts.hit_rate();
+    assert!(hit_rate >= 0.5, "artifact-warm hit rate {:.0}% below 50%", hit_rate * 100.0);
+    for r in &warm.results {
+        if let (Some(s), Some(wcet)) = (&r.sampling, r.wcet) {
+            let max = s.observed_max.expect("corpus programs complete walks");
+            assert!(max <= wcet, "{}: observed {max} > bound {wcet}", r.name);
+        }
+    }
 }
 
 /// Nearest-rank percentile edges: empty, singleton, exact ranks, and

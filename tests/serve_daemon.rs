@@ -216,7 +216,11 @@ fn unix_socket_daemon_reuses_warm_artifacts_across_requests() {
 
     // The same job twice: the second run hits the warm store instead of
     // recomputing, and both results match `stamp batch` byte-for-byte.
+    let misses = |stats: &Json| {
+        stats.get("stats").and_then(|s| s.get("misses")).and_then(Json::as_u64).unwrap()
+    };
     let cold = ask(r#"{"id": "cold", "job": {"benchmark": "crc"}}"#);
+    let cold_misses = misses(&ask(r#"{"id": "stats-cold", "op": "stats"}"#));
     let warm = ask(r#"{"id": "warm", "job": {"benchmark": "crc"}}"#);
     assert_eq!(status_of(&cold), "ok", "{cold}");
     assert_eq!(status_of(&warm), "ok", "{warm}");
@@ -227,6 +231,7 @@ fn unix_socket_daemon_reuses_warm_artifacts_across_requests() {
     let stats = ask(r#"{"id": "stats", "op": "stats"}"#);
     let hits = stats.get("stats").and_then(|s| s.get("hits")).and_then(Json::as_u64).unwrap();
     assert!(hits > 0, "the repeated request must reuse warm artifacts: {stats}");
+    assert_eq!(misses(&stats), cold_misses, "the warm request must compute nothing: {stats}");
 
     let term =
         Command::new("kill").args(["-TERM", &child.id().to_string()]).status().expect("kill runs");

@@ -6,8 +6,11 @@
 
 use std::path::Path;
 
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use stamp::analyzer::{run_batch, ArtifactStore, PhaseId};
-use stamp::suite::{corpus_matrix, parse_manifest};
+use stamp::bench::pins::SCALING_EVALS;
+use stamp::suite::{corpus_matrix, generate, parse_manifest, GenConfig};
 use stamp::{assemble, BatchVariant, WcetAnalysis};
 
 /// The tentpole identity: the whole corpus, analyzed with the
@@ -33,12 +36,51 @@ fn summarized_corpus_results_match_monolithic_at_every_worker_count() {
     }
 }
 
-/// The `summaries` config switch selects the solver per manifest
-/// variant (it is not a manifest key: the monolithic solve is a Rust-level
-/// test oracle), the bounds agree, and only the summarized variant
-/// reports summary provenance.
+/// The E6 scaling series (the sizes pinned in `SCALING_EVALS`), drawn
+/// from one `0xE6`-seeded rng in size order exactly as the
+/// `corpus_pins` test draws it, checked at the sizes `keep` selects:
+/// the summarized and the monolithic solver must agree on the WCET
+/// bound and the ILP size. Every program is generated, so a selected
+/// size is the same program whatever the selection.
+fn assert_e6_series_exact(keep: impl Fn(usize) -> bool) {
+    let mut rng = StdRng::seed_from_u64(0xE6);
+    for &(constructs, _) in SCALING_EVALS {
+        let cfg = GenConfig { constructs, functions: 2, ..GenConfig::default() };
+        let src = generate(&mut rng, &cfg);
+        if !keep(constructs) {
+            continue;
+        }
+        let program = assemble(&src).expect("generated");
+        let summarized = WcetAnalysis::new(&program).run().expect("summarized analysis");
+        let monolithic =
+            WcetAnalysis::new(&program).summaries(false).run().expect("monolithic analysis");
+        assert_eq!(summarized.wcet, monolithic.wcet, "e6/{constructs}: WCET bounds differ");
+        assert_eq!(summarized.ilp_size, monolithic.ilp_size, "e6/{constructs}: ILP sizes differ");
+    }
+}
+
+/// Segment decomposition is exact on the E6 series up to 128 constructs.
 #[test]
-fn manifest_summaries_key_switches_the_solver() {
+fn summarized_e6_series_matches_monolithic() {
+    assert_e6_series_exact(|constructs| constructs <= 128);
+}
+
+/// The large end of the E6 series, where the monolithic solve takes
+/// seconds even in release (~1.4 s at 256 and ~21 s at 640 constructs).
+/// Run with `cargo test --release --test summary_identity --
+/// --include-ignored`.
+#[test]
+#[ignore = "monolithic solve takes ~20 s in release; run with --include-ignored"]
+fn summarized_e6_series_matches_monolithic_at_large_sizes() {
+    assert_e6_series_exact(|constructs| constructs > 128);
+}
+
+/// The `summaries` config switch selects the solver per job (it is not a
+/// manifest key: the monolithic solve is a Rust-level test oracle), the
+/// bounds agree, and only the summarized variant reports summary
+/// provenance.
+#[test]
+fn summaries_config_switches_the_solver_per_job() {
     let manifest = r#"{
       "targets": [
         {"benchmark": "fibcall"},
