@@ -9,28 +9,28 @@
 //! shared [`ArtifactStore`], so concurrent batch jobs whose phase
 //! inputs agree compute each artifact once and share it; [`WcetAnalysis::run`]
 //! drives the same graph through a disabled store (compute everything
-//! locally, cache nothing) — there is exactly one driver.
+//! locally, cache nothing) — there is exactly one driver. Its CFG →
+//! context → value prefix is `phase::value_prefix`, shared with the
+//! stack tool, and every request goes through the `phase::PhaseRun`
+//! runner.
 
-use std::collections::BTreeMap;
 use std::sync::Arc;
-use std::time::Instant;
 
 use stamp_ai::{Icfg, VivuConfig};
 use stamp_cache::CacheAnalysis;
-use stamp_cfg::{Cfg, CfgBuilder};
+use stamp_cfg::Cfg;
 use stamp_hw::HwConfig;
 use stamp_isa::Program;
-use stamp_loopbound::{LoopBoundAnalysis, LoopBoundOptions};
+use stamp_loopbound::LoopBoundAnalysis;
 use stamp_path::{PathOptions, WcetResult};
 use stamp_pipeline::PipelineAnalysis;
-use stamp_value::{FrozenValueAnalysis, ValueAnalysis, ValueOptions};
+use stamp_value::{ValueAnalysis, ValueOptions};
 
 use crate::annot::Annotations;
 use crate::artifact::{ArtifactClaim, ArtifactStore};
 use crate::error::AnalysisError;
-use crate::fingerprint::Fingerprint;
-use crate::phase::{self, PhaseId};
-use crate::report::{PhaseStats, WcetReport};
+use crate::phase::{self, PhaseId, PhaseRun, Prefix, WcetKeys};
+use crate::report::WcetReport;
 
 /// Configuration of the analyzer pipeline.
 #[derive(Clone, Debug)]
@@ -65,35 +65,6 @@ impl Default for AnalysisConfig {
             summaries: true,
             uarch_summaries: false,
             max_cfg_iterations: 4,
-        }
-    }
-}
-
-/// Runs the value phase against the store. The computing job publishes
-/// the deep-frozen (`Send + Sync`) form and keeps its own analysis;
-/// reusing jobs thaw a job-local copy — the kernel's `Rc`-based
-/// copy-on-write state never crosses a thread boundary.
-pub(crate) fn value_phase(
-    store: &ArtifactStore,
-    fp: Fingerprint,
-    program: &Program,
-    hw: &HwConfig,
-    cfg: &Cfg,
-    icfg: &Icfg,
-    options: &ValueOptions,
-) -> (ValueAnalysis, bool) {
-    match store.claim(PhaseId::Value, fp) {
-        ArtifactClaim::Disabled => (ValueAnalysis::run(program, hw, cfg, icfg, options), false),
-        ArtifactClaim::Ready(stored) => {
-            let any = stored.expect("the value analysis is infallible");
-            let frozen: Arc<FrozenValueAnalysis> =
-                any.downcast().expect("value artifacts are FrozenValueAnalysis");
-            (frozen.thaw(), true)
-        }
-        ArtifactClaim::Fill(guard) => {
-            let va = ValueAnalysis::run(program, hw, cfg, icfg, options);
-            guard.fulfill(Ok(Arc::new(va.freeze())));
-            (va, false)
         }
     }
 }
@@ -288,162 +259,34 @@ impl<'p> WcetAnalysis<'p> {
         &self,
         store: &ArtifactStore,
     ) -> Result<(WcetReport, PhaseArtifacts), AnalysisError> {
-        let program = self.program;
-        let cfg_opts = &self.config;
-        let program_fp = phase::program_fingerprint(program);
-        let mut phases: Vec<PhaseStats> = Vec::new();
-
-        // ---- Phase 1+2 iterated: CFG building ↔ value analysis. Each
-        // iteration's artifacts are keyed by the indirect-target map it
-        // starts from, so the whole feedback loop replays from the
-        // store when another job analyzed the same program.
-        let mut extra: BTreeMap<u32, Vec<u32>> = self.annotations.resolved_indirects(program);
-        let mut iteration = 0;
-        let (cfg, icfg, va, value_fp) = loop {
-            iteration += 1;
-            // Phase boundaries are cancellation points: a job running
-            // under a deadline is cut between phases (and inside the
-            // solver's own checkpoints), never mid-artifact. No store
-            // lock is held here, so the unwind cannot poison anything.
-            stamp_exec::cancel::checkpoint_now();
-            let t = Instant::now();
-            let cfg_fp = phase::cfg_fingerprint(program_fp, &extra);
-            let (cfg, reused) = store.get_or_compute(PhaseId::Cfg, cfg_fp, || {
-                let mut builder = CfgBuilder::new(program);
-                for (a, ts) in &extra {
-                    builder.indirect_targets(*a, ts.iter().copied());
-                }
-                builder.build().map_err(AnalysisError::from)
-            })?;
-            phases.push(PhaseStats {
-                phase: PhaseId::Cfg,
-                seconds: t.elapsed().as_secs_f64(),
-                reused,
-            });
-
-            let t = Instant::now();
-            let context_fp = phase::context_fingerprint(cfg_fp, &cfg_opts.vivu);
-            let (icfg, reused) = store.get_or_compute(PhaseId::Context, context_fp, || {
-                Icfg::build(&cfg, &cfg_opts.vivu).map_err(AnalysisError::from)
-            })?;
-            phases.push(PhaseStats {
-                phase: PhaseId::Context,
-                seconds: t.elapsed().as_secs_f64(),
-                reused,
-            });
-
-            let t = Instant::now();
-            let value_fp = phase::value_fingerprint(context_fp, &cfg_opts.hw.mem, &cfg_opts.value);
-            let (va, reused) =
-                value_phase(store, value_fp, program, &cfg_opts.hw, &cfg, &icfg, &cfg_opts.value);
-            phases.push(PhaseStats {
-                phase: PhaseId::Value,
-                seconds: t.elapsed().as_secs_f64(),
-                reused,
-            });
-
-            if cfg.unresolved_indirects().is_empty() {
-                break (cfg, icfg, va, value_fp);
-            }
-            // Feed resolved targets back into CFG reconstruction.
-            let mut progress = false;
-            for (&addr, targets) in va.indirect_targets() {
-                let slot = extra.entry(addr).or_default();
-                for &t in targets {
-                    if !slot.contains(&t) {
-                        slot.push(t);
-                        progress = true;
-                    }
-                }
-            }
-            if !progress || iteration >= cfg_opts.max_cfg_iterations {
-                return Err(AnalysisError::UnresolvedIndirects {
-                    addrs: cfg.unresolved_indirects().to_vec(),
-                });
-            }
-        };
-
-        // ---- Phase 3: loop bounds.
-        stamp_exec::cancel::checkpoint_now();
-        let t = Instant::now();
-        let lb_opts = LoopBoundOptions {
-            annotations: self.annotations.resolved_loop_bounds(program),
-            ..LoopBoundOptions::default()
-        };
-        let lb_fp = phase::loopbound_fingerprint(value_fp, &lb_opts);
-        let (lb, reused) = store.get_or_compute(PhaseId::LoopBound, lb_fp, || {
+        let (program, config) = (self.program, &self.config);
+        let mut run = PhaseRun::new(store);
+        let Prefix { keys, cfg, valued } =
+            phase::value_prefix(&mut run, program, &self.annotations, config)?;
+        let (icfg, va) = valued?;
+        let lb_opts = self.annotations.loop_bound_options(program);
+        let tail = WcetKeys::new(keys.value, &lb_opts, config);
+        let lb = run.run(PhaseId::LoopBound, tail.loopbound, || {
             Ok(LoopBoundAnalysis::run(program, &cfg, &icfg, &va, &lb_opts))
         })?;
-        phases.push(PhaseStats {
-            phase: PhaseId::LoopBound,
-            seconds: t.elapsed().as_secs_f64(),
-            reused,
-        });
-
-        // ---- Phase 4: cache analysis.
-        stamp_exec::cancel::checkpoint_now();
-        let t = Instant::now();
-        let cache_fp = phase::cache_fingerprint(value_fp, &cfg_opts.hw);
-        let (ca, reused) = store.get_or_compute(PhaseId::Cache, cache_fp, || {
-            Ok(CacheAnalysis::run(&cfg_opts.hw, &cfg, &icfg, &va))
+        let ca = run.run(PhaseId::Cache, tail.cache, || {
+            Ok(CacheAnalysis::run(&config.hw, &cfg, &icfg, &va))
         })?;
-        phases.push(PhaseStats {
-            phase: PhaseId::Cache,
-            seconds: t.elapsed().as_secs_f64(),
-            reused,
-        });
-
-        // ---- Phase 5: pipeline analysis.
-        stamp_exec::cancel::checkpoint_now();
-        let t = Instant::now();
-        let pipeline_fp = phase::pipeline_fingerprint(cache_fp, &cfg_opts.hw);
-        let (pa, reused) = store.get_or_compute(PhaseId::Pipeline, pipeline_fp, || {
-            Ok(PipelineAnalysis::run(&cfg_opts.hw, &cfg, &icfg, &ca, &va))
+        let pa = run.run(PhaseId::Pipeline, tail.pipeline, || {
+            Ok(PipelineAnalysis::run(&config.hw, &cfg, &icfg, &ca, &va))
         })?;
-        phases.push(PhaseStats {
-            phase: PhaseId::Pipeline,
-            seconds: t.elapsed().as_secs_f64(),
-            reused,
-        });
-
-        // ---- Phase 6: path analysis (IPET).
-        stamp_exec::cancel::checkpoint_now();
-        let t = Instant::now();
-        let path_fp = phase::path_fingerprint(
-            pipeline_fp,
-            lb_fp,
-            cfg_opts.use_infeasible,
-            cfg_opts.summaries,
-        );
         let memo = StoreSummaryMemo::new(store);
-        let (result, reused) = store.get_or_compute(PhaseId::Path, path_fp, || {
-            let path_opts = PathOptions {
-                use_infeasible: cfg_opts.use_infeasible,
-                summaries: cfg_opts.summaries,
-            };
+        let path_opts =
+            PathOptions { use_infeasible: config.use_infeasible, summaries: config.summaries };
+        let result = run.run(PhaseId::Path, tail.path, || {
             stamp_path::analyze_with_memo(&cfg, &icfg, &va, &lb, &pa, &path_opts, &memo)
                 .map_err(AnalysisError::from)
         })?;
-        phases.push(PhaseStats {
-            phase: PhaseId::Path,
-            seconds: t.elapsed().as_secs_f64(),
-            reused,
-        });
         // Zero/zero when the whole path artifact was reused (or the
         // program offered no decomposition).
-        let (summaries_computed, summaries_reused) = (memo.computed.get(), memo.reused.get());
-
+        let summaries = (memo.computed.get(), memo.reused.get());
         let report = WcetReport::assemble(
-            program,
-            &cfg,
-            &icfg,
-            &va,
-            &lb,
-            &ca,
-            &pa,
-            &result,
-            phases,
-            (summaries_computed, summaries_reused),
+            program, &cfg, &icfg, &va, &lb, &ca, &pa, &result, run.phases, summaries,
         );
         Ok((report, PhaseArtifacts { cfg, icfg, va, lb, ca, pa, path: result }))
     }

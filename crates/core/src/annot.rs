@@ -9,6 +9,7 @@
 use std::collections::BTreeMap;
 
 use stamp_isa::Program;
+use stamp_loopbound::LoopBoundOptions;
 
 /// A collection of analysis annotations.
 ///
@@ -97,9 +98,12 @@ impl Annotations {
         &self.loop_bounds
     }
 
-    /// Resolves loop bounds to header addresses.
-    pub(crate) fn resolved_loop_bounds(&self, program: &Program) -> BTreeMap<u32, u64> {
-        self.loop_bounds.iter().filter_map(|(l, b)| l.resolve(program).map(|a| (a, *b))).collect()
+    /// The loop-bound phase options: loop bounds resolved to header
+    /// addresses, default iteration cap.
+    pub(crate) fn loop_bound_options(&self, program: &Program) -> LoopBoundOptions {
+        let annotations =
+            self.loop_bounds.iter().filter_map(|(l, b)| l.resolve(program).map(|a| (a, *b)));
+        LoopBoundOptions { annotations: annotations.collect(), ..LoopBoundOptions::default() }
     }
 
     /// Resolves indirect-target annotations to addresses.
@@ -132,7 +136,7 @@ mod tests {
     fn symbols_resolve_against_program() {
         let p = assemble(".text\nmain: nop\nloop: j loop\n").unwrap();
         let ann = Annotations::new().loop_bound("loop", 5).loop_bound("nonexistent", 1);
-        let resolved = ann.resolved_loop_bounds(&p);
+        let resolved = ann.loop_bound_options(&p).annotations;
         assert_eq!(resolved.len(), 1);
         assert_eq!(resolved[&4], 5);
     }
@@ -142,7 +146,7 @@ mod tests {
         let p = assemble(".text\nmain: halt\n").unwrap();
         let ann =
             Annotations::new().loop_bound_at(0x40, 3).indirect_target_addrs(0x10, [0x20, 0x30]);
-        assert_eq!(ann.resolved_loop_bounds(&p)[&0x40], 3);
+        assert_eq!(ann.loop_bound_options(&p).annotations[&0x40], 3);
         assert_eq!(ann.resolved_indirects(&p)[&0x10], vec![0x20, 0x30]);
     }
 }

@@ -239,32 +239,29 @@ impl ArtifactStore {
         }
     }
 
-    /// The get-or-compute convenience over [`ArtifactStore::claim`]:
-    /// returns the shared artifact plus whether it was reused, caching
-    /// errors exactly like values.
+    /// The get-or-compute lookup over [`ArtifactStore::claim`] (the phase
+    /// runner's, `phase::PhaseRun`): returns the shared artifact — or the
+    /// phase error, cached exactly like a value — plus whether it was
+    /// reused, on the error path too.
     pub(crate) fn get_or_compute<T: Send + Sync + 'static>(
         &self,
         phase: PhaseId,
         fp: Fingerprint,
         compute: impl FnOnce() -> Result<T, AnalysisError>,
-    ) -> Result<(Arc<T>, bool), AnalysisError> {
-        let downcast = |any: Arc<dyn Any + Send + Sync>| -> Arc<T> {
-            any.downcast().expect("artifact store: phase keyed with two different types")
-        };
+    ) -> (Result<Arc<T>, AnalysisError>, bool) {
         match self.claim(phase, fp) {
-            ArtifactClaim::Disabled => compute().map(|v| (Arc::new(v), false)),
-            ArtifactClaim::Ready(stored) => stored.map(|any| (downcast(any), true)),
-            ArtifactClaim::Fill(guard) => match compute() {
-                Ok(v) => {
-                    let shared = Arc::new(v);
-                    guard.fulfill(Ok(shared.clone()));
-                    Ok((shared, false))
-                }
-                Err(e) => {
-                    guard.fulfill(Err(e.clone()));
-                    Err(e)
-                }
-            },
+            ArtifactClaim::Disabled => (compute().map(Arc::new), false),
+            ArtifactClaim::Ready(stored) => (
+                stored.map(|any| {
+                    any.downcast().expect("artifact store: phase keyed with two different types")
+                }),
+                true,
+            ),
+            ArtifactClaim::Fill(guard) => {
+                let computed = compute().map(Arc::new);
+                guard.fulfill(computed.clone().map(|v| v as Arc<dyn Any + Send + Sync>));
+                (computed, false)
+            }
         }
     }
 
@@ -429,15 +426,26 @@ mod tests {
         f.finish()
     }
 
+    /// [`ArtifactStore::get_or_compute`] as `Result<(artifact, reused)>`,
+    /// for terse assertions.
+    fn get<T: Send + Sync + 'static>(
+        store: &ArtifactStore,
+        phase: PhaseId,
+        fp: Fingerprint,
+        compute: impl FnOnce() -> Result<T, AnalysisError>,
+    ) -> Result<(Arc<T>, bool), AnalysisError> {
+        let (artifact, reused) = store.get_or_compute(phase, fp, compute);
+        artifact.map(|a| (a, reused))
+    }
+
     #[test]
     fn first_request_computes_second_reuses() {
         let store = ArtifactStore::new();
-        let (a, reused) = store
-            .get_or_compute(PhaseId::Cfg, fp(1), || Ok::<_, AnalysisError>(vec![1u32, 2, 3]))
-            .unwrap();
+        let (a, reused) =
+            get(&store, PhaseId::Cfg, fp(1), || Ok::<_, AnalysisError>(vec![1u32, 2, 3])).unwrap();
         assert!(!reused);
-        let (b, reused) = store
-            .get_or_compute(PhaseId::Cfg, fp(1), || -> Result<Vec<u32>, AnalysisError> {
+        let (b, reused) =
+            get(&store, PhaseId::Cfg, fp(1), || -> Result<Vec<u32>, AnalysisError> {
                 panic!("must not recompute")
             })
             .unwrap();
@@ -456,9 +464,9 @@ mod tests {
     fn distinct_fingerprints_and_phases_do_not_collide() {
         let store = ArtifactStore::new();
         let compute = |v: u32| move || Ok::<_, AnalysisError>(v);
-        let (a, _) = store.get_or_compute(PhaseId::Cfg, fp(1), compute(10)).unwrap();
-        let (b, _) = store.get_or_compute(PhaseId::Cfg, fp(2), compute(20)).unwrap();
-        let (c, _) = store.get_or_compute(PhaseId::Value, fp(1), compute(30)).unwrap();
+        let (a, _) = get(&store, PhaseId::Cfg, fp(1), compute(10)).unwrap();
+        let (b, _) = get(&store, PhaseId::Cfg, fp(2), compute(20)).unwrap();
+        let (c, _) = get(&store, PhaseId::Value, fp(1), compute(30)).unwrap();
         assert_eq!((*a, *b, *c), (10, 20, 30));
         assert_eq!(store.stats().misses(), 3);
         assert_eq!(store.stats().hits(), 0);
@@ -470,15 +478,15 @@ mod tests {
         let fail = || -> Result<u32, AnalysisError> {
             Err(AnalysisError::UnknownSymbol { name: "boom".into() })
         };
-        let e1 = store.get_or_compute(PhaseId::Path, fp(9), fail).unwrap_err();
+        let (e1, reused1) = store.get_or_compute(PhaseId::Path, fp(9), fail);
         // The second request must *not* recompute: the closure panics if
-        // called.
-        let e2 = store
-            .get_or_compute(PhaseId::Path, fp(9), || -> Result<u32, AnalysisError> {
+        // called. The reuse flag survives the error path.
+        let (e2, reused2) =
+            store.get_or_compute(PhaseId::Path, fp(9), || -> Result<u32, AnalysisError> {
                 panic!("errors are artifacts too")
-            })
-            .unwrap_err();
-        assert_eq!(e1.to_string(), e2.to_string());
+            });
+        assert_eq!((reused1, reused2), (false, true));
+        assert_eq!(e1.unwrap_err().to_string(), e2.unwrap_err().to_string());
         let s = store.stats().phase("path").unwrap();
         assert_eq!((s.hits, s.misses), (1, 1));
     }
@@ -487,9 +495,8 @@ mod tests {
     fn disabled_store_always_computes_and_counts_nothing() {
         let store = ArtifactStore::disabled();
         for _ in 0..3 {
-            let (v, reused) = store
-                .get_or_compute(PhaseId::Value, fp(5), || Ok::<_, AnalysisError>(7u8))
-                .unwrap();
+            let (v, reused) =
+                get(&store, PhaseId::Value, fp(5), || Ok::<_, AnalysisError>(7u8)).unwrap();
             assert_eq!(*v, 7);
             assert!(!reused);
         }
@@ -505,15 +512,14 @@ mod tests {
         std::thread::scope(|scope| {
             for _ in 0..8 {
                 scope.spawn(|| {
-                    let (v, _) = store
-                        .get_or_compute(PhaseId::Value, fp(1), || {
-                            computed.fetch_add(1, Ordering::Relaxed);
-                            // Widen the race window so other threads
-                            // actually wait on the slot.
-                            std::thread::sleep(std::time::Duration::from_millis(10));
-                            Ok::<_, AnalysisError>(123u64)
-                        })
-                        .unwrap();
+                    let (v, _) = get(&store, PhaseId::Value, fp(1), || {
+                        computed.fetch_add(1, Ordering::Relaxed);
+                        // Widen the race window so other threads
+                        // actually wait on the slot.
+                        std::thread::sleep(std::time::Duration::from_millis(10));
+                        Ok::<_, AnalysisError>(123u64)
+                    })
+                    .unwrap();
                     assert_eq!(*v, 123);
                 });
             }
@@ -527,9 +533,9 @@ mod tests {
     #[test]
     fn stats_delta_isolates_a_pass() {
         let store = ArtifactStore::new();
-        let _ = store.get_or_compute(PhaseId::Cfg, fp(1), || Ok::<_, AnalysisError>(1u8));
+        let _ = get(&store, PhaseId::Cfg, fp(1), || Ok::<_, AnalysisError>(1u8));
         let before = store.stats();
-        let _ = store.get_or_compute(PhaseId::Cfg, fp(1), || Ok::<_, AnalysisError>(1u8));
+        let _ = get(&store, PhaseId::Cfg, fp(1), || Ok::<_, AnalysisError>(1u8));
         let delta = store.stats().since(&before);
         assert_eq!(delta.hits(), 1);
         assert_eq!(delta.misses(), 0);
@@ -539,7 +545,7 @@ mod tests {
     #[test]
     fn stats_json_lands_active_phases_only() {
         let store = ArtifactStore::new();
-        let _ = store.get_or_compute(PhaseId::Cache, fp(1), || Ok::<_, AnalysisError>(0u8));
+        let _ = get(&store, PhaseId::Cache, fp(1), || Ok::<_, AnalysisError>(0u8));
         let json = store.stats().to_json().to_string();
         assert!(json.contains("\"cache\""), "{json}");
         assert!(!json.contains("\"pipeline\""), "{json}");
@@ -568,9 +574,9 @@ mod tests {
         {
             let (store, warnings) = ArtifactStore::with_disk(&dir).unwrap();
             assert!(warnings.is_empty(), "{warnings:?}");
-            let (_, reused) = store
-                .get_or_compute(PhaseId::Stack, fp(1), || Ok::<_, AnalysisError>(sample_report(64)))
-                .unwrap();
+            let (_, reused) =
+                get(&store, PhaseId::Stack, fp(1), || Ok::<_, AnalysisError>(sample_report(64)))
+                    .unwrap();
             assert!(!reused);
             assert_eq!(store.disk_artifact_count(), 1, "fulfill writes through");
         }
@@ -578,15 +584,15 @@ mod tests {
         // in-memory map starts empty, so the artifact must come from disk.
         let (store, warnings) = ArtifactStore::with_disk(&dir).unwrap();
         assert!(warnings.is_empty(), "{warnings:?}");
-        let (report, reused) = store
-            .get_or_compute(
-                PhaseId::Stack,
-                fp(1),
-                || -> Result<crate::stack_tool::StackReport, AnalysisError> {
-                    panic!("must be served from disk")
-                },
-            )
-            .unwrap();
+        let (report, reused) = get(
+            &store,
+            PhaseId::Stack,
+            fp(1),
+            || -> Result<crate::stack_tool::StackReport, AnalysisError> {
+                panic!("must be served from disk")
+            },
+        )
+        .unwrap();
         assert!(reused);
         assert_eq!(report.bound, 64);
         let stats = store.stats();
@@ -594,15 +600,15 @@ mod tests {
         assert_eq!(stats.hits(), 0);
         assert_eq!(stats.disk_hit_rate(), 1.0);
         // A repeat request in the same process is a plain memory hit.
-        let (_, reused) = store
-            .get_or_compute(
-                PhaseId::Stack,
-                fp(1),
-                || -> Result<crate::stack_tool::StackReport, AnalysisError> {
-                    panic!("must be served from memory")
-                },
-            )
-            .unwrap();
+        let (_, reused) = get(
+            &store,
+            PhaseId::Stack,
+            fp(1),
+            || -> Result<crate::stack_tool::StackReport, AnalysisError> {
+                panic!("must be served from memory")
+            },
+        )
+        .unwrap();
         assert!(reused);
         assert_eq!(store.stats().hits(), 1);
         let _ = std::fs::remove_dir_all(&dir);
@@ -614,9 +620,8 @@ mod tests {
         let (store, _) = ArtifactStore::with_disk(&dir).unwrap();
         // `Vec<u32>` is not one of the nine persistable artifact types,
         // so the value is cached in memory but never written through.
-        let (v, _) = store
-            .get_or_compute(PhaseId::Cfg, fp(3), || Ok::<_, AnalysisError>(vec![1u32, 2]))
-            .unwrap();
+        let (v, _) =
+            get(&store, PhaseId::Cfg, fp(3), || Ok::<_, AnalysisError>(vec![1u32, 2])).unwrap();
         assert_eq!(*v, vec![1, 2]);
         assert_eq!(store.disk_artifact_count(), 0);
         let _ = std::fs::remove_dir_all(&dir);
@@ -636,9 +641,9 @@ mod tests {
 
         let dir = tmp_dir("degrade");
         let (store, _) = ArtifactStore::with_disk(&dir).unwrap();
-        let (_, reused) = store
-            .get_or_compute(PhaseId::Stack, fp(1), || Ok::<_, AnalysisError>(sample_report(8)))
-            .unwrap();
+        let (_, reused) =
+            get(&store, PhaseId::Stack, fp(1), || Ok::<_, AnalysisError>(sample_report(8)))
+                .unwrap();
         assert!(!reused);
         assert_eq!(store.disk_artifact_count(), 1);
         assert!(!store.disk_degraded());
@@ -646,9 +651,9 @@ mod tests {
         // The disk goes away mid-run: computations keep succeeding,
         // write-through silently stops, one warning is queued.
         store.disk.as_ref().unwrap().set_sink_for_tests(Box::new(FailingSink));
-        let (report, reused) = store
-            .get_or_compute(PhaseId::Stack, fp(2), || Ok::<_, AnalysisError>(sample_report(16)))
-            .unwrap();
+        let (report, reused) =
+            get(&store, PhaseId::Stack, fp(2), || Ok::<_, AnalysisError>(sample_report(16)))
+                .unwrap();
         assert!(!reused);
         assert_eq!(report.bound, 16, "the job's result is unaffected");
         assert!(store.disk_degraded());
@@ -659,15 +664,15 @@ mod tests {
         // In-memory reuse still works for both pre- and post-fault
         // artifacts, and pre-fault disk contents still answer reads.
         for (key, bound) in [(fp(1), 8), (fp(2), 16)] {
-            let (r, reused) = store
-                .get_or_compute(
-                    PhaseId::Stack,
-                    key,
-                    || -> Result<crate::stack_tool::StackReport, AnalysisError> {
-                        panic!("must be served from memory")
-                    },
-                )
-                .unwrap();
+            let (r, reused) = get(
+                &store,
+                PhaseId::Stack,
+                key,
+                || -> Result<crate::stack_tool::StackReport, AnalysisError> {
+                    panic!("must be served from memory")
+                },
+            )
+            .unwrap();
             assert!(reused);
             assert_eq!(r.bound, bound);
         }
@@ -683,7 +688,7 @@ mod tests {
         let fail = || -> Result<crate::stack_tool::StackReport, AnalysisError> {
             Err(AnalysisError::UnknownSymbol { name: "boom".into() })
         };
-        store.get_or_compute(PhaseId::Stack, fp(7), fail).unwrap_err();
+        get(&store, PhaseId::Stack, fp(7), fail).unwrap_err();
         assert_eq!(store.disk_artifact_count(), 0, "errors are per-run, not durable");
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -25,19 +25,17 @@
 //! across runs while [`BatchReport::to_json`] adds the timing layer.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use stamp_exec::cancel::{self, CancelToken, Cancelled};
 use stamp_exec::{DeadlineOutcome, Pool, PoolError};
-use stamp_isa::Program;
 
 use crate::analyzer::{AnalysisConfig, WcetAnalysis};
 use crate::annot::Annotations;
-use crate::artifact::{ArtifactClaim, ArtifactStats, ArtifactStore};
+use crate::artifact::{ArtifactStats, ArtifactStore};
 use crate::error::AnalysisError;
 use crate::json::Json;
-use crate::phase::{self, PhaseId};
+use crate::phase::{self, PhaseId, PhaseRun};
 use crate::report::PhaseStats;
 use crate::stack_tool::StackAnalysis;
 
@@ -220,9 +218,11 @@ pub struct JobResult {
     /// fingerprint group computes is a scheduling accident, so this is
     /// excluded from the deterministic rendering, like `wall_ms`.
     /// Covers the assemble request (including a cached assembly error)
-    /// and every analysis chain that ran to completion; a chain that
-    /// errored partway contributes nothing here — its requests still
-    /// count in the store-wide [`BatchReport::artifacts`] statistics.
+    /// and every request of each analysis chain that ran to completion
+    /// (a recursive task's failed context expansion before the stack
+    /// tool's call-graph fallback included); a chain that errored
+    /// partway contributes nothing here — its requests still count in
+    /// the store-wide [`BatchReport::artifacts`] statistics.
     pub provenance: Vec<(PhaseId, bool)>,
 }
 
@@ -432,29 +432,11 @@ fn run_job(job: &BatchJob, store: &ArtifactStore) -> JobResult {
         result.provenance.extend(phases.iter().map(|p| (p.phase, p.reused)));
     };
 
-    // The assemble phase is claimed by hand rather than through
-    // `get_or_compute` so the reuse flag survives the error path: a
-    // cached assembly *error* is provenance-reported as reused too.
-    let assemble = || stamp_isa::asm::assemble(&job.source).map_err(AnalysisError::from);
-    let (assembled, reused): (Result<Arc<Program>, AnalysisError>, bool) =
-        match store.claim(PhaseId::Assemble, phase::source_fingerprint(&job.source)) {
-            ArtifactClaim::Disabled => (assemble().map(Arc::new), false),
-            ArtifactClaim::Ready(stored) => {
-                (stored.map(|any| any.downcast().expect("assemble artifacts are Programs")), true)
-            }
-            ArtifactClaim::Fill(guard) => match assemble() {
-                Ok(program) => {
-                    let shared = Arc::new(program);
-                    guard.fulfill(Ok(shared.clone()));
-                    (Ok(shared), false)
-                }
-                Err(e) => {
-                    guard.fulfill(Err(e.clone()));
-                    (Err(e), false)
-                }
-            },
-        };
-    result.provenance.push((PhaseId::Assemble, reused));
+    let mut run = PhaseRun::new(store);
+    let assembled = run.run(PhaseId::Assemble, phase::source_fingerprint(&job.source), || {
+        stamp_isa::asm::assemble(&job.source).map_err(AnalysisError::from)
+    });
+    note(&run.phases, &mut result);
     match assembled {
         Err(e) => errors.push(format!("assemble: {e}")),
         Ok(program) => {

@@ -17,7 +17,8 @@
 //! The CFG-building ↔ value-analysis loop for indirect jumps is
 //! implemented here: unresolved `jalr` targets found by the value
 //! analysis (jump tables in ROM) are fed back into CFG reconstruction
-//! until the graph is closed, as in the real tool chain.
+//! until the graph is closed, as in the real tool chain; both tools run
+//! this one prefix.
 //!
 //! Results are delivered as a structured [`WcetReport`] with an
 //! aiT-style text rendering ([`WcetReport::render`]), machine-readable

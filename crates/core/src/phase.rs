@@ -32,17 +32,32 @@
 //! analysis reads the memory map but not cache geometry or timing — so
 //! a `default` / `no-cache` / `ideal` hardware sweep shares one CFG,
 //! one context expansion and one value fixpoint per target.
+//!
+//! The module also holds what both tools share at run time: the key
+//! chain ([`PrefixKeys`], [`WcetKeys`]) that the drivers and
+//! [`plan_job`] compute requests from, the runner ([`PhaseRun`]) every
+//! artifact request goes through, and the iterated CFG → context →
+//! value prefix ([`value_prefix`]).
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
+use std::time::Instant;
 
-use stamp_ai::VivuConfig;
+use stamp_ai::{Icfg, VivuConfig};
+use stamp_cfg::{Cfg, CfgBuilder};
 use stamp_hw::{CacheConfig, HwConfig, MemoryMap, Timing};
 use stamp_isa::{Program, SectionKind};
 use stamp_loopbound::LoopBoundOptions;
-use stamp_value::{DomainKind, ValueOptions};
+use stamp_value::{DomainKind, FrozenValueAnalysis, ValueAnalysis, ValueOptions};
 
+use crate::analyzer::AnalysisConfig;
+use crate::annot::Annotations;
+use crate::artifact::{ArtifactClaim, ArtifactStore};
 use crate::batch::BatchJob;
+use crate::error::AnalysisError;
 use crate::fingerprint::{Fingerprint, Fp};
+use crate::report::PhaseStats;
+use crate::stack_tool;
 
 /// One node of the phase graph.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -324,11 +339,7 @@ pub fn summary_fingerprint(canonical: &[u8]) -> Fingerprint {
 pub fn stack_fingerprint(value: Fingerprint, recursion: &BTreeMap<u32, u32>) -> Fingerprint {
     let mut fp = Fp::new("stamp/stack/1");
     fp.fp(value);
-    fp.u64(recursion.len() as u64);
-    for (addr, depth) in recursion {
-        fp.u32(*addr);
-        fp.u32(*depth);
-    }
+    recursion_fields(&mut fp, recursion);
     fp.finish()
 }
 
@@ -342,12 +353,16 @@ pub fn stack_callgraph_fingerprint(
     let mut fp = Fp::new("stamp/stack-callgraph/1");
     fp.fp(cfg);
     mem_fields(&mut fp, mem);
+    recursion_fields(&mut fp, recursion);
+    fp.finish()
+}
+
+fn recursion_fields(fp: &mut Fp, recursion: &BTreeMap<u32, u32>) {
     fp.u64(recursion.len() as u64);
     for (addr, depth) in recursion {
         fp.u32(*addr);
         fp.u32(*depth);
     }
-    fp.finish()
 }
 
 /// One predicted artifact request of a job: which phase, under which
@@ -360,10 +375,211 @@ pub struct PhaseRequest {
     pub fingerprint: Fingerprint,
 }
 
+/// The keys of one pass over the CFG → context → value prefix under a
+/// given indirect-target map.
+#[derive(Clone, Copy)]
+pub(crate) struct PrefixKeys {
+    pub(crate) cfg: Fingerprint,
+    pub(crate) context: Fingerprint,
+    pub(crate) value: Fingerprint,
+}
+
+impl PrefixKeys {
+    pub(crate) fn new(
+        program: Fingerprint,
+        indirects: &BTreeMap<u32, Vec<u32>>,
+        config: &AnalysisConfig,
+    ) -> PrefixKeys {
+        let cfg = cfg_fingerprint(program, indirects);
+        let context = context_fingerprint(cfg, &config.vivu);
+        let value = value_fingerprint(context, &config.hw.mem, &config.value);
+        PrefixKeys { cfg, context, value }
+    }
+
+    fn requests(self) -> [PhaseRequest; 3] {
+        [(PhaseId::Cfg, self.cfg), (PhaseId::Context, self.context), (PhaseId::Value, self.value)]
+            .map(|(phase, fingerprint)| PhaseRequest { phase, fingerprint })
+    }
+}
+
+/// The keys of the WCET phases after the prefix.
+#[derive(Clone, Copy)]
+pub(crate) struct WcetKeys {
+    pub(crate) loopbound: Fingerprint,
+    pub(crate) cache: Fingerprint,
+    pub(crate) pipeline: Fingerprint,
+    pub(crate) path: Fingerprint,
+}
+
+impl WcetKeys {
+    pub(crate) fn new(
+        value: Fingerprint,
+        loop_bounds: &LoopBoundOptions,
+        config: &AnalysisConfig,
+    ) -> WcetKeys {
+        let loopbound = loopbound_fingerprint(value, loop_bounds);
+        let cache = cache_fingerprint(value, &config.hw);
+        let pipeline = pipeline_fingerprint(cache, &config.hw);
+        let path = path_fingerprint(pipeline, loopbound, config.use_infeasible, config.summaries);
+        WcetKeys { loopbound, cache, pipeline, path }
+    }
+
+    fn requests(self) -> [PhaseRequest; 4] {
+        [
+            (PhaseId::LoopBound, self.loopbound),
+            (PhaseId::Cache, self.cache),
+            (PhaseId::Pipeline, self.pipeline),
+            (PhaseId::Path, self.path),
+        ]
+        .map(|(phase, fingerprint)| PhaseRequest { phase, fingerprint })
+    }
+}
+
+/// Runs one job's phases. Every artifact request goes through
+/// [`PhaseRun::run`] (or [`PhaseRun::value`]), which makes the request
+/// a cancellation point, times it, looks it up in the shared store and
+/// records one [`PhaseStats`] row — on the error path too, so a replayed
+/// cached error is reported as reused.
+pub(crate) struct PhaseRun<'s> {
+    store: &'s ArtifactStore,
+    /// One row per request, in request order.
+    pub(crate) phases: Vec<PhaseStats>,
+}
+
+impl<'s> PhaseRun<'s> {
+    pub(crate) fn new(store: &'s ArtifactStore) -> PhaseRun<'s> {
+        PhaseRun { store, phases: Vec::new() }
+    }
+
+    /// The artifact of `phase` under `fp`: shared from the store, or
+    /// computed (and published) by `compute`.
+    pub(crate) fn run<T: Send + Sync + 'static>(
+        &mut self,
+        phase: PhaseId,
+        fp: Fingerprint,
+        compute: impl FnOnce() -> Result<T, AnalysisError>,
+    ) -> Result<Arc<T>, AnalysisError> {
+        let store = self.store;
+        self.timed(phase, || store.get_or_compute(phase, fp, compute))
+    }
+
+    /// The value phase, the one lookup outside `get_or_compute`: the
+    /// computing job publishes the deep-frozen (`Send + Sync`) form and
+    /// keeps its own analysis; reusing jobs thaw a job-local copy — the
+    /// kernel's `Rc`-based copy-on-write state never crosses a thread.
+    fn value(
+        &mut self,
+        fp: Fingerprint,
+        program: &Program,
+        cfg: &Cfg,
+        icfg: &Icfg,
+        config: &AnalysisConfig,
+    ) -> ValueAnalysis {
+        let store = self.store;
+        let compute = || ValueAnalysis::run(program, &config.hw, cfg, icfg, &config.value);
+        self.timed(PhaseId::Value, || match store.claim(PhaseId::Value, fp) {
+            ArtifactClaim::Disabled => (compute(), false),
+            ArtifactClaim::Ready(stored) => {
+                let any = stored.expect("the value analysis is infallible");
+                let frozen: Arc<FrozenValueAnalysis> =
+                    any.downcast().expect("value artifacts are FrozenValueAnalysis");
+                (frozen.thaw(), true)
+            }
+            ArtifactClaim::Fill(guard) => {
+                let va = compute();
+                guard.fulfill(Ok(Arc::new(va.freeze())));
+                (va, false)
+            }
+        })
+    }
+
+    fn timed<R>(&mut self, phase: PhaseId, lookup: impl FnOnce() -> (R, bool)) -> R {
+        // Phase boundaries are cancellation points: a job running under
+        // a deadline is cut between phases (and inside the solver's own
+        // checkpoints), never mid-artifact. No store lock is held here,
+        // so the unwind cannot poison anything.
+        stamp_exec::cancel::checkpoint_now();
+        let t = Instant::now();
+        let (out, reused) = lookup();
+        self.phases.push(PhaseStats { phase, seconds: t.elapsed().as_secs_f64(), reused });
+        out
+    }
+}
+
+/// The CFG → context → value prefix both tools share.
+pub(crate) struct Prefix {
+    /// The keys of the last pass.
+    pub(crate) keys: PrefixKeys,
+    /// The CFG, closed over every resolved indirect target.
+    pub(crate) cfg: Arc<Cfg>,
+    /// The supergraph and its value fixpoint, or the context-expansion
+    /// error (e.g. recursion) that stopped the prefix at the CFG.
+    pub(crate) valued: Result<(Arc<Icfg>, ValueAnalysis), AnalysisError>,
+}
+
+/// Runs the prefix under `config`, iterating CFG building ↔ value
+/// analysis: indirect targets the value analysis resolves (jump tables
+/// in ROM) are fed back into CFG reconstruction until the graph is
+/// closed. Each pass is keyed by the target map it starts from, so the
+/// whole feedback loop replays from the store when another job analyzed
+/// the same program.
+///
+/// # Errors
+///
+/// CFG reconstruction errors, and [`AnalysisError::UnresolvedIndirects`]
+/// when a pass makes no progress or `max_cfg_iterations` runs out.
+pub(crate) fn value_prefix(
+    run: &mut PhaseRun<'_>,
+    program: &Program,
+    annotations: &Annotations,
+    config: &AnalysisConfig,
+) -> Result<Prefix, AnalysisError> {
+    let program_fp = program_fingerprint(program);
+    let mut extra = annotations.resolved_indirects(program);
+    let mut iteration = 0;
+    loop {
+        iteration += 1;
+        let keys = PrefixKeys::new(program_fp, &extra, config);
+        let cfg = run.run(PhaseId::Cfg, keys.cfg, || {
+            let mut builder = CfgBuilder::new(program);
+            for (a, ts) in &extra {
+                builder.indirect_targets(*a, ts.iter().copied());
+            }
+            builder.build().map_err(AnalysisError::from)
+        })?;
+        let icfg = match run.run(PhaseId::Context, keys.context, || {
+            Icfg::build(&cfg, &config.vivu).map_err(AnalysisError::from)
+        }) {
+            Ok(icfg) => icfg,
+            Err(e) => return Ok(Prefix { keys, cfg, valued: Err(e) }),
+        };
+        let va = run.value(keys.value, program, &cfg, &icfg, config);
+        if cfg.unresolved_indirects().is_empty() {
+            return Ok(Prefix { keys, cfg, valued: Ok((icfg, va)) });
+        }
+        let mut progress = false;
+        for (&addr, targets) in va.indirect_targets() {
+            let slot = extra.entry(addr).or_default();
+            for &t in targets {
+                if !slot.contains(&t) {
+                    slot.push(t);
+                    progress = true;
+                }
+            }
+        }
+        if !progress || iteration >= config.max_cfg_iterations {
+            return Err(AnalysisError::UnresolvedIndirects {
+                addrs: cfg.unresolved_indirects().to_vec(),
+            });
+        }
+    }
+}
+
 /// Statically predicts the artifact requests a job will make, in
 /// request order, *without running any analysis* (`stamp batch
 /// --dry-run`). The prediction assembles the program (cheap) and then
-/// chains fingerprints exactly as the drivers do.
+/// takes its keys from [`PrefixKeys`] and [`WcetKeys`], the chain the
+/// drivers key their requests with.
 ///
 /// Two approximations (both resolve only by running the analysis):
 /// the CFG ↔ value-analysis feedback loop for indirect jumps is
@@ -380,46 +596,26 @@ pub struct PhaseRequest {
 /// The assembler's message when the source does not assemble (the job
 /// would fail the same way at run time).
 pub fn plan_job(job: &BatchJob) -> Result<Vec<PhaseRequest>, String> {
-    let mut requests = Vec::new();
-    let mut push = |phase, fingerprint| requests.push(PhaseRequest { phase, fingerprint });
-
-    let src_fp = source_fingerprint(&job.source);
-    push(PhaseId::Assemble, src_fp);
+    let mut requests = vec![PhaseRequest {
+        phase: PhaseId::Assemble,
+        fingerprint: source_fingerprint(&job.source),
+    }];
     let program = stamp_isa::asm::assemble(&job.source).map_err(|e| format!("assemble: {e}"))?;
     let program_fp = program_fingerprint(&program);
     let indirects = job.annotations.resolved_indirects(&program);
-    let cfg_fp = cfg_fingerprint(program_fp, &indirects);
-    let recursion = job.annotations.resolved_recursion(&program);
 
-    // The stack analysis runs first in a batch job, on the default-VIVU
-    // prefix (stack bounds do not depend on unrolling contexts).
-    push(PhaseId::Cfg, cfg_fp);
-    let stack_ctx = context_fingerprint(cfg_fp, &VivuConfig::default());
-    push(PhaseId::Context, stack_ctx);
-    let stack_val = value_fingerprint(stack_ctx, &job.config.hw.mem, &ValueOptions::default());
-    push(PhaseId::Value, stack_val);
-    push(PhaseId::Stack, stack_fingerprint(stack_val, &recursion));
-
+    // The stack analysis runs first in a batch job, on its own prefix.
+    let stack = PrefixKeys::new(program_fp, &indirects, &stack_tool::prefix_config(job.config.hw));
+    requests.extend(stack.requests());
+    requests.push(PhaseRequest {
+        phase: PhaseId::Stack,
+        fingerprint: stack_fingerprint(stack.value, &job.annotations.resolved_recursion(&program)),
+    });
     if job.wcet {
-        push(PhaseId::Cfg, cfg_fp);
-        let ctx = context_fingerprint(cfg_fp, &job.config.vivu);
-        push(PhaseId::Context, ctx);
-        let val = value_fingerprint(ctx, &job.config.hw.mem, &job.config.value);
-        push(PhaseId::Value, val);
-        let lb_opts = LoopBoundOptions {
-            annotations: job.annotations.resolved_loop_bounds(&program),
-            ..LoopBoundOptions::default()
-        };
-        let lb = loopbound_fingerprint(val, &lb_opts);
-        push(PhaseId::LoopBound, lb);
-        let ca = cache_fingerprint(val, &job.config.hw);
-        push(PhaseId::Cache, ca);
-        let pi = pipeline_fingerprint(ca, &job.config.hw);
-        push(PhaseId::Pipeline, pi);
-        push(
-            PhaseId::Path,
-            path_fingerprint(pi, lb, job.config.use_infeasible, job.config.summaries),
-        );
+        let prefix = PrefixKeys::new(program_fp, &indirects, &job.config);
+        requests.extend(prefix.requests());
+        let loop_bounds = job.annotations.loop_bound_options(&program);
+        requests.extend(WcetKeys::new(prefix.value, &loop_bounds, &job.config).requests());
     }
     Ok(requests)
 }
@@ -427,8 +623,6 @@ pub fn plan_job(job: &BatchJob) -> Result<Vec<PhaseRequest>, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::analyzer::AnalysisConfig;
-    use crate::annot::Annotations;
 
     const TASK: &str = ".text\nmain: li r1, 4\nloop: addi r1, r1, -1\nbnez r1, loop\nhalt\n";
 

@@ -1,29 +1,35 @@
 //! The StackAnalyzer product: per-task worst-case stack bounds.
 //!
 //! The stack tool rides the same phase graph as the WCET analyzer: its
-//! CFG / context / value prefix (always at default VIVU and value
-//! options — stack bounds do not depend on unrolling contexts) goes
+//! CFG / context / value prefix is the analyzer's own
+//! (`phase::value_prefix`, always at default VIVU and value options —
+//! stack bounds do not depend on unrolling contexts), including the
+//! CFG ↔ value iteration that resolves jump tables, so cases reached
+//! only through a computed jump count toward the bound. The prefix goes
 //! through the shared [`ArtifactStore`], so in a batch a target's stack
 //! analysis and its WCET analysis share one value fixpoint, and a
 //! hardware sweep shares the stack bound itself across variants (only
 //! the memory map reaches the stack fingerprint).
+//!
+//! Recursive tasks fail context expansion and take the compositional
+//! call-graph fallback. Without a value analysis nothing resolves their
+//! computed jumps, so the fallback refuses with
+//! [`AnalysisError::UnresolvedIndirects`] until annotations supply the
+//! targets.
 
 use std::collections::BTreeMap;
-use std::time::Instant;
 
-use stamp_ai::{Icfg, IcfgError, VivuConfig};
-use stamp_cfg::CfgBuilder;
+use stamp_ai::IcfgError;
 use stamp_hw::HwConfig;
 use stamp_isa::Program;
 use stamp_stack::{FunctionStack, StackOptions};
-use stamp_value::ValueOptions;
 
-use crate::analyzer::value_phase;
+use crate::analyzer::AnalysisConfig;
 use crate::annot::Annotations;
 use crate::artifact::ArtifactStore;
 use crate::error::AnalysisError;
 use crate::json::Json;
-use crate::phase::{self, PhaseId};
+use crate::phase::{self, PhaseId, PhaseRun, Prefix};
 use crate::report::PhaseStats;
 
 /// Result of a stack analysis.
@@ -166,103 +172,60 @@ impl<'p> StackAnalysis<'p> {
         program: &Program,
         store: &ArtifactStore,
     ) -> Result<StackReport, AnalysisError> {
-        let mut phases: Vec<PhaseStats> = Vec::new();
-        let program_fp = phase::program_fingerprint(program);
-        let extra = self.annotations.resolved_indirects(program);
-        let recursion = self.annotations.resolved_recursion(program);
-
-        // Phase boundary = cancellation point (see the WCET driver).
-        stamp_exec::cancel::checkpoint_now();
-        let t = Instant::now();
-        let cfg_fp = phase::cfg_fingerprint(program_fp, &extra);
-        let (cfg, reused) = store.get_or_compute(PhaseId::Cfg, cfg_fp, || {
-            let mut builder = CfgBuilder::new(program);
-            for (a, ts) in &extra {
-                builder.indirect_targets(*a, ts.iter().copied());
-            }
-            builder.build().map_err(AnalysisError::from)
-        })?;
-        phases.push(PhaseStats { phase: PhaseId::Cfg, seconds: t.elapsed().as_secs_f64(), reused });
-
-        let t = Instant::now();
-        let vivu = VivuConfig::default();
-        let context_fp = phase::context_fingerprint(cfg_fp, &vivu);
-        let icfg_result = store.get_or_compute(PhaseId::Context, context_fp, || {
-            Icfg::build(&cfg, &vivu).map_err(AnalysisError::from)
-        });
-
-        match icfg_result {
-            Ok((icfg, reused)) => {
-                phases.push(PhaseStats {
-                    phase: PhaseId::Context,
-                    seconds: t.elapsed().as_secs_f64(),
-                    reused,
-                });
-                let t = Instant::now();
-                let value_opts = ValueOptions::default();
-                let value_fp = phase::value_fingerprint(context_fp, &self.hw.mem, &value_opts);
-                let (va, reused) =
-                    value_phase(store, value_fp, program, &self.hw, &cfg, &icfg, &value_opts);
-                phases.push(PhaseStats {
-                    phase: PhaseId::Value,
-                    seconds: t.elapsed().as_secs_f64(),
-                    reused,
-                });
-
-                stamp_exec::cancel::checkpoint_now();
-                let t = Instant::now();
-                let stack_fp = phase::stack_fingerprint(value_fp, &recursion);
-                let (report, reused) = store.get_or_compute(PhaseId::Stack, stack_fp, || {
+        let mut run = PhaseRun::new(store);
+        let options =
+            StackOptions { recursion_depths: self.annotations.resolved_recursion(program) };
+        let recursion = &options.recursion_depths;
+        let Prefix { keys, cfg, valued } =
+            phase::value_prefix(&mut run, program, &self.annotations, &prefix_config(self.hw))?;
+        let report = match valued {
+            Ok((icfg, va)) => {
+                run.run(PhaseId::Stack, phase::stack_fingerprint(keys.value, recursion), || {
                     let precise = stamp_stack::analyze_icfg(program, &self.hw, &cfg, &icfg, &va)?;
                     // The callgraph mode also provides the per-function
                     // table.
-                    let breakdown = stamp_stack::analyze_callgraph(
-                        program,
-                        &cfg,
-                        &StackOptions { recursion_depths: recursion.clone() },
-                    )
-                    .map(|r| r.per_function)
-                    .unwrap_or_default();
+                    let breakdown = stamp_stack::analyze_callgraph(program, &cfg, &options)
+                        .map(|r| r.per_function)
+                        .unwrap_or_default();
                     Ok(StackReport {
                         bound: precise.total,
                         mode: "precise",
                         per_function: breakdown,
                         phases: Vec::new(),
                     })
-                })?;
-                phases.push(PhaseStats {
-                    phase: PhaseId::Stack,
-                    seconds: t.elapsed().as_secs_f64(),
-                    reused,
-                });
-                Ok(StackReport { phases, ..(*report).clone() })
+                })?
             }
             // Recursion: fall back to the compositional mode (the cached
             // context error carries the variant, so sharing jobs take
-            // the same branch).
+            // the same branch). Without a value analysis nothing resolves
+            // computed jumps, and a partial call graph is no bound.
             Err(AnalysisError::Icfg(
                 IcfgError::CallDepthExceeded { .. } | IcfgError::ContextExplosion { .. },
             )) => {
-                let t = Instant::now();
-                let stack_fp = phase::stack_callgraph_fingerprint(cfg_fp, &self.hw.mem, &recursion);
-                let (report, reused) = store.get_or_compute(PhaseId::Stack, stack_fp, || {
-                    let opts = StackOptions { recursion_depths: recursion.clone() };
-                    let r = stamp_stack::analyze_callgraph(program, &cfg, &opts)?;
+                if !cfg.unresolved_indirects().is_empty() {
+                    let addrs = cfg.unresolved_indirects().to_vec();
+                    return Err(AnalysisError::UnresolvedIndirects { addrs });
+                }
+                let fp = phase::stack_callgraph_fingerprint(keys.cfg, &self.hw.mem, recursion);
+                run.run(PhaseId::Stack, fp, || {
+                    let r = stamp_stack::analyze_callgraph(program, &cfg, &options)?;
                     Ok(StackReport {
                         bound: r.total,
                         mode: "callgraph",
                         per_function: r.per_function,
                         phases: Vec::new(),
                     })
-                })?;
-                phases.push(PhaseStats {
-                    phase: PhaseId::Stack,
-                    seconds: t.elapsed().as_secs_f64(),
-                    reused,
-                });
-                Ok(StackReport { phases, ..(*report).clone() })
+                })?
             }
-            Err(e) => Err(e),
-        }
+            Err(e) => return Err(e),
+        };
+        Ok(StackReport { phases: run.phases, ..(*report).clone() })
     }
+}
+
+/// The analyzer configuration of the stack tool's CFG → context → value
+/// prefix: default VIVU and value options (stack bounds do not depend
+/// on unrolling contexts) on the task's hardware model.
+pub(crate) fn prefix_config(hw: HwConfig) -> AnalysisConfig {
+    AnalysisConfig { hw, ..AnalysisConfig::default() }
 }

@@ -289,6 +289,37 @@ fn exit_code_table_covers_every_documented_flag() {
 }
 
 #[test]
+fn stack_on_recursive_task_with_unresolved_computed_jump_exits_1() {
+    // The call-graph fallback cannot resolve computed jumps, so it
+    // refuses instead of bounding the partial call graph.
+    let src = "\
+        .text
+main:   li   r1, 3
+        call rec
+        la   r11, jtab
+        lw   r5, 0(r11)
+        jalr r0, r5, 0
+big:    addi sp, sp, -512
+        addi sp, sp, 512
+        halt
+rec:    addi sp, sp, -8
+        sw   lr, 4(sp)
+        beqz r1, rbase
+        addi r1, r1, -1
+        call rec
+rbase:  lw   lr, 4(sp)
+        addi sp, sp, 8
+        ret
+        .rodata
+jtab:   .word big
+";
+    let path = write_task("cli_stack_recursive_jump.s", src);
+    let (code, stdout, stderr) = stamp_coded(&["stack", &path, "--recursion", "rec=4"]);
+    assert_eq!(code, Some(1), "{stdout}");
+    assert!(stderr.contains("unresolved indirect jumps"), "{stderr}");
+}
+
+#[test]
 fn batch_dry_run_plans_without_running() {
     let manifest = write_task(
         "cli_dry_run.json",

@@ -1,7 +1,9 @@
 //! Whole-system stack analysis (experiments E2/E8): per-task bounds,
 //! recursion handling, and the OSEK preemption-chain computation.
 
-use stamp::{assemble, HwConfig, OsekSystem, Simulator, StackAnalysis, Task};
+use stamp::{
+    assemble, AnalysisError, Annotations, HwConfig, OsekSystem, Simulator, StackAnalysis, Task,
+};
 
 /// A multi-task ECU image: three tasks sharing helper functions.
 const ECU_IMAGE: &str = r#"
@@ -111,4 +113,90 @@ fn per_function_breakdown_is_reported() {
     let report = StackAnalysis::new(&program).run().unwrap();
     assert_eq!(report.per_function["filter"].local, 48);
     assert_eq!(report.per_function["task_ctrl"].usage, 112);
+}
+
+/// A jump-table task: the case the simulator takes (`sel` = 0) allocates
+/// 256 bytes, and only the value analysis can find it.
+const JUMP_TABLE_TASK: &str = r#"
+        .text
+main:   la   r10, sel
+        lw   r3, 0(r10)
+        andi r3, r3, 1
+        slli r3, r3, 2
+        la   r11, jtab
+        add  r4, r11, r3
+        lw   r5, 0(r4)
+        jalr r0, r5, 0
+big:    addi sp, sp, -256
+        sw   r1, 0(sp)
+        addi sp, sp, 256
+        halt
+small:  halt
+        .rodata
+jtab:   .word big, small
+        .data
+sel:    .word 0
+"#;
+
+/// A recursive task (`rec` nests 4 frames of 8 bytes) followed by a
+/// computed jump whose taken case allocates 512 bytes.
+const RECURSIVE_JUMP_TABLE_TASK: &str = r#"
+        .text
+main:   li   r1, 3
+        call rec
+        la   r10, sel
+        lw   r3, 0(r10)
+        andi r3, r3, 1
+        slli r3, r3, 2
+        la   r11, jtab
+        add  r4, r11, r3
+        lw   r5, 0(r4)
+jump:   jalr r0, r5, 0
+big:    addi sp, sp, -512
+        sw   r1, 0(sp)
+        addi sp, sp, 512
+        halt
+small:  halt
+rec:    addi sp, sp, -8
+        sw   lr, 4(sp)
+        beqz r1, rbase
+        addi r1, r1, -1
+        call rec
+rbase:  lw   lr, 4(sp)
+        addi sp, sp, 8
+        ret
+        .rodata
+jtab:   .word big, small
+        .data
+sel:    .word 0
+"#;
+
+fn simulated_max_stack(program: &stamp::Program) -> u32 {
+    Simulator::new(program, &HwConfig::default()).run(100_000).unwrap().max_stack
+}
+
+#[test]
+fn precise_mode_resolves_jump_tables_before_bounding() {
+    let program = assemble(JUMP_TABLE_TASK).expect("assembles");
+    let report = StackAnalysis::new(&program).run().unwrap();
+    assert_eq!(report.mode, "precise");
+    assert_eq!(simulated_max_stack(&program), 256);
+    assert_eq!(report.bound, 256, "the jump table's 256-byte case is reachable");
+}
+
+#[test]
+fn recursive_task_with_computed_jump_needs_indirect_targets() {
+    let program = assemble(RECURSIVE_JUMP_TABLE_TASK).expect("assembles");
+    let depth = Annotations::new().recursion_depth("rec", 4);
+    // The call-graph fallback has no value analysis to resolve the jump,
+    // so it must refuse instead of bounding the partial call graph.
+    let err = StackAnalysis::new(&program).annotations(depth.clone()).run().unwrap_err();
+    assert!(matches!(err, AnalysisError::UnresolvedIndirects { .. }), "{err}");
+    // Annotated targets close the call graph.
+    let targets = depth.indirect_targets("jump", ["big".to_string(), "small".to_string()]);
+    let report = StackAnalysis::new(&program).annotations(targets).run().unwrap();
+    assert_eq!(report.mode, "callgraph");
+    let observed = simulated_max_stack(&program);
+    assert_eq!(observed, 512);
+    assert!(report.bound >= observed, "bound {} < observed {observed}", report.bound);
 }
