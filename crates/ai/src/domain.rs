@@ -39,12 +39,12 @@ pub trait Domain: Clone {
 }
 
 #[cfg(test)]
-pub(crate) mod tests {
+mod tests {
     use super::*;
 
     /// A tiny powerset domain over `u64` bit sets, used to test the solver.
     #[derive(Clone, Debug, PartialEq, Eq, Default)]
-    pub struct Bits(pub u64);
+    struct Bits(u64);
 
     impl Domain for Bits {
         fn join_from(&mut self, other: &Self) -> bool {

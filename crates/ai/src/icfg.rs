@@ -7,7 +7,7 @@
 //! into per-context copies of the callee; virtual unrolling gives the
 //! first `peel` iterations of every loop their own copies.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::error::Error;
 use std::fmt;
 
@@ -135,6 +135,37 @@ pub struct CallInstance {
     pub return_node: Option<NodeId>,
 }
 
+/// Identifies one loop *instance*: a loop header together with the
+/// context surrounding the loop (call string and outer-loop frames).
+pub type LoopKey = (BlockId, Vec<Frame>);
+
+/// One loop instance of the supergraph and the edges that bound it.
+///
+/// Its header nodes are the nodes of `header` whose context, less a
+/// trailing `Frame::Loop` of this loop, is `outer`. Loop-bound
+/// analysis bounds each instance, and path analysis and sampling
+/// constrain `Σ backs ≤ (bound − 1) · Σ entries` over it.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct LoopInstance {
+    /// The loop header block.
+    pub header: BlockId,
+    /// The frames surrounding the loop.
+    pub outer: Vec<Frame>,
+    /// Edges into the header nodes that are not back edges of this
+    /// loop (intra entry edges, and call or return edges arriving at
+    /// a header), in id order.
+    pub entries: Vec<IEdgeId>,
+    /// Back edges of this loop into the header nodes, in id order.
+    pub backs: Vec<IEdgeId>,
+}
+
+impl LoopInstance {
+    /// The instance's key.
+    pub fn key(&self) -> LoopKey {
+        (self.header, self.outer.clone())
+    }
+}
+
 /// The context-expanded supergraph. Build with [`Icfg::build`].
 #[derive(Clone, Debug)]
 pub struct Icfg {
@@ -148,6 +179,7 @@ pub struct Icfg {
     entry: NodeId,
     exits: Vec<NodeId>,
     call_instances: Vec<CallInstance>,
+    loop_instances: Vec<LoopInstance>,
     rpo_index: Vec<u32>,
 }
 
@@ -224,8 +256,24 @@ impl Icfg {
         &self.call_instances
     }
 
-    /// Reverse-post-order index of a node (entry = 0); unreached nodes
-    /// sort last.
+    /// Every loop instance, ordered by `(header, outer)`. Includes
+    /// header nodes that no edge enters.
+    pub fn loop_instances(&self) -> &[LoopInstance] {
+        &self.loop_instances
+    }
+
+    /// The instances of the loop headed at `header`, ordered by
+    /// `outer`.
+    pub fn loop_instances_of(&self, header: BlockId) -> &[LoopInstance] {
+        let all = &self.loop_instances;
+        let start = all.partition_point(|l| l.header < header);
+        let len = all[start..].partition_point(|l| l.header == header);
+        &all[start..start + len]
+    }
+
+    /// Reverse-post-order index of a node (entry = 0), from a depth-first
+    /// search over successors in edge order; unreached nodes map to
+    /// `u32::MAX`.
     pub fn rpo_index(&self, n: NodeId) -> u32 {
         self.rpo_index[n.index()]
     }
@@ -510,6 +558,7 @@ impl<'c> Builder<'c> {
         for nd in &self.nodes {
             nodes_by_block.entry(nd.block).or_default().push(nd.id);
         }
+        let loop_instances = self.index_loop_instances();
 
         Ok(Icfg {
             nodes: self.nodes,
@@ -522,8 +571,53 @@ impl<'c> Builder<'c> {
             entry,
             exits,
             call_instances: self.call_instances,
+            loop_instances,
             rpo_index,
         })
+    }
+
+    /// Groups the header nodes into loop instances: a header node's
+    /// instance is its context with the loop's own trailing frame
+    /// stripped. Every edge into a header node is an entry of that
+    /// instance, or a back edge when the builder labelled it one.
+    fn index_loop_instances(&self) -> Vec<LoopInstance> {
+        let headers: HashSet<BlockId> = self.back_of.values().copied().collect();
+        let mut keyed: Vec<(LoopKey, NodeId)> = self
+            .nodes
+            .iter()
+            .filter(|nd| headers.contains(&nd.block))
+            .map(|nd| {
+                let mut outer = self.ctxs.get(nd.ctx).frames().to_vec();
+                if matches!(outer.last(), Some(Frame::Loop { header, .. }) if *header == nd.block) {
+                    outer.pop();
+                }
+                ((nd.block, outer), nd.id)
+            })
+            .collect();
+        keyed.sort_unstable();
+        let mut instances: Vec<LoopInstance> = Vec::new();
+        let mut instance_of = vec![usize::MAX; self.nodes.len()];
+        for ((header, outer), n) in keyed {
+            if instances.last().is_none_or(|l| l.header != header || l.outer != outer) {
+                instances.push(LoopInstance {
+                    header,
+                    outer,
+                    entries: Vec::new(),
+                    backs: Vec::new(),
+                });
+            }
+            instance_of[n.index()] = instances.len() - 1;
+        }
+        for e in &self.edges {
+            let Some(inst) = instances.get_mut(instance_of[e.to.index()]) else { continue };
+            if matches!(e.kind, IEdgeKind::Intra { back_edge_of: Some(h), .. } if h == inst.header)
+            {
+                inst.backs.push(e.id);
+            } else {
+                inst.entries.push(e.id);
+            }
+        }
+        instances
     }
 }
 
@@ -621,6 +715,23 @@ impl stamp_codec::Codec for CallInstance {
     }
 }
 
+impl stamp_codec::Codec for LoopInstance {
+    fn enc(&self, e: &mut stamp_codec::Enc) {
+        self.header.enc(e);
+        self.outer.enc(e);
+        self.entries.enc(e);
+        self.backs.enc(e);
+    }
+    fn dec(d: &mut stamp_codec::Dec) -> Result<LoopInstance, stamp_codec::CodecError> {
+        Ok(LoopInstance {
+            header: stamp_codec::Codec::dec(d)?,
+            outer: Vec::dec(d)?,
+            entries: Vec::dec(d)?,
+            backs: Vec::dec(d)?,
+        })
+    }
+}
+
 impl stamp_codec::Codec for Icfg {
     /// The two lookup maps (`node_ids`, `nodes_by_block`) are derived
     /// from `nodes` and rebuilt on decode; everything else is persisted
@@ -634,6 +745,7 @@ impl stamp_codec::Codec for Icfg {
         self.entry.enc(e);
         self.exits.enc(e);
         self.call_instances.enc(e);
+        self.loop_instances.enc(e);
         self.rpo_index.enc(e);
     }
     fn dec(d: &mut stamp_codec::Dec) -> Result<Icfg, stamp_codec::CodecError> {
@@ -645,6 +757,7 @@ impl stamp_codec::Codec for Icfg {
         let entry = NodeId::dec(d)?;
         let exits: Vec<NodeId> = Vec::dec(d)?;
         let call_instances: Vec<CallInstance> = Vec::dec(d)?;
+        let loop_instances: Vec<LoopInstance> = Vec::dec(d)?;
         let rpo_index: Vec<u32> = Vec::dec(d)?;
         if succs.len() != nodes.len()
             || preds.len() != nodes.len()
@@ -672,6 +785,7 @@ impl stamp_codec::Codec for Icfg {
             entry,
             exits,
             call_instances,
+            loop_instances,
             rpo_index,
         })
     }
@@ -804,6 +918,7 @@ mod tests {
         assert_eq!(back.exits(), icfg.exits());
         assert_eq!(back.nodes(), icfg.nodes());
         assert_eq!(back.edges(), icfg.edges());
+        assert_eq!(back.loop_instances(), icfg.loop_instances());
         assert_eq!(back.ctxs().len(), icfg.ctxs().len());
         // Rebuilt lookup maps answer identically.
         for nd in icfg.nodes() {

@@ -40,5 +40,5 @@ mod solver;
 
 pub use context::{Ctx, CtxId, CtxTable, Frame, VivuConfig};
 pub use domain::Domain;
-pub use icfg::{IEdge, IEdgeId, IEdgeKind, Icfg, IcfgError, Node, NodeId};
-pub use solver::{solve, solve_reference, Fixpoint, Transfer};
+pub use icfg::{IEdge, IEdgeId, IEdgeKind, Icfg, IcfgError, LoopInstance, LoopKey, Node, NodeId};
+pub use solver::{solve, Fixpoint, Transfer};

@@ -1,19 +1,15 @@
 //! Generic worklist fixpoint solver over the supergraph.
 //!
-//! Two implementations share the [`Transfer`] interface:
-//!
-//! * [`solve`] — the production solver: an index-based bucket priority
-//!   queue keyed by reverse post-order with an `in_worklist` bitset, and
-//!   copy-on-write edge propagation (states flow by reference unless an
-//!   edge actually refines them);
-//! * [`solve_reference`] — the naive textbook solver ( `BTreeSet`
-//!   worklist, one owned state per propagated edge) retained as the
-//!   executable specification. The differential property suite checks
-//!   that both produce identical fixpoints, evaluation counts and
-//!   infeasible-edge sets.
+//! [`solve`] uses an index-based bucket priority queue keyed by reverse
+//! post-order with an `in_worklist` bitset, and copy-on-write edge
+//! propagation (states flow by reference unless an edge actually
+//! refines them). The naive textbook solver it replaced (`BTreeSet`
+//! worklist, one owned state per propagated edge) lives on as the
+//! executable specification in `tests/worklist_diff.rs`, which checks
+//! that both produce identical fixpoints, evaluation counts and
+//! infeasible-edge sets.
 
 use std::borrow::Cow;
-use std::collections::BTreeSet;
 
 use crate::domain::Domain;
 use crate::icfg::{IEdge, IEdgeKind, Icfg, NodeId};
@@ -189,8 +185,8 @@ impl RpoWorklist {
 ///
 /// States propagate along edges by reference ([`Transfer::edge`] returns
 /// a [`Cow`]); an owned clone is made only when a successor's entry
-/// state is first materialized. Results are identical to
-/// [`solve_reference`] — see the differential tests.
+/// state is first materialized. Results are identical to the naive
+/// reference solver in `tests/worklist_diff.rs`.
 pub fn solve<T: Transfer>(icfg: &Icfg, transfer: &mut T, widen_delay: u32) -> Fixpoint<T::State> {
     let n = icfg.nodes().len();
     let mut ins: Vec<Option<T::State>> = vec![None; n];
@@ -278,161 +274,12 @@ pub fn solve<T: Transfer>(icfg: &Icfg, transfer: &mut T, widen_delay: u32) -> Fi
     Fixpoint { ins, outs, infeasible_edges, evaluations }
 }
 
-/// The naive reference solver: `BTreeSet`-as-priority-queue worklist and
-/// an owned state per propagated edge, exactly as the kernel shipped
-/// before the indexed worklist. Kept as the executable specification for
-/// the differential property tests; never used on the hot path.
-pub fn solve_reference<T: Transfer>(
-    icfg: &Icfg,
-    transfer: &mut T,
-    widen_delay: u32,
-) -> Fixpoint<T::State> {
-    let n = icfg.nodes().len();
-    let mut ins: Vec<Option<T::State>> = vec![None; n];
-    let mut outs: Vec<Option<T::State>> = vec![None; n];
-    let mut join_count: Vec<u32> = vec![0; n];
-    let mut evaluations: u64 = 0;
-    let widen_at = widening_points(icfg);
-
-    let mut work: BTreeSet<(u32, NodeId)> = BTreeSet::new();
-    let entry = icfg.entry();
-    ins[entry.index()] = Some(transfer.boundary());
-    work.insert((icfg.rpo_index(entry), entry));
-
-    let mut edge_fired = vec![false; icfg.edges().len()];
-
-    while let Some(&(prio, node)) = work.iter().next() {
-        work.remove(&(prio, node));
-        let input = match &ins[node.index()] {
-            Some(s) => s.clone(),
-            None => continue,
-        };
-        evaluations += 1;
-        let out = transfer.transfer(icfg, node, &input);
-        let out_changed = match &mut outs[node.index()] {
-            Some(prev) => prev.join_from(&out),
-            slot @ None => {
-                *slot = Some(out);
-                true
-            }
-        };
-        if !out_changed && evaluations > 1 {
-            continue;
-        }
-        let out_state = outs[node.index()].clone().expect("just set");
-        for e in icfg.succs(node) {
-            let propagated = match transfer.edge(icfg, &e, &out_state) {
-                Some(s) => s.into_owned(),
-                None => continue,
-            };
-            edge_fired[e.id.index()] = true;
-            let ti = e.to.index();
-            let changed = match &mut ins[ti] {
-                Some(prev) => {
-                    join_count[ti] += 1;
-                    if widen_at[ti] && join_count[ti] > widen_delay {
-                        prev.widen_from(&propagated)
-                    } else {
-                        prev.join_from(&propagated)
-                    }
-                }
-                slot @ None => {
-                    *slot = Some(propagated);
-                    true
-                }
-            };
-            if changed {
-                work.insert((icfg.rpo_index(e.to), e.to));
-            }
-        }
-    }
-
-    let infeasible_edges = icfg
-        .edges()
-        .iter()
-        .filter(|e| !edge_fired[e.id.index()] && outs[e.from.index()].is_some())
-        .map(|e| e.id)
-        .collect();
-
-    Fixpoint { ins, outs, infeasible_edges, evaluations }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::context::VivuConfig;
-    use crate::domain::tests::Bits;
-    use crate::icfg::Icfg;
     use stamp_cfg::CfgBuilder;
     use stamp_isa::asm::assemble;
-
-    /// Collects the set of visited block start addresses (as bit indices)
-    /// — a reachability analysis.
-    struct Reach;
-
-    impl Transfer for Reach {
-        type State = Bits;
-
-        fn boundary(&self) -> Bits {
-            Bits(1)
-        }
-
-        fn transfer(&mut self, icfg: &Icfg, node: NodeId, input: &Bits) -> Bits {
-            let _ = icfg;
-            Bits(input.0 | (1 << (node.index() + 1).min(63)))
-        }
-    }
-
-    #[test]
-    fn reaches_fixpoint_on_loop() {
-        let src = ".text\nmain: li r1, 4\nloop: addi r1, r1, -1\nbnez r1, loop\nhalt\n";
-        let p = assemble(src).unwrap();
-        let cfg = CfgBuilder::new(&p).build().unwrap();
-        let icfg = Icfg::build(&cfg, &VivuConfig::default()).unwrap();
-        let fp = solve(&icfg, &mut Reach, 2);
-        // Every reachable node has a state, and the exit sees the entry bit.
-        for nd in icfg.nodes() {
-            assert!(fp.input(nd.id).is_some(), "node {:?} unreachable", nd.id);
-        }
-        let exit = icfg.exits()[0];
-        assert_eq!(fp.input(exit).unwrap().0 & 1, 1);
-        assert!(fp.evaluations >= icfg.nodes().len() as u64);
-        // The indexed solver agrees with the reference solver.
-        let rf = solve_reference(&icfg, &mut Reach, 2);
-        assert!(fp.equivalent(&rf));
-    }
-
-    #[test]
-    fn infeasible_edges_reported() {
-        struct KillFall;
-        impl Transfer for KillFall {
-            type State = Bits;
-            fn boundary(&self) -> Bits {
-                Bits(1)
-            }
-            fn transfer(&mut self, _i: &Icfg, _n: NodeId, s: &Bits) -> Bits {
-                s.clone()
-            }
-            fn edge<'s>(&mut self, icfg: &Icfg, e: &IEdge, s: &'s Bits) -> Option<Cow<'s, Bits>> {
-                // Refuse the fall-through edge out of the entry block.
-                if e.from == icfg.entry() {
-                    if let IEdgeKind::Intra { cfg_edge, .. } = e.kind {
-                        let _ = cfg_edge;
-                        return None;
-                    }
-                }
-                Some(Cow::Borrowed(s))
-            }
-        }
-        let src = ".text\nmain: beq r0, r0, t\nf: halt\nt: halt\n";
-        let p = assemble(src).unwrap();
-        let cfg = CfgBuilder::new(&p).build().unwrap();
-        let icfg = Icfg::build(&cfg, &VivuConfig::default()).unwrap();
-        let fp = solve(&icfg, &mut KillFall, 2);
-        assert_eq!(fp.infeasible_edges.len(), 2);
-        let rf = solve_reference(&icfg, &mut KillFall, 2);
-        assert!(fp.equivalent(&rf));
-    }
 
     #[test]
     fn rpo_worklist_pops_in_rpo_order() {

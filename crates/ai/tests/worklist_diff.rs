@@ -2,7 +2,7 @@
 //!
 //! The production solver (`solve`: RPO bucket queue, copy-on-write edge
 //! propagation, no re-join round-trip) must be observationally identical
-//! to the retained naive reference solver (`solve_reference`) — same
+//! to the naive reference solver kept here (`solve_reference`) — same
 //! per-node entry/exit states, same `evaluations` count, same
 //! infeasible-edge set — on randomly generated programs from
 //! `stamp_suite`, under two transfer functions:
@@ -13,19 +13,110 @@
 //!   branch refinement and the copy-on-write `AState` representation.
 
 use std::borrow::Cow;
+use std::collections::BTreeSet;
 use std::rc::Rc;
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use stamp_ai::{
-    solve, solve_reference, Domain, IEdge, IEdgeKind, Icfg, NodeId, Transfer, VivuConfig,
-};
+use stamp_ai::{solve, Domain, Fixpoint, IEdge, IEdgeKind, Icfg, NodeId, Transfer, VivuConfig};
 use stamp_cfg::CfgBuilder;
 use stamp_hw::HwConfig;
 use stamp_isa::asm::assemble;
 use stamp_suite::{generate, GenConfig};
 use stamp_value::{DomainKind, ValueTransfer};
+
+/// The naive reference solver: `BTreeSet`-as-priority-queue worklist and
+/// an owned state per propagated edge, exactly as the kernel shipped
+/// before the indexed worklist. Kept as the executable specification for
+/// the differential property tests.
+fn solve_reference<T: Transfer>(
+    icfg: &Icfg,
+    transfer: &mut T,
+    widen_delay: u32,
+) -> Fixpoint<T::State> {
+    let n = icfg.nodes().len();
+    let mut ins: Vec<Option<T::State>> = vec![None; n];
+    let mut outs: Vec<Option<T::State>> = vec![None; n];
+    let mut join_count: Vec<u32> = vec![0; n];
+    let mut evaluations: u64 = 0;
+    let widen_at = widening_points(icfg);
+
+    let mut work: BTreeSet<(u32, NodeId)> = BTreeSet::new();
+    let entry = icfg.entry();
+    ins[entry.index()] = Some(transfer.boundary());
+    work.insert((icfg.rpo_index(entry), entry));
+
+    let mut edge_fired = vec![false; icfg.edges().len()];
+
+    while let Some(&(prio, node)) = work.iter().next() {
+        work.remove(&(prio, node));
+        let input = match &ins[node.index()] {
+            Some(s) => s.clone(),
+            None => continue,
+        };
+        evaluations += 1;
+        let out = transfer.transfer(icfg, node, &input);
+        let out_changed = match &mut outs[node.index()] {
+            Some(prev) => prev.join_from(&out),
+            slot @ None => {
+                *slot = Some(out);
+                true
+            }
+        };
+        if !out_changed && evaluations > 1 {
+            continue;
+        }
+        let out_state = outs[node.index()].clone().expect("just set");
+        for e in icfg.succs(node) {
+            let propagated = match transfer.edge(icfg, &e, &out_state) {
+                Some(s) => s.into_owned(),
+                None => continue,
+            };
+            edge_fired[e.id.index()] = true;
+            let ti = e.to.index();
+            let changed = match &mut ins[ti] {
+                Some(prev) => {
+                    join_count[ti] += 1;
+                    if widen_at[ti] && join_count[ti] > widen_delay {
+                        prev.widen_from(&propagated)
+                    } else {
+                        prev.join_from(&propagated)
+                    }
+                }
+                slot @ None => {
+                    *slot = Some(propagated);
+                    true
+                }
+            };
+            if changed {
+                work.insert((icfg.rpo_index(e.to), e.to));
+            }
+        }
+    }
+
+    let infeasible_edges = icfg
+        .edges()
+        .iter()
+        .filter(|e| !edge_fired[e.id.index()] && outs[e.from.index()].is_some())
+        .map(|e| e.id)
+        .collect();
+
+    Fixpoint::from_parts(ins, outs, infeasible_edges, evaluations)
+}
+
+/// The widening points of a graph: targets of back edges and of any
+/// retreating edge by RPO (the production solver's rule).
+fn widening_points(icfg: &Icfg) -> Vec<bool> {
+    let mut widen_at = vec![false; icfg.nodes().len()];
+    for e in icfg.edges() {
+        let retreating = icfg.rpo_index(e.to) <= icfg.rpo_index(e.from);
+        if retreating || matches!(e.kind, IEdgeKind::Intra { back_edge_of: Some(_), .. }) {
+            widen_at[e.to.index()] = true;
+        }
+    }
+    widen_at
+}
 
 /// A small powerset domain over `u64` (finite chains, joins = union).
 #[derive(Clone, Debug, PartialEq, Eq, Default)]
@@ -141,4 +232,72 @@ fn equivalence_oracle_rejects_differences() {
     assert!(!a.equivalent(&b), "different kills must differ");
     let c = solve_reference(&icfg, &mut Chaotic { seed: 1 }, 2);
     assert!(a.equivalent(&c));
+}
+
+/// Collects the set of visited block start addresses (as bit indices)
+/// — a reachability analysis.
+struct Reach;
+
+impl Transfer for Reach {
+    type State = Bits;
+
+    fn boundary(&self) -> Bits {
+        Bits(1)
+    }
+
+    fn transfer(&mut self, icfg: &Icfg, node: NodeId, input: &Bits) -> Bits {
+        let _ = icfg;
+        Bits(input.0 | (1 << (node.index() + 1).min(63)))
+    }
+}
+
+#[test]
+fn reaches_fixpoint_on_loop() {
+    let src = ".text\nmain: li r1, 4\nloop: addi r1, r1, -1\nbnez r1, loop\nhalt\n";
+    let p = assemble(src).unwrap();
+    let cfg = CfgBuilder::new(&p).build().unwrap();
+    let icfg = Icfg::build(&cfg, &VivuConfig::default()).unwrap();
+    let fp = solve(&icfg, &mut Reach, 2);
+    // Every reachable node has a state, and the exit sees the entry bit.
+    for nd in icfg.nodes() {
+        assert!(fp.input(nd.id).is_some(), "node {:?} unreachable", nd.id);
+    }
+    let exit = icfg.exits()[0];
+    assert_eq!(fp.input(exit).unwrap().0 & 1, 1);
+    assert!(fp.evaluations >= icfg.nodes().len() as u64);
+    // The indexed solver agrees with the reference solver.
+    let rf = solve_reference(&icfg, &mut Reach, 2);
+    assert!(fp.equivalent(&rf));
+}
+
+#[test]
+fn infeasible_edges_reported() {
+    struct KillFall;
+    impl Transfer for KillFall {
+        type State = Bits;
+        fn boundary(&self) -> Bits {
+            Bits(1)
+        }
+        fn transfer(&mut self, _i: &Icfg, _n: NodeId, s: &Bits) -> Bits {
+            s.clone()
+        }
+        fn edge<'s>(&mut self, icfg: &Icfg, e: &IEdge, s: &'s Bits) -> Option<Cow<'s, Bits>> {
+            // Refuse the fall-through edge out of the entry block.
+            if e.from == icfg.entry() {
+                if let IEdgeKind::Intra { cfg_edge, .. } = e.kind {
+                    let _ = cfg_edge;
+                    return None;
+                }
+            }
+            Some(Cow::Borrowed(s))
+        }
+    }
+    let src = ".text\nmain: beq r0, r0, t\nf: halt\nt: halt\n";
+    let p = assemble(src).unwrap();
+    let cfg = CfgBuilder::new(&p).build().unwrap();
+    let icfg = Icfg::build(&cfg, &VivuConfig::default()).unwrap();
+    let fp = solve(&icfg, &mut KillFall, 2);
+    assert_eq!(fp.infeasible_edges.len(), 2);
+    let rf = solve_reference(&icfg, &mut KillFall, 2);
+    assert!(fp.equivalent(&rf));
 }

@@ -14,13 +14,15 @@
 //!   optimized transfer is deliberately absent, so the differential tests
 //!   also validate that the skip is an exact no-op.
 //!
-//! The fixpoint is driven by [`stamp_ai::solve_reference`], the naive
-//! chaotic-iteration solver. [`run_reference`] produces a full
+//! The fixpoint is driven by [`stamp_ai::solve`], whose equivalence to
+//! the naive textbook solver is checked separately (`stamp_ai`'s
+//! `tests/worklist_diff.rs`), so a divergence here is a domain or
+//! transfer divergence. [`run_reference`] produces a full
 //! [`CacheAnalysis`] from these domains for the lockstep tests below.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
-use stamp_ai::{solve_reference, CtxId, Domain, Icfg, NodeId, Transfer};
+use stamp_ai::{solve, CtxId, Domain, Icfg, NodeId, Transfer};
 use stamp_cfg::Cfg;
 use stamp_hw::{CacheConfig, HwConfig};
 use stamp_value::ValueAnalysis;
@@ -540,7 +542,7 @@ pub(crate) fn run_reference(
         dcache: hw.dcache,
         infeasible: va.infeasible_edges().iter().copied().collect(),
     };
-    let fixpoint = solve_reference(icfg, &mut transfer, u32::MAX);
+    let fixpoint = solve(icfg, &mut transfer, u32::MAX);
 
     let mut classes = HashMap::new();
     let mut ps_fetch_lines = BTreeSet::new();

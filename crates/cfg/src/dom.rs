@@ -14,6 +14,11 @@ pub struct Dominators {
     idom: Vec<Option<BlockId>>,
     /// Reverse post-order used for the computation.
     rpo: Vec<BlockId>,
+    /// Pre- and post-order numbers of each block in the dominator tree
+    /// (`u32::MAX` for blocks the tree does not reach): `a` dominates
+    /// `b` iff `b`'s interval nests in `a`'s.
+    pre: Vec<u32>,
+    post: Vec<u32>,
 }
 
 impl Cfg {
@@ -64,7 +69,30 @@ impl Cfg {
                 }
             }
         }
-        Dominators { entry, idom, rpo }
+        // Number the tree depth-first so dominance queries are O(1).
+        let mut children: Vec<Vec<BlockId>> = vec![Vec::new(); n];
+        for &b in rpo.iter().skip(1) {
+            if let Some(p) = idom[b.index()] {
+                children[p.index()].push(b);
+            }
+        }
+        let (mut pre, mut post) = (vec![u32::MAX; n], vec![u32::MAX; n]);
+        let (mut next_pre, mut next_post) = (0u32, 0u32);
+        let mut stack: Vec<(BlockId, usize)> = vec![(entry, 0)];
+        pre[entry.index()] = 0;
+        while let Some(&mut (b, ref mut i)) = stack.last_mut() {
+            if let Some(&c) = children[b.index()].get(*i) {
+                *i += 1;
+                next_pre += 1;
+                pre[c.index()] = next_pre;
+                stack.push((c, 0));
+            } else {
+                post[b.index()] = next_post;
+                next_post += 1;
+                stack.pop();
+            }
+        }
+        Dominators { entry, idom, rpo, pre, post }
     }
 }
 
@@ -86,19 +114,10 @@ impl Dominators {
 
     /// Returns `true` if `a` dominates `b` (reflexive).
     pub fn dominates(&self, a: BlockId, b: BlockId) -> bool {
-        let mut cur = b;
-        loop {
-            if cur == a {
-                return true;
-            }
-            if cur == self.entry {
-                return false;
-            }
-            match self.idom[cur.index()] {
-                Some(next) => cur = next,
-                None => return false,
-            }
-        }
+        a == b
+            || (self.pre[b.index()] != u32::MAX
+                && self.pre[a.index()] <= self.pre[b.index()]
+                && self.post[b.index()] <= self.post[a.index()])
     }
 
     /// The reverse post-order the tree was computed over.

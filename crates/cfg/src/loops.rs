@@ -3,6 +3,7 @@
 use std::collections::BTreeSet;
 
 use crate::build::CfgError;
+use crate::dom::Dominators;
 use crate::graph::{BlockId, Cfg, EdgeId, FuncId};
 
 /// Index of a loop within a [`LoopForest`].
@@ -37,12 +38,14 @@ pub struct Loop {
     pub depth: u32,
 }
 
-/// The loop nesting forest of one function.
+/// The loop nesting forest of one function, together with the
+/// dominator tree it was detected on.
 #[derive(Clone, Debug)]
 pub struct LoopForest {
     loops: Vec<Loop>,
     /// Innermost loop containing each block.
     innermost: Vec<Option<LoopId>>,
+    dom: Dominators,
 }
 
 impl Cfg {
@@ -118,48 +121,23 @@ impl Cfg {
             return Err(CfgError::Irreducible { func_entry: func.entry_addr });
         }
 
-        // Nesting: parent = smallest strictly-containing loop.
-        let ids: Vec<LoopId> = loops.iter().map(|l| l.id).collect();
-        for &lid in &ids {
-            let mut best: Option<(usize, LoopId)> = None;
-            for &cand in &ids {
-                if cand == lid {
-                    continue;
-                }
-                let (a, b) = (&loops[lid.index()], &loops[cand.index()]);
-                if b.body.contains(&a.header) && b.body.is_superset(&a.body) && b.body != a.body {
-                    let size = b.body.len();
-                    if best.is_none_or(|(s, _)| size < s) {
-                        best = Some((size, cand));
-                    }
-                }
-            }
-            loops[lid.index()].parent = best.map(|(_, c)| c);
-        }
-        // Depths.
-        for i in 0..loops.len() {
-            let mut d = 1;
-            let mut cur = loops[i].parent;
-            while let Some(p) = cur {
-                d += 1;
-                cur = loops[p.index()].parent;
-            }
-            loops[i].depth = d;
-        }
-
-        // Innermost loop per block.
+        // Nesting. In a reducible graph two natural loops with distinct
+        // headers are disjoint or nested, so a loop's parent is the
+        // smallest other loop containing its header. Visiting loops from
+        // the largest body down, the last loop to claim a block is the
+        // innermost one containing it.
+        let mut by_size: Vec<usize> = (0..loops.len()).collect();
+        by_size.sort_by_key(|&i| std::cmp::Reverse(loops[i].body.len()));
         let mut innermost = vec![None; self.blocks().len()];
-        for l in &loops {
-            for &b in &l.body {
-                let cur: &mut Option<LoopId> = &mut innermost[b.index()];
-                match *cur {
-                    None => *cur = Some(l.id),
-                    Some(prev) if loops[prev.index()].depth < l.depth => *cur = Some(l.id),
-                    _ => {}
-                }
+        for i in by_size {
+            let parent: Option<LoopId> = innermost[loops[i].header.index()];
+            loops[i].parent = parent;
+            loops[i].depth = parent.map_or(1, |p| loops[p.index()].depth + 1);
+            for &b in &loops[i].body {
+                innermost[b.index()] = Some(loops[i].id);
             }
         }
-        Ok(LoopForest { loops, innermost })
+        Ok(LoopForest { loops, innermost, dom })
     }
 }
 
@@ -225,6 +203,11 @@ impl LoopForest {
     /// The loop headed exactly at `b`, if any.
     pub fn loop_with_header(&self, b: BlockId) -> Option<&Loop> {
         self.loops.iter().find(|l| l.header == b)
+    }
+
+    /// The function's dominator tree.
+    pub fn dominators(&self) -> &Dominators {
+        &self.dom
     }
 }
 

@@ -3,7 +3,7 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use stamp_cfg::{CfgBuilder, EdgeKind};
+use stamp_cfg::{BlockId, CfgBuilder, Dominators, EdgeKind};
 use stamp_isa::asm::assemble;
 use stamp_isa::Flow;
 use stamp_suite::{generate, GenConfig};
@@ -91,4 +91,51 @@ proptest! {
             }
         }
     }
+
+    #[test]
+    fn dominance_and_nesting_match_their_definitions(seed in 0u64..1000) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let shape = if seed % 2 == 0 { GenConfig::rich() } else { GenConfig::default() };
+        let src = generate(&mut rng, &shape);
+        let p = assemble(&src).expect("assembles");
+        let cfg = CfgBuilder::new(&p).build().expect("builds");
+        for f in cfg.functions() {
+            // Dominance is reflexive-transitive idom reachability.
+            let dom = cfg.dominators(f.id);
+            for &a in &f.blocks {
+                for &b in &f.blocks {
+                    prop_assert_eq!(dom.dominates(a, b), by_idom_chain(&dom, a, b));
+                }
+            }
+            // A loop's parent is the smallest loop strictly containing
+            // it, its depth one more than its parent's, and each block's
+            // innermost loop the deepest loop containing it.
+            let forest = cfg.loop_forest(f.id).expect("reducible by construction");
+            let loops = forest.loops();
+            for l in loops {
+                let parent = loops
+                    .iter()
+                    .filter(|o| o.body.is_superset(&l.body) && o.body != l.body)
+                    .min_by_key(|o| o.body.len());
+                prop_assert_eq!(l.parent, parent.map(|o| o.id));
+                prop_assert_eq!(l.depth, parent.map_or(1, |o| o.depth + 1));
+            }
+            for &b in &f.blocks {
+                let deepest = loops.iter().filter(|l| l.body.contains(&b)).max_by_key(|l| l.depth);
+                prop_assert_eq!(forest.innermost(b), deepest.map(|l| l.id));
+            }
+        }
+    }
+}
+
+/// Does `a` dominate `b`, walking `b`'s immediate dominators?
+fn by_idom_chain(dom: &Dominators, a: BlockId, b: BlockId) -> bool {
+    let mut cur = Some(b);
+    while let Some(c) = cur {
+        if c == a {
+            return true;
+        }
+        cur = dom.idom(c);
+    }
+    false
 }

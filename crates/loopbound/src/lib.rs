@@ -4,17 +4,21 @@
 //! bounds for the number of iterations of simple loops", using the value
 //! analysis results as input.
 //!
-//! For every natural loop and every VIVU call-context instance the
-//! analysis:
+//! For every natural loop the analysis:
 //!
 //! 1. identifies the loop's unique *induction register* — exactly one
 //!    instruction in the body updates it, by a constant (`addi r, r, c`);
 //! 2. finds exit branches that execute on every iteration (their blocks
-//!    dominate the latch) and compares the induction register against a
-//!    loop-invariant bound;
+//!    dominate the latch, by the loop forest's dominator tree) and
+//!    compares the induction register against a loop-invariant bound;
+//!
+//! and then, for each of the loop's VIVU instances in
+//! [`Icfg::loop_instances`]:
+//!
 //! 3. abstractly iterates the induction sequence from the value-analysis
-//!    entry state until the continue-condition becomes unsatisfiable,
-//!    yielding a sound upper bound on header executions per loop entry.
+//!    state on the instance's entry edges until the continue-condition
+//!    becomes unsatisfiable, yielding a sound upper bound on header
+//!    executions per loop entry.
 //!
 //! Loops that do not fit the pattern (e.g. binary search, data-dependent
 //! exits) fall back to **user annotations**, exactly as aiT does; without
@@ -46,14 +50,12 @@
 
 use std::collections::BTreeMap;
 
-use stamp_ai::{Ctx, Frame, IEdgeKind, Icfg};
-use stamp_cfg::{BlockId, Cfg, FuncId, Loop};
+use stamp_ai::{Frame, Icfg, LoopInstance};
+use stamp_cfg::{BlockId, Cfg, Dominators, Loop};
 use stamp_isa::{AluOp, Cond, Insn, Program, Reg};
 use stamp_value::{effective_cond, CondRhs, SInt, ValueAnalysis};
 
-/// Identifies one loop *instance*: a loop header together with the
-/// context surrounding the loop (call string and outer-loop frames).
-pub type LoopKey = (BlockId, Vec<Frame>);
+pub use stamp_ai::LoopKey;
 
 /// Options for the loop-bound analysis.
 #[derive(Clone, Debug)]
@@ -98,24 +100,21 @@ impl LoopBoundAnalysis {
                 Err(_) => continue, // irreducible: reported by the ICFG stage
             };
             for l in forest.loops() {
-                let pattern = InductionPattern::detect(cfg, func.id, l);
-                // Every context instance of this loop.
-                for key in loop_instances(icfg, l.header) {
-                    let annotated = options.annotations.get(&cfg.block(l.header).start).copied();
+                let pattern = InductionPattern::detect(cfg, forest.dominators(), l);
+                let annotated = options.annotations.get(&cfg.block(l.header).start).copied();
+                for inst in icfg.loop_instances_of(l.header) {
                     let computed = pattern
                         .as_ref()
-                        .and_then(|p| p.bound(cfg, icfg, va, l, &key.1, options.max_iterations));
-                    match (computed, annotated) {
-                        (Some(c), Some(a)) => {
-                            bounds.insert(key, c.min(a));
+                        .and_then(|p| p.bound(cfg, icfg, va, inst, options.max_iterations));
+                    let bound = match (computed, annotated) {
+                        (Some(c), Some(a)) => Some(c.min(a)),
+                        (c, a) => c.or(a),
+                    };
+                    match bound {
+                        Some(b) => {
+                            bounds.insert(inst.key(), b);
                         }
-                        (Some(c), None) => {
-                            bounds.insert(key, c);
-                        }
-                        (None, Some(a)) => {
-                            bounds.insert(key, a);
-                        }
-                        (None, None) => unbounded.push(key),
+                        None => unbounded.push(inst.key()),
                     }
                 }
             }
@@ -150,41 +149,19 @@ impl stamp_codec::Codec for LoopBoundAnalysis {
     }
 }
 
-/// Enumerates the context instances of a loop: for every header node,
-/// the context with the trailing own-loop frame stripped.
-fn loop_instances(icfg: &Icfg, header: BlockId) -> Vec<LoopKey> {
-    let mut keys: Vec<LoopKey> = Vec::new();
-    for &n in icfg.nodes_of_block(header) {
-        let ctx = icfg.ctxs().get(icfg.node(n).ctx);
-        let mut frames = ctx.frames().to_vec();
-        if matches!(frames.last(), Some(Frame::Loop { header: h, .. }) if *h == header) {
-            frames.pop();
-        }
-        let key = (header, frames);
-        if !keys.contains(&key) {
-            keys.push(key);
-        }
-    }
-    keys
-}
-
 /// The detected shape of a simple counted loop.
 struct InductionPattern {
     /// The induction register.
     reg: Reg,
     /// Its per-iteration constant step.
     step: i32,
-    /// Block containing the unique increment.
-    step_block: BlockId,
-    /// Index of the increment instruction within its block.
-    step_idx: usize,
     /// Exit branches usable for bounding: `(block, continue-cond, rhs,
     /// increment-executes-before-branch)`.
     exits: Vec<(BlockId, Cond, CondRhs, bool)>,
 }
 
 impl InductionPattern {
-    fn detect(cfg: &Cfg, func: FuncId, l: &Loop) -> Option<InductionPattern> {
+    fn detect(cfg: &Cfg, dom: &Dominators, l: &Loop) -> Option<InductionPattern> {
         // Find registers updated exactly once in the body, by `addi r, r, c`.
         let mut updates: BTreeMap<Reg, Vec<(BlockId, usize, Option<i32>)>> = BTreeMap::new();
         for &b in &l.body {
@@ -202,7 +179,6 @@ impl InductionPattern {
                 }
             }
         }
-        let dom = cfg.dominators(func);
         let latches: Vec<BlockId> = l.back_edges.iter().map(|&e| cfg.edge(e).from).collect();
 
         // Candidate induction registers: single self-increment update.
@@ -255,13 +231,7 @@ impl InductionPattern {
                 exits.push((b, cond, rhs, inc_before));
             }
             if !exits.is_empty() {
-                return Some(InductionPattern {
-                    reg: *reg,
-                    step: *step,
-                    step_block: *step_block,
-                    step_idx: *step_idx,
-                    exits,
-                });
+                return Some(InductionPattern { reg: *reg, step: *step, exits });
             }
         }
         None
@@ -273,27 +243,15 @@ impl InductionPattern {
         cfg: &Cfg,
         icfg: &Icfg,
         va: &ValueAnalysis,
-        l: &Loop,
-        outer: &[Frame],
+        inst: &LoopInstance,
         cap: u64,
     ) -> Option<u64> {
         // Initial value of the induction register and of every invariant
-        // rhs: joined over the loop's entry edges for this instance.
+        // rhs: joined over the instance's entry edges.
         let mut init: Option<SInt> = None;
         let mut rhs_vals: BTreeMap<Reg, SInt> = BTreeMap::new();
-        for e in icfg.edges() {
-            // An entry of this instance: any supergraph edge into one of
-            // its header nodes that is not a back edge of this loop.
-            // (This uniformly covers intra entry edges and call edges
-            // into functions whose entry block heads a loop.)
-            if matches!(e.kind, IEdgeKind::Intra { back_edge_of: Some(h), .. } if h == l.header) {
-                continue;
-            }
-            let to = icfg.node(e.to);
-            if to.block != l.header || !ctx_matches(icfg.ctxs().get(to.ctx), l.header, outer) {
-                continue;
-            }
-            let src_state = va.exit_state(e.from)?;
+        for &e in &inst.entries {
+            let src_state = va.exit_state(icfg.edge(e).from)?;
             let v = src_state.reg(self.reg);
             init = Some(match init {
                 None => v,
@@ -307,7 +265,6 @@ impl InductionPattern {
             }
         }
         let init = init?;
-        let _ = (self.step_block, self.step_idx);
 
         // Take the tightest bound over the usable exits.
         let mut best: Option<u64> = None;
@@ -331,7 +288,7 @@ impl InductionPattern {
             // relational one is often tighter, so take the minimum.
             let relational_bound = match rhs {
                 CondRhs::Reg(limit_reg) => {
-                    self.relational_bound(cfg, icfg, va, l, outer, cont, limit_reg, inc_before, cap)
+                    self.relational_bound(cfg, icfg, va, inst, cont, limit_reg, inc_before, cap)
                 }
                 CondRhs::Imm(_) => None,
             };
@@ -355,8 +312,7 @@ impl InductionPattern {
         cfg: &Cfg,
         icfg: &Icfg,
         va: &ValueAnalysis,
-        l: &Loop,
-        outer: &[Frame],
+        inst: &LoopInstance,
         cont: Cond,
         limit_reg: Reg,
         inc_before: bool,
@@ -367,17 +323,10 @@ impl InductionPattern {
         }
         // Gap at loop entry, joined over all entry edges of the instance.
         let mut gap: Option<i64> = None;
-        for e in icfg.edges() {
-            if matches!(e.kind, IEdgeKind::Intra { back_edge_of: Some(h), .. } if h == l.header) {
-                continue;
-            }
-            let to = icfg.node(e.to);
-            if to.block != l.header || !ctx_matches(icfg.ctxs().get(to.ctx), l.header, outer) {
-                continue;
-            }
-            let src = icfg.node(e.from);
-            let entry_state = va.entry_state(e.from)?;
-            let block = cfg.block(src.block);
+        for &e in &inst.entries {
+            let from = icfg.edge(e).from;
+            let entry_state = va.entry_state(from)?;
+            let block = cfg.block(icfg.node(from).block);
             let d = stamp_value::register_delta(block, entry_state, limit_reg, self.reg)?;
             let d = d.is_const()? as i32 as i64; // signed gap
             gap = Some(match gap {
@@ -429,15 +378,6 @@ fn swap_sides(c: Cond) -> Option<Cond> {
         // treat these as unusable.
         Cond::Lt | Cond::Ge | Cond::Ltu | Cond::Geu => return None,
     })
-}
-
-/// Does this header-node context belong to the instance `outer`?
-fn ctx_matches(ctx: &Ctx, header: BlockId, outer: &[Frame]) -> bool {
-    let mut frames = ctx.frames().to_vec();
-    if matches!(frames.last(), Some(Frame::Loop { header: h, .. }) if *h == header) {
-        frames.pop();
-    }
-    frames == outer
 }
 
 #[cfg(test)]

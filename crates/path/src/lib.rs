@@ -27,7 +27,7 @@ use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
 
-use stamp_ai::{Frame, IEdgeId, IEdgeKind, Icfg, NodeId};
+use stamp_ai::{IEdgeId, Icfg, LoopInstance, NodeId};
 use stamp_cfg::{BlockId, Cfg};
 use stamp_ilp::{CmpOp, IlpError, LpProblem, VarId};
 use stamp_loopbound::LoopBoundAnalysis;
@@ -175,13 +175,18 @@ enum InstanceRule {
     PinUnreachable,
 }
 
-/// One loop instance's edges together with its constraint rule,
-/// recorded so the summarized solve can re-emit the same constraints
-/// per segment.
-struct Instance {
-    entries: Vec<IEdgeId>,
-    backs: Vec<IEdgeId>,
+/// One loop instance together with its constraint rule, recorded so
+/// the summarized solve can re-emit the same constraints per segment.
+struct Instance<'a> {
+    instance: &'a LoopInstance,
     rule: InstanceRule,
+}
+
+impl Instance<'_> {
+    /// Entry edges, then back edges.
+    fn edges(&self) -> impl Iterator<Item = IEdgeId> + '_ {
+        self.instance.entries.iter().chain(&self.instance.backs).copied()
+    }
 }
 
 /// The fully constructed IPET ILP plus the structure the summarized
@@ -189,7 +194,7 @@ struct Instance {
 /// infeasibility pins. The monolithic problem is always built — its
 /// construction is linear and it pins down `ilp_size` identically in
 /// both modes — but in summarized mode only the segments are solved.
-struct Formula {
+struct Formula<'a> {
     lp: LpProblem,
     /// ILP variable per supergraph edge, dense by edge index.
     evar: Vec<VarId>,
@@ -197,7 +202,7 @@ struct Formula {
     coeff: Vec<i64>,
     /// Objective coefficient of the virtual source (entry node time).
     entry_time: i64,
-    instances: Vec<Instance>,
+    instances: Vec<Instance<'a>>,
     /// Infeasible edges pinned to zero (empty when ablated).
     pins: Vec<IEdgeId>,
     size: (usize, usize),
@@ -287,14 +292,14 @@ pub fn analyze_with_memo(
 }
 
 /// Builds the IPET ILP and the summarization structure.
-fn prepare(
+fn prepare<'a>(
     cfg: &Cfg,
-    icfg: &Icfg,
+    icfg: &'a Icfg,
     va: &ValueAnalysis,
     lb: &LoopBoundAnalysis,
     pa: &PipelineAnalysis,
     options: &PathOptions,
-) -> Result<Formula, PathError> {
+) -> Result<Formula<'a>, PathError> {
     let mut lp = LpProblem::new();
 
     // One variable per supergraph edge, plus a virtual source and one
@@ -345,55 +350,23 @@ fn prepare(
         lp.add_constraint(sink_terms, CmpOp::Eq, 1);
     }
 
-    // Loop bounds per loop instance: (header, stripped context) →
-    // (entry edges, back edges).
-    type LoopInstanceKey = (BlockId, Vec<Frame>);
-    type LoopInstanceEdges = (Vec<IEdgeId>, Vec<IEdgeId>);
-    let mut instances: HashMap<LoopInstanceKey, LoopInstanceEdges> = HashMap::new();
-    for e in icfg.edges() {
-        let to = icfg.node(e.to);
-        // Instance key: target context with the loop's own trailing frame
-        // stripped (matching `stamp-loopbound`).
-        let header = to.block;
-        let is_back_of_header =
-            matches!(e.kind, IEdgeKind::Intra { back_edge_of: Some(h), .. } if h == header);
-        let header_has_loop = lb.bounds().keys().any(|(h, _)| *h == header)
-            || lb.unbounded().iter().any(|(h, _)| *h == header);
-        if !header_has_loop {
-            continue;
-        }
-        let ctx = icfg.ctxs().get(to.ctx);
-        let mut frames = ctx.frames().to_vec();
-        if matches!(frames.last(), Some(Frame::Loop { header: h, .. }) if *h == header) {
-            frames.pop();
-        }
-        let entry = instances.entry((header, frames)).or_default();
-        if is_back_of_header {
-            entry.1.push(e.id);
-        } else {
-            entry.0.push(e.id);
-        }
-    }
+    // Loop bounds per loop instance.
     let infeasible_set: std::collections::HashSet<IEdgeId> =
         va.infeasible_edges().iter().copied().collect();
-    // Deterministic instance order (HashMap iteration is not): sorted
-    // by (header, stripped context).
-    let mut instances: Vec<(LoopInstanceKey, LoopInstanceEdges)> = instances.into_iter().collect();
-    instances.sort_by(|a, b| a.0.cmp(&b.0));
     let mut recorded: Vec<Instance> = Vec::new();
-    for ((header, frames), (entries, backs)) in instances {
-        if backs.is_empty() {
+    for inst in icfg.loop_instances() {
+        if inst.backs.is_empty() {
             continue;
         }
-        let rule = match lb.bound(header, &frames) {
+        let rule = match lb.bound(inst.header, &inst.outer) {
             Some(bound) => {
                 // Σ backs − (bound−1) · Σ entries ≤ 0.
                 let mut terms: Vec<(VarId, i64)> = Vec::new();
-                for b in &backs {
+                for b in &inst.backs {
                     terms.push((evar[b.index()], 1));
                 }
                 let k = (bound.saturating_sub(1)).min(i64::MAX as u64) as i64;
-                for en in &entries {
+                for en in &inst.entries {
                     terms.push((evar[en.index()], -k));
                 }
                 lp.add_constraint(terms, CmpOp::Le, 0);
@@ -404,21 +377,21 @@ fn prepare(
                 // never entered: pin its flow to zero instead. (This is
                 // a genuine reachability fact, so it applies even when
                 // infeasible-path *path constraints* are ablated.)
-                let unreachable = entries.iter().all(|e| {
+                let unreachable = inst.entries.iter().all(|e| {
                     infeasible_set.contains(e) || va.entry_state(icfg.edge(*e).from).is_none()
                 });
                 if !unreachable {
                     return Err(PathError::MissingLoopBound {
-                        header_addr: cfg.block(header).start,
+                        header_addr: cfg.block(inst.header).start,
                     });
                 }
-                for e in entries.iter().chain(backs.iter()) {
+                for e in inst.entries.iter().chain(inst.backs.iter()) {
                     lp.add_constraint([(evar[e.index()], 1)], CmpOp::Le, 0);
                 }
                 InstanceRule::PinUnreachable
             }
         };
-        recorded.push(Instance { entries, backs, rule });
+        recorded.push(Instance { instance: inst, rule });
     }
 
     // Infeasible edges.

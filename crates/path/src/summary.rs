@@ -208,40 +208,6 @@ impl SegLp {
     }
 }
 
-/// Reverse postorder over the supergraph, or `None` when some node is
-/// unreachable from the entry (decomposition then steps aside).
-fn reverse_postorder(icfg: &Icfg) -> Option<Vec<u32>> {
-    let n = icfg.nodes().len();
-    let mut state = vec![0u8; n]; // 0 unvisited, 1 on stack, 2 done
-    let mut post: Vec<u32> = Vec::with_capacity(n);
-    // Iterative DFS; the stack holds (node, next-successor cursor).
-    let mut stack: Vec<(u32, usize)> = vec![(icfg.entry().index() as u32, 0)];
-    state[icfg.entry().index()] = 1;
-    while let Some(top) = stack.last_mut() {
-        let (u, cursor) = (top.0, top.1);
-        top.1 += 1;
-        match icfg.succs(NodeId(u)).nth(cursor) {
-            Some(e) => {
-                let v = e.to.index();
-                if state[v] == 0 {
-                    state[v] = 1;
-                    stack.push((v as u32, 0));
-                }
-            }
-            None => {
-                state[u as usize] = 2;
-                post.push(u);
-                stack.pop();
-            }
-        }
-    }
-    if post.len() != n {
-        return None;
-    }
-    post.reverse();
-    Some(post)
-}
-
 /// Cooper–Harvey–Kennedy iterative dominators over a reverse postorder.
 /// Returns the immediate dominator per node (entry maps to itself).
 fn dominators(icfg: &Icfg, rpo: &[u32], rpo_num: &[u32]) -> Vec<u32> {
@@ -384,12 +350,15 @@ pub(crate) fn solve_summarized(
     if exits.is_empty() || n == 0 {
         return Ok(None);
     }
-    let Some(rpo) = reverse_postorder(icfg) else {
+    // Reverse postorder; decomposition steps aside when some node is
+    // unreachable from the entry.
+    let rpo_num: Vec<u32> = icfg.nodes().iter().map(|nd| icfg.rpo_index(nd.id)).collect();
+    if rpo_num.contains(&u32::MAX) {
         return Ok(None);
-    };
-    let mut rpo_num = vec![0u32; n];
-    for (i, &u) in rpo.iter().enumerate() {
-        rpo_num[u as usize] = i as u32;
+    }
+    let mut rpo = vec![0u32; n];
+    for (u, &i) in rpo_num.iter().enumerate() {
+        rpo[i as usize] = u as u32;
     }
     let idom = dominators(icfg, &rpo, &rpo_num);
     let cyclic = on_cycle(icfg);
@@ -451,12 +420,12 @@ pub(crate) fn solve_summarized(
     // Every loop instance and every infeasibility pin must fall within
     // a single segment.
     for inst in &formula.instances {
-        let mut edges = inst.entries.iter().chain(inst.backs.iter());
+        let mut edges = inst.edges();
         let first = match edges.next() {
-            Some(&e) => seg[icfg.edge(e).to.index()],
+            Some(e) => seg[icfg.edge(e).to.index()],
             None => continue,
         };
-        if edges.any(|&e| seg[icfg.edge(e).to.index()] != first) {
+        if edges.any(|e| seg[icfg.edge(e).to.index()] != first) {
             return Ok(None);
         }
     }
@@ -608,28 +577,22 @@ fn build_segment(
     let mut owned: Vec<&crate::Instance> = formula
         .instances
         .iter()
-        .filter(|inst| {
-            inst.entries
-                .iter()
-                .chain(inst.backs.iter())
-                .next()
-                .is_some_and(|&e| seg[icfg.edge(e).to.index()] == i)
-        })
+        .filter(|inst| inst.edges().next().is_some_and(|e| seg[icfg.edge(e).to.index()] == i))
         .collect();
-    owned.sort_by_key(|inst| inst.entries.iter().chain(inst.backs.iter()).map(|&e| evar(e)).min());
+    owned.sort_by_key(|inst| inst.edges().map(evar).min());
     for inst in owned {
         match inst.rule {
             InstanceRule::Bound(bound) => {
-                let mut terms: Vec<(u32, i64)> = inst.backs.iter().map(|&b| (evar(b), 1)).collect();
+                let mut terms: Vec<(u32, i64)> =
+                    inst.instance.backs.iter().map(|&b| (evar(b), 1)).collect();
                 let mul = bound.saturating_sub(1).min(i64::MAX as u64) as i64;
-                for &en in &inst.entries {
+                for &en in &inst.instance.entries {
                     terms.push((evar(en), -mul));
                 }
                 push(&mut cons, terms, CmpOp::Le, 0);
             }
             InstanceRule::PinUnreachable => {
-                let mut pinned: Vec<u32> =
-                    inst.entries.iter().chain(inst.backs.iter()).map(|&e| evar(e)).collect();
+                let mut pinned: Vec<u32> = inst.edges().map(evar).collect();
                 pinned.sort_unstable();
                 for v in pinned {
                     push(&mut cons, vec![(v, 1)], CmpOp::Le, 0);

@@ -25,9 +25,8 @@
 //!
 //! * it is one source→sink flow, so flow conservation holds;
 //! * a back edge is only taken while `backs + 1 ≤ (bound−1) · entries`
-//!   for its loop instance — instances are keyed exactly as in
-//!   `stamp-path` (header block, target context with the loop's own
-//!   trailing frame stripped);
+//!   for its loop instance — the same `Icfg::loop_instances` table the
+//!   ILP builds its loop constraints from;
 //! * edges the ILP pins to zero are never traversed: value-analysis
 //!   infeasible edges (when `use_infeasible` is on, matching
 //!   [`PathOptions::use_infeasible`]) and the edges of unbounded
@@ -45,8 +44,8 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use stamp_ai::{Frame, IEdgeKind, Icfg, NodeId};
-use stamp_cfg::{BlockId, Cfg};
+use stamp_ai::{Icfg, NodeId};
+use stamp_cfg::Cfg;
 use stamp_loopbound::LoopBoundAnalysis;
 use stamp_pipeline::PipelineAnalysis;
 use stamp_value::ValueAnalysis;
@@ -118,16 +117,6 @@ pub fn percentile(sorted: &[u64], pct: u32) -> Option<u64> {
     Some(sorted[rank - 1])
 }
 
-/// One loop instance of the supergraph, keyed as in `stamp-path`.
-struct LoopInstance {
-    /// `lb.bound(header, frames)`; `None` for unbounded instances
-    /// (whose edges are blocked, mirroring the ILP's pin-to-zero).
-    bound: Option<u64>,
-    /// Whether any back edge targets this instance (the ILP only
-    /// constrains instances with back edges).
-    has_backs: bool,
-}
-
 /// Samples `options.samples` random entry→exit paths and summarizes
 /// their cost distribution. Reuses the already-computed analysis
 /// artifacts — no phase is re-run.
@@ -141,8 +130,7 @@ pub fn sample_paths(
 ) -> SampleSummary {
     let n_edges = icfg.edges().len();
 
-    // ---- Precompute the per-edge walk tables (one pass, mirrored
-    // from the ILP construction in `stamp_path::analyze`).
+    // ---- Precompute the per-edge walk tables.
     // Cost of traversing an edge: the target node's time plus the
     // taken-transfer penalty — the edge's ILP objective coefficient.
     let mut edge_cost: Vec<u64> = Vec::with_capacity(n_edges);
@@ -150,35 +138,20 @@ pub fn sample_paths(
         edge_cost.push(pa.time(e.to).unwrap_or(0) + pa.edge_penalty(cfg, icfg, e));
     }
 
-    // Loop instances: (header block, target context with the loop's
-    // own trailing frame stripped) — exactly the ILP's keying.
-    let mut instances: Vec<LoopInstance> = Vec::new();
-    let mut instance_of: std::collections::HashMap<(BlockId, Vec<Frame>), usize> =
-        std::collections::HashMap::new();
-    // Per edge: Some((instance index, is_back)) when the edge targets a
+    // Per loop instance: its bound, `None` when unbounded. Per edge:
+    // Some((instance index, is_back)) when the edge targets a
     // loop-header node.
+    let instances = icfg.loop_instances();
+    let bounds: Vec<Option<u64>> =
+        instances.iter().map(|inst| lb.bound(inst.header, &inst.outer)).collect();
     let mut edge_loop: Vec<Option<(usize, bool)>> = vec![None; n_edges];
-    for e in icfg.edges() {
-        let to = icfg.node(e.to);
-        let header = to.block;
-        let header_has_loop = lb.bounds().keys().any(|(h, _)| *h == header)
-            || lb.unbounded().iter().any(|(h, _)| *h == header);
-        if !header_has_loop {
-            continue;
+    for (idx, inst) in instances.iter().enumerate() {
+        for &e in &inst.entries {
+            edge_loop[e.index()] = Some((idx, false));
         }
-        let is_back =
-            matches!(e.kind, IEdgeKind::Intra { back_edge_of: Some(h), .. } if h == header);
-        let ctx = icfg.ctxs().get(to.ctx);
-        let mut frames = ctx.frames().to_vec();
-        if matches!(frames.last(), Some(Frame::Loop { header: h, .. }) if *h == header) {
-            frames.pop();
+        for &e in &inst.backs {
+            edge_loop[e.index()] = Some((idx, true));
         }
-        let idx = *instance_of.entry((header, frames.clone())).or_insert_with(|| {
-            instances.push(LoopInstance { bound: lb.bound(header, &frames), has_backs: false });
-            instances.len() - 1
-        });
-        instances[idx].has_backs |= is_back;
-        edge_loop[e.id.index()] = Some((idx, is_back));
     }
 
     // Edges a walk must never traverse: value-analysis infeasible edges
@@ -194,8 +167,7 @@ pub fn sample_paths(
     }
     for (idx, bl) in edge_loop.iter().zip(blocked.iter_mut()) {
         if let Some((inst, _)) = idx {
-            let inst = &instances[*inst];
-            if inst.has_backs && inst.bound.is_none() {
+            if !instances[*inst].backs.is_empty() && bounds[*inst].is_none() {
                 *bl = true;
             }
         }
@@ -241,7 +213,7 @@ pub fn sample_paths(
                         // Back edge: weight = remaining iteration budget
                         // of the ILP constraint Σbacks ≤ (bound−1)·Σentries.
                         let (entries, backs) = counters[inst];
-                        let bound = instances[inst].bound.expect("unbounded backs are blocked");
+                        let bound = bounds[inst].expect("unbounded backs are blocked");
                         let budget =
                             bound.saturating_sub(1).saturating_mul(entries).saturating_sub(backs);
                         if budget == 0 {

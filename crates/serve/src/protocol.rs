@@ -14,7 +14,8 @@
 //! the default, or `"ping"` / `"stats"`), `client` (fairness key,
 //! defaulting to the connection), `deadline_ms` (budget measured from
 //! admission), `job` (a batch-manifest *target* object: exactly one of
-//! `benchmark` / `file` / `source`+`name`, plus `loop_bounds`,
+//! `benchmark` / `file` (relative, inside the daemon's directory) /
+//! `source`+`name`, plus `loop_bounds`,
 //! `recursion`, `wcet`), and `variant` (a manifest *variant* object:
 //! `hw`, `peel`, `max_call_depth`, `max_contexts`, `domain`,
 //! `widen_delay`, `small_set`, `use_infeasible`, `sampling`; `name`
@@ -40,7 +41,7 @@
 //! `result`; `error` carries a deterministic message for every
 //! non-`ok` status.
 
-use std::path::Path;
+use std::path::{Component, Path};
 
 use stamp_core::{BatchJob, Json};
 use stamp_suite::manifest;
@@ -90,7 +91,8 @@ fn reject<T>(id: Option<String>, error: impl Into<String>) -> Result<T, RequestE
 }
 
 /// Parses one request line. `base` resolves relative `file` targets
-/// (the daemon's working directory).
+/// (the daemon's working directory); a `file` that is absolute or
+/// climbs out with `..` is rejected.
 ///
 /// # Errors
 ///
@@ -142,6 +144,19 @@ pub fn parse_request(line: &str, base: &Path) -> Result<Request, RequestError> {
     let Some(job) = doc.get("job") else {
         return reject(Some(id), "analyze requests need a `job` object");
     };
+    // A served `file` target stays inside the daemon's directory: no
+    // absolute path, no `..`, no root or drive prefix.
+    if let Some(Json::Str(file)) = job.get("file") {
+        if !Path::new(file)
+            .components()
+            .all(|c| matches!(c, Component::Normal(_) | Component::CurDir))
+        {
+            return reject(
+                Some(id),
+                format!("`file` must be a relative path inside the daemon's directory: `{file}`"),
+            );
+        }
+    }
 
     // Reuse the batch-manifest parser wholesale: build a one-target,
     // one-variant manifest from the request and run it through the same
@@ -291,6 +306,9 @@ mod tests {
                 Some("h"),
                 "unknown variant key `uarch_summaries`",
             ),
+            (r#"{"id": "i", "job": {"file": "/etc/hostname"}}"#, Some("i"), "relative path"),
+            (r#"{"id": "j", "job": {"file": "../secret.s"}}"#, Some("j"), "relative path"),
+            (r#"{"id": "k", "job": {"file": "examples/../../x.s"}}"#, Some("k"), "relative path"),
         ];
         for (line, id, needle) in cases {
             let e = parse_request(line, base()).unwrap_err();
