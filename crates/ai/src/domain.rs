@@ -17,9 +17,9 @@
 /// The solver materializes one owned state per node entry, and
 /// transfer functions typically clone their input once per evaluation,
 /// so `Clone` sits on the hot path. Domains are expected to make it
-/// cheap through structural sharing (`Rc`-backed copy-on-write of their
-/// bulky parts, as `AState`'s abstract memory and the abstract caches
-/// do); a shared component also lets `join_from` detect the
+/// cheap through structural sharing (copy-on-write of their bulky parts
+/// behind `Arc` or `Rc`, as `AState`'s abstract memory and the abstract
+/// caches do); a shared component also lets `join_from` detect the
 /// self-join/no-op case by pointer identity and return `false` without
 /// touching the data.
 pub trait Domain: Clone {

@@ -77,7 +77,7 @@ impl<S> Fixpoint<S> {
     }
 
     /// The raw per-node `(entry, exit)` state slices, indexed by node.
-    /// Used to serialize a fixpoint into a thread-shareable artifact.
+    /// Used to encode a fixpoint into a stored artifact.
     pub fn states(&self) -> (&[Option<S>], &[Option<S>]) {
         (&self.ins, &self.outs)
     }

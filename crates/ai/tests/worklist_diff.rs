@@ -14,7 +14,7 @@
 
 use std::borrow::Cow;
 use std::collections::BTreeSet;
-use std::rc::Rc;
+use std::sync::Arc;
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -205,11 +205,11 @@ proptest! {
         let Ok(cfg) = CfgBuilder::new(&program).build() else { return Ok(()) };
         let Ok(icfg) = Icfg::build(&cfg, &VivuConfig::default()) else { return Ok(()) };
         let hw = HwConfig::default();
-        let thresholds = Rc::new(vec![0, 16, 256, hw.mem.stack_top()]);
+        let thresholds = Arc::new(vec![0, 16, 256, hw.mem.stack_top()]);
         let mut t1 =
-            ValueTransfer::new(&program, &hw, &cfg, DomainKind::Strided, Rc::clone(&thresholds));
+            ValueTransfer::new(&program, &hw, &cfg, DomainKind::Strided, Arc::clone(&thresholds));
         let mut t2 =
-            ValueTransfer::new(&program, &hw, &cfg, DomainKind::Strided, Rc::clone(&thresholds));
+            ValueTransfer::new(&program, &hw, &cfg, DomainKind::Strided, Arc::clone(&thresholds));
         let fp = solve(&icfg, &mut t1, 2);
         let rf = solve_reference(&icfg, &mut t2, 2);
         prop_assert!(

@@ -150,7 +150,7 @@ pub struct PhaseArtifacts {
     /// The interprocedural supergraph.
     pub icfg: Arc<Icfg>,
     /// The value-analysis fixpoint over `icfg`.
-    pub va: ValueAnalysis,
+    pub va: Arc<ValueAnalysis>,
     /// The loop-bound analysis (per-instance iteration bounds).
     pub lb: Arc<LoopBoundAnalysis>,
     /// The cache analysis (hit/miss/persistence classifications).

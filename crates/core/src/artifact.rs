@@ -681,6 +681,74 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    const LOOP_TASK: &str = ".text\nmain: li r1, 4\nloop: addi r1, r1, -1\nbnez r1, loop\nhalt\n";
+
+    #[test]
+    fn two_runs_on_one_store_share_the_value_artifact() {
+        let program = stamp_isa::asm::assemble(LOOP_TASK).unwrap();
+        let store = ArtifactStore::new();
+        let (_, first) = crate::WcetAnalysis::new(&program).run_full(&store).unwrap();
+        let (_, second) = crate::WcetAnalysis::new(&program).run_full(&store).unwrap();
+        assert!(Arc::ptr_eq(&first.va, &second.va), "the second run reads the stored fixpoint");
+        assert_eq!(store.stats().phase("value").unwrap().hits, 1);
+    }
+
+    /// `bytes`, an encoded value analysis, with its first state's
+    /// word-map index pointed one past the end of the word-map pool.
+    fn with_dangling_word_map(bytes: &[u8]) -> Vec<u8> {
+        use stamp_codec::Codec;
+        let mut d = stamp_codec::Dec::new(bytes);
+        Vec::<u32>::dec(&mut d).unwrap();
+        let pool = Vec::<std::collections::BTreeMap<u32, stamp_value::SInt>>::dec(&mut d).unwrap();
+        d.len_prefix(1).unwrap();
+        assert_eq!(d.u8().unwrap(), 1, "the entry node is reachable");
+        for _ in 0..stamp_isa::Reg::COUNT {
+            stamp_value::SInt::dec(&mut d).unwrap();
+        }
+        let at = bytes.len() - d.remaining();
+        let mut hostile = bytes.to_vec();
+        hostile[at..at + 8].copy_from_slice(&(pool.len() as u64).to_le_bytes());
+        hostile
+    }
+
+    #[test]
+    fn hostile_value_record_is_evicted_and_recomputed() {
+        let program = stamp_isa::asm::assemble(LOOP_TASK).unwrap();
+        let (mut expect, cold) =
+            crate::WcetAnalysis::new(&program).run_full(&ArtifactStore::disabled()).unwrap();
+        let good = stamp_codec::encode_value(&*cold.va);
+        let hostile = with_dangling_word_map(&good);
+        assert!(matches!(
+            stamp_codec::decode_value::<stamp_value::ValueAnalysis>(&hostile),
+            Err(stamp_codec::CodecError::Invalid("word-map index"))
+        ));
+
+        // Plant the record, CRC-valid, under the job's value key.
+        let config = crate::AnalysisConfig::default();
+        let indirects = crate::Annotations::new().resolved_indirects(&program);
+        let program_fp = crate::phase::program_fingerprint(&program);
+        let key = crate::phase::PrefixKeys::new(program_fp, &indirects, &config).value;
+        let dir = tmp_dir("hostile");
+        DiskStore::open(&dir).unwrap().0.append(PhaseId::Value, key, &hostile);
+
+        let (store, warnings) = ArtifactStore::with_disk(&dir).unwrap();
+        assert!(warnings.is_empty(), "the record itself is intact: {warnings:?}");
+        let (mut got, warm) = crate::WcetAnalysis::new(&program).run_full(&store).unwrap();
+        let value = store.stats().phase("value").unwrap();
+        assert_eq!((value.hits_disk, value.misses), (0, 1), "evicted, then recomputed");
+        assert_eq!(stamp_codec::encode_value(&*warm.va), good);
+        expect.phases.clear();
+        got.phases.clear();
+        assert_eq!(got.to_json().to_string(), expect.to_json().to_string());
+        drop(store);
+
+        // The recomputed artifact was written through and now answers
+        // a fresh process.
+        let (disk, _) = DiskStore::open(&dir).unwrap();
+        assert_eq!(*disk.get(PhaseId::Value, key).unwrap(), good);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn errors_are_never_written_to_disk() {
         let dir = tmp_dir("err");

@@ -14,9 +14,9 @@
 //! serial run of the same request, job for job. Two design decisions
 //! make that cheap to guarantee:
 //!
-//! 1. each job owns its whole analysis — program assembly, CFG, solver
-//!    state (including the kernel's `Rc`-based copy-on-write maps,
-//!    which therefore stay thread-local and need no synchronization);
+//! 1. each job is a pure function of its input — it computes its phase
+//!    artifacts or shares immutable ones published under the same
+//!    input fingerprint;
 //! 2. results are ordered by job index (the pool writes into per-job
 //!    slots), never by completion time.
 //!
@@ -24,10 +24,8 @@
 //! are segregated so [`BatchReport::results_json`] is byte-comparable
 //! across runs while [`BatchReport::to_json`] adds the timing layer.
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
 
-use stamp_exec::cancel::{self, CancelToken, Cancelled};
 use stamp_exec::{DeadlineOutcome, Pool, PoolError};
 
 use crate::analyzer::{AnalysisConfig, WcetAnalysis};
@@ -227,6 +225,25 @@ pub struct JobResult {
 }
 
 impl JobResult {
+    /// The result of `job` before anything has run: no bounds, no
+    /// error, no provenance.
+    fn empty(job: &BatchJob) -> JobResult {
+        JobResult {
+            name: job.name(),
+            target: job.target.clone(),
+            variant: job.variant.clone(),
+            wcet: None,
+            stack: None,
+            evaluations: 0,
+            fetch: [0; 4],
+            data: [0; 4],
+            sampling: None,
+            error: None,
+            wall_ms: 0.0,
+            provenance: Vec::new(),
+        }
+    }
+
     /// `true` when the job produced every result it was asked for.
     pub fn is_ok(&self) -> bool {
         self.error.is_none()
@@ -413,20 +430,7 @@ impl std::error::Error for BatchError {}
 /// certification campaign's batch.
 fn run_job(job: &BatchJob, store: &ArtifactStore) -> JobResult {
     let t = Instant::now();
-    let mut result = JobResult {
-        name: job.name(),
-        target: job.target.clone(),
-        variant: job.variant.clone(),
-        wcet: None,
-        stack: None,
-        evaluations: 0,
-        fetch: [0; 4],
-        data: [0; 4],
-        sampling: None,
-        error: None,
-        wall_ms: 0.0,
-        provenance: Vec::new(),
-    };
+    let mut result = JobResult::empty(job);
     let mut errors: Vec<String> = Vec::new();
     let note = |phases: &[PhaseStats], result: &mut JobResult| {
         result.provenance.extend(phases.iter().map(|p| (p.phase, p.reused)));
@@ -539,18 +543,9 @@ pub fn run_batch_with(
 /// time: it lands in `results_json`, which must stay deterministic.
 fn deadline_result(job: &BatchJob, deadline: Duration) -> JobResult {
     JobResult {
-        name: job.name(),
-        target: job.target.clone(),
-        variant: job.variant.clone(),
-        wcet: None,
-        stack: None,
-        evaluations: 0,
-        fetch: [0; 4],
-        data: [0; 4],
-        sampling: None,
         error: Some(format!("deadline of {} ms exceeded", deadline.as_millis())),
         wall_ms: deadline.as_secs_f64() * 1e3,
-        provenance: Vec::new(),
+        ..JobResult::empty(job)
     }
 }
 
@@ -628,22 +623,10 @@ pub fn run_job_guarded(
     store: &ArtifactStore,
     budget: Option<Duration>,
 ) -> JobOutcome {
-    let run = || match budget {
-        Some(budget) => {
-            let token = CancelToken::with_deadline(budget);
-            cancel::with_token(&token, || run_job(job, store))
-        }
-        None => run_job(job, store),
-    };
-    // AssertUnwindSafe: the job owns its analysis state; the shared
-    // artifact store is unwind-safe by design (an in-flight slot is
-    // released by its guard's Drop).
-    match catch_unwind(AssertUnwindSafe(run)) {
-        Ok(result) => JobOutcome::Completed(Box::new(result)),
-        Err(payload) if payload.is::<Cancelled>() => JobOutcome::DeadlineExceeded,
-        Err(payload) => {
-            JobOutcome::Panicked { message: stamp_exec::panic_message(payload.as_ref()) }
-        }
+    match stamp_exec::run_guarded(budget, || run_job(job, store)) {
+        Ok(DeadlineOutcome::Done(result)) => JobOutcome::Completed(Box::new(result)),
+        Ok(DeadlineOutcome::DeadlineExceeded) => JobOutcome::DeadlineExceeded,
+        Err(message) => JobOutcome::Panicked { message },
     }
 }
 

@@ -48,11 +48,11 @@ use stamp_cfg::{Cfg, CfgBuilder};
 use stamp_hw::{CacheConfig, HwConfig, MemoryMap, Timing};
 use stamp_isa::{Program, SectionKind};
 use stamp_loopbound::LoopBoundOptions;
-use stamp_value::{DomainKind, FrozenValueAnalysis, ValueAnalysis, ValueOptions};
+use stamp_value::{DomainKind, ValueAnalysis, ValueOptions};
 
 use crate::analyzer::AnalysisConfig;
 use crate::annot::Annotations;
-use crate::artifact::{ArtifactClaim, ArtifactStore};
+use crate::artifact::ArtifactStore;
 use crate::batch::BatchJob;
 use crate::error::AnalysisError;
 use crate::fingerprint::{Fingerprint, Fp};
@@ -436,10 +436,10 @@ impl WcetKeys {
 }
 
 /// Runs one job's phases. Every artifact request goes through
-/// [`PhaseRun::run`] (or [`PhaseRun::value`]), which makes the request
-/// a cancellation point, times it, looks it up in the shared store and
-/// records one [`PhaseStats`] row — on the error path too, so a replayed
-/// cached error is reported as reused.
+/// [`PhaseRun::run`], which makes the request a cancellation point,
+/// times it, looks it up in the shared store and records one
+/// [`PhaseStats`] row — on the error path too, so a replayed cached
+/// error is reported as reused.
 pub(crate) struct PhaseRun<'s> {
     store: &'s ArtifactStore,
     /// One row per request, in request order.
@@ -459,48 +459,13 @@ impl<'s> PhaseRun<'s> {
         fp: Fingerprint,
         compute: impl FnOnce() -> Result<T, AnalysisError>,
     ) -> Result<Arc<T>, AnalysisError> {
-        let store = self.store;
-        self.timed(phase, || store.get_or_compute(phase, fp, compute))
-    }
-
-    /// The value phase, the one lookup outside `get_or_compute`: the
-    /// computing job publishes the deep-frozen (`Send + Sync`) form and
-    /// keeps its own analysis; reusing jobs thaw a job-local copy — the
-    /// kernel's `Rc`-based copy-on-write state never crosses a thread.
-    fn value(
-        &mut self,
-        fp: Fingerprint,
-        program: &Program,
-        cfg: &Cfg,
-        icfg: &Icfg,
-        config: &AnalysisConfig,
-    ) -> ValueAnalysis {
-        let store = self.store;
-        let compute = || ValueAnalysis::run(program, &config.hw, cfg, icfg, &config.value);
-        self.timed(PhaseId::Value, || match store.claim(PhaseId::Value, fp) {
-            ArtifactClaim::Disabled => (compute(), false),
-            ArtifactClaim::Ready(stored) => {
-                let any = stored.expect("the value analysis is infallible");
-                let frozen: Arc<FrozenValueAnalysis> =
-                    any.downcast().expect("value artifacts are FrozenValueAnalysis");
-                (frozen.thaw(), true)
-            }
-            ArtifactClaim::Fill(guard) => {
-                let va = compute();
-                guard.fulfill(Ok(Arc::new(va.freeze())));
-                (va, false)
-            }
-        })
-    }
-
-    fn timed<R>(&mut self, phase: PhaseId, lookup: impl FnOnce() -> (R, bool)) -> R {
         // Phase boundaries are cancellation points: a job running under
         // a deadline is cut between phases (and inside the solver's own
         // checkpoints), never mid-artifact. No store lock is held here,
         // so the unwind cannot poison anything.
         stamp_exec::cancel::checkpoint_now();
         let t = Instant::now();
-        let (out, reused) = lookup();
+        let (out, reused) = self.store.get_or_compute(phase, fp, compute);
         self.phases.push(PhaseStats { phase, seconds: t.elapsed().as_secs_f64(), reused });
         out
     }
@@ -514,7 +479,7 @@ pub(crate) struct Prefix {
     pub(crate) cfg: Arc<Cfg>,
     /// The supergraph and its value fixpoint, or the context-expansion
     /// error (e.g. recursion) that stopped the prefix at the CFG.
-    pub(crate) valued: Result<(Arc<Icfg>, ValueAnalysis), AnalysisError>,
+    pub(crate) valued: Result<(Arc<Icfg>, Arc<ValueAnalysis>), AnalysisError>,
 }
 
 /// Runs the prefix under `config`, iterating CFG building ↔ value
@@ -553,7 +518,9 @@ pub(crate) fn value_prefix(
             Ok(icfg) => icfg,
             Err(e) => return Ok(Prefix { keys, cfg, valued: Err(e) }),
         };
-        let va = run.value(keys.value, program, &cfg, &icfg, config);
+        let va = run.run(PhaseId::Value, keys.value, || {
+            Ok(ValueAnalysis::run(program, &config.hw, &cfg, &icfg, &config.value))
+        })?;
         if cfg.unresolved_indirects().is_empty() {
             return Ok(Prefix { keys, cfg, valued: Ok((icfg, va)) });
         }

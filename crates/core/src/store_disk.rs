@@ -283,7 +283,7 @@ pub(crate) fn encode_artifact(phase: PhaseId, any: &(dyn Any + Send + Sync)) -> 
         PhaseId::Assemble => enc::<stamp_isa::Program>(any),
         PhaseId::Cfg => enc::<stamp_cfg::Cfg>(any),
         PhaseId::Context => enc::<stamp_ai::Icfg>(any),
-        PhaseId::Value => enc::<stamp_value::FrozenValueAnalysis>(any),
+        PhaseId::Value => enc::<stamp_value::ValueAnalysis>(any),
         PhaseId::LoopBound => enc::<stamp_loopbound::LoopBoundAnalysis>(any),
         PhaseId::Cache => enc::<stamp_cache::CacheAnalysis>(any),
         PhaseId::Pipeline => enc::<stamp_pipeline::PipelineAnalysis>(any),
@@ -308,7 +308,7 @@ pub(crate) fn decode_artifact(
         PhaseId::Assemble => dec::<stamp_isa::Program>(bytes),
         PhaseId::Cfg => dec::<stamp_cfg::Cfg>(bytes),
         PhaseId::Context => dec::<stamp_ai::Icfg>(bytes),
-        PhaseId::Value => dec::<stamp_value::FrozenValueAnalysis>(bytes),
+        PhaseId::Value => dec::<stamp_value::ValueAnalysis>(bytes),
         PhaseId::LoopBound => dec::<stamp_loopbound::LoopBoundAnalysis>(bytes),
         PhaseId::Cache => dec::<stamp_cache::CacheAnalysis>(bytes),
         PhaseId::Pipeline => dec::<stamp_pipeline::PipelineAnalysis>(bytes),

@@ -15,8 +15,8 @@
 //!    content or order of results — the batch-report determinism
 //!    invariant (parallel run bit-identical to serial) reduces to each
 //!    job being a pure function of its input, which `stamp` analyses
-//!    are: every job owns its whole analysis, so the `Rc`-based
-//!    copy-on-write state inside the kernel stays thread-local.
+//!    are: a job computes its artifacts or reads immutable ones that
+//!    another job published under the same input fingerprint.
 //! 2. **Panic propagation with provenance.** A panicking job does not
 //!    abort the process or deadlock the pool: remaining workers drain,
 //!    and the pool returns [`PoolError::JobPanicked`] naming the lowest
@@ -104,6 +104,35 @@ pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
         s.clone()
     } else {
         "<non-string panic payload>".to_string()
+    }
+}
+
+/// Runs `f` on the current thread with panic isolation, under its own
+/// [`CancelToken`] when `budget` is set (measured from now). A
+/// [`Cancelled`] unwind from a checkpoint past the budget is a per-job
+/// timeout, not a crash, and comes back as
+/// [`DeadlineOutcome::DeadlineExceeded`]; a genuine panic comes back as
+/// its message. This is the worker body of
+/// [`Pool::map_labeled_deadline`] and of the serve layer's job runner.
+///
+/// # Errors
+///
+/// The panic message when `f` panics.
+pub fn run_guarded<T>(
+    budget: Option<Duration>,
+    f: impl FnOnce() -> T,
+) -> Result<DeadlineOutcome<T>, String> {
+    let run = || match budget {
+        Some(budget) => cancel::with_token(&CancelToken::with_deadline(budget), f),
+        None => f(),
+    };
+    // AssertUnwindSafe: callers share only state that is unwind-safe by
+    // design (each job owns its analysis; the batch layer's artifact
+    // store releases an in-flight slot in its guard's Drop).
+    match catch_unwind(AssertUnwindSafe(run)) {
+        Ok(v) => Ok(DeadlineOutcome::Done(v)),
+        Err(payload) if payload.is::<Cancelled>() => Ok(DeadlineOutcome::DeadlineExceeded),
+        Err(payload) => Err(panic_message(payload.as_ref())),
     }
 }
 
@@ -219,26 +248,10 @@ impl Pool {
                     if i >= items.len() {
                         break;
                     }
-                    // AssertUnwindSafe: each job owns its state; a
-                    // panicking job leaves nothing shared behind (its
-                    // result slot simply stays empty).
-                    let run = || match deadline {
-                        Some(budget) => {
-                            let token = CancelToken::with_deadline(budget);
-                            cancel::with_token(&token, || f(i, &items[i]))
-                        }
-                        None => f(i, &items[i]),
-                    };
-                    match catch_unwind(AssertUnwindSafe(run)) {
-                        Ok(v) => *slots[i].lock().unwrap() = Some(DeadlineOutcome::Done(v)),
-                        // A cancellation unwind is a per-job timeout,
-                        // not a crash: record it and keep the pool
-                        // healthy for the remaining jobs.
-                        Err(payload) if payload.is::<Cancelled>() => {
-                            *slots[i].lock().unwrap() = Some(DeadlineOutcome::DeadlineExceeded);
-                        }
-                        Err(payload) => {
-                            let msg = panic_message(payload.as_ref());
+                    // A panicking job leaves its result slot empty.
+                    match run_guarded(deadline, || f(i, &items[i])) {
+                        Ok(outcome) => *slots[i].lock().unwrap() = Some(outcome),
+                        Err(msg) => {
                             let mut slot = first_panic.lock().unwrap();
                             match &*slot {
                                 Some((lowest, _)) if *lowest <= i => {}

@@ -1,7 +1,7 @@
 //! The precise (supergraph-replay) stack analysis.
 
 use std::collections::BTreeMap;
-use std::rc::Rc;
+use std::sync::Arc;
 
 use stamp_ai::Icfg;
 use stamp_cfg::Cfg;
@@ -48,7 +48,7 @@ pub fn analyze_icfg(
     va: &ValueAnalysis,
 ) -> Result<StackResult, StackError> {
     let stack_top = hw.mem.stack_top();
-    let transfer = ValueTransfer::new(program, hw, cfg, DomainKind::Strided, Rc::new(vec![0]));
+    let transfer = ValueTransfer::new(program, hw, cfg, DomainKind::Strided, Arc::new(vec![0]));
     let mut worst: u32 = 0;
 
     for nd in icfg.nodes() {

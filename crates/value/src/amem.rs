@@ -1,7 +1,7 @@
 //! Abstract memory: a finite map of known RAM words.
 
 use std::collections::BTreeMap;
-use std::rc::Rc;
+use std::sync::Arc;
 
 use stamp_isa::MemWidth;
 
@@ -19,7 +19,7 @@ use crate::interval::SInt;
 /// merged into the containing word when everything relevant is constant;
 /// otherwise they conservatively invalidate it.
 ///
-/// The map is shared copy-on-write (`Rc`): cloning a state — which the
+/// The map is shared copy-on-write (`Arc`): cloning a state — which the
 /// solver does once per node entry and transfer functions once per
 /// evaluation — is a pointer bump, and the map is copied only when a
 /// store or a growing join actually mutates it. The common "state
@@ -28,7 +28,7 @@ use crate::interval::SInt;
 /// identity.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct AMem {
-    words: Rc<BTreeMap<u32, SInt>>,
+    words: Arc<BTreeMap<u32, SInt>>,
 }
 
 impl AMem {
@@ -37,16 +37,15 @@ impl AMem {
         AMem::default()
     }
 
-    /// The shared word map (for freezing states into thread-shareable
-    /// artifacts; the `Rc` identity doubles as the structural-sharing
-    /// key).
-    pub(crate) fn words_rc(&self) -> &Rc<BTreeMap<u32, SInt>> {
+    /// The shared word map (for encoding analyses; the `Arc` identity
+    /// doubles as the structural-sharing key).
+    pub(crate) fn shared_words(&self) -> &Arc<BTreeMap<u32, SInt>> {
         &self.words
     }
 
     /// Rebuilds a memory from a (possibly shared) word map — the
-    /// inverse of [`AMem::words_rc`].
-    pub(crate) fn from_words(words: Rc<BTreeMap<u32, SInt>>) -> AMem {
+    /// inverse of [`AMem::shared_words`].
+    pub(crate) fn from_words(words: Arc<BTreeMap<u32, SInt>>) -> AMem {
         AMem { words }
     }
 
@@ -112,10 +111,10 @@ impl AMem {
             MemWidth::W => {
                 if value.is_top() {
                     if self.words.contains_key(&word_addr) {
-                        Rc::make_mut(&mut self.words).remove(&word_addr);
+                        Arc::make_mut(&mut self.words).remove(&word_addr);
                     }
                 } else if self.words.get(&word_addr) != Some(value) {
-                    Rc::make_mut(&mut self.words).insert(word_addr, *value);
+                    Arc::make_mut(&mut self.words).insert(word_addr, *value);
                 }
             }
             MemWidth::H | MemWidth::B => {
@@ -131,12 +130,12 @@ impl AMem {
                 match merged {
                     Some(m) => {
                         if old != Some(m) {
-                            Rc::make_mut(&mut self.words).insert(word_addr, m);
+                            Arc::make_mut(&mut self.words).insert(word_addr, m);
                         }
                     }
                     None => {
                         if old.is_some() {
-                            Rc::make_mut(&mut self.words).remove(&word_addr);
+                            Arc::make_mut(&mut self.words).remove(&word_addr);
                         }
                     }
                 }
@@ -154,7 +153,7 @@ impl AMem {
         }
         if addrs.is_top() {
             if !self.words.is_empty() {
-                self.words = Rc::new(BTreeMap::new());
+                self.words = Arc::new(BTreeMap::new());
             }
             return;
         }
@@ -167,7 +166,7 @@ impl AMem {
                     if joined == old {
                         continue;
                     }
-                    let words = Rc::make_mut(&mut self.words);
+                    let words = Arc::make_mut(&mut self.words);
                     if joined.is_top() {
                         words.remove(&word_addr);
                     } else {
@@ -184,7 +183,7 @@ impl AMem {
         if self.words.range(first..=last).next().is_none() {
             return;
         }
-        Rc::make_mut(&mut self.words).retain(|&a, _| !(first..=last).contains(&a));
+        Arc::make_mut(&mut self.words).retain(|&a, _| !(first..=last).contains(&a));
     }
 
     /// Lattice join: keep only words known on both sides (pointwise join).
@@ -194,7 +193,7 @@ impl AMem {
     /// shared map is copied, so the steady-state no-op join neither
     /// allocates nor writes.
     pub fn join_from(&mut self, other: &AMem) -> bool {
-        if Rc::ptr_eq(&self.words, &other.words) {
+        if Arc::ptr_eq(&self.words, &other.words) {
             return false;
         }
         let grows = self.words.iter().any(|(k, sv)| match other.words.get(k) {
@@ -204,7 +203,7 @@ impl AMem {
         if !grows {
             return false;
         }
-        Rc::make_mut(&mut self.words).retain(|k, sv| match other.words.get(k) {
+        Arc::make_mut(&mut self.words).retain(|k, sv| match other.words.get(k) {
             None => false,
             Some(ov) => {
                 let j = sv.join(ov);
@@ -221,7 +220,7 @@ impl AMem {
 
     /// Widening: like join but with per-word interval widening.
     pub fn widen_from(&mut self, other: &AMem, thresholds: &[u32]) -> bool {
-        if Rc::ptr_eq(&self.words, &other.words) {
+        if Arc::ptr_eq(&self.words, &other.words) {
             return false;
         }
         let grows = self.words.iter().any(|(k, sv)| match other.words.get(k) {
@@ -231,7 +230,7 @@ impl AMem {
         if !grows {
             return false;
         }
-        Rc::make_mut(&mut self.words).retain(|k, sv| match other.words.get(k) {
+        Arc::make_mut(&mut self.words).retain(|k, sv| match other.words.get(k) {
             None => false,
             Some(ov) => {
                 if !ov.subset_of(sv) {
@@ -251,7 +250,7 @@ impl AMem {
     /// much: every word known in `other` is at least as precisely known
     /// in `self`).
     pub fn le(&self, other: &AMem) -> bool {
-        Rc::ptr_eq(&self.words, &other.words)
+        Arc::ptr_eq(&self.words, &other.words)
             || other
                 .words
                 .iter()

@@ -1,13 +1,14 @@
 //! The value-analysis driver: fixpoint + result collection.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
-use std::rc::Rc;
+use std::sync::Arc;
 
 use stamp_ai::{solve, CtxId, Fixpoint, IEdgeId, Icfg, NodeId};
 use stamp_cfg::Cfg;
 use stamp_hw::HwConfig;
 use stamp_isa::{Flow, Insn, MemWidth, Program, Reg};
 
+use crate::amem::AMem;
 use crate::interval::{DomainKind, SInt};
 use crate::state::AState;
 use crate::transfer::ValueTransfer;
@@ -97,9 +98,8 @@ impl ValueAnalysis {
         icfg: &Icfg,
         options: &ValueOptions,
     ) -> ValueAnalysis {
-        let thresholds = Rc::new(collect_thresholds(program, hw));
-        let mut transfer =
-            ValueTransfer::new(program, hw, cfg, options.domain, Rc::clone(&thresholds));
+        let thresholds = Arc::new(collect_thresholds(program, hw));
+        let mut transfer = ValueTransfer::new(program, hw, cfg, options.domain, thresholds);
         let fixpoint = solve(icfg, &mut transfer, options.widen_delay);
 
         // Post-pass: replay each node to collect per-instruction facts.
@@ -139,15 +139,7 @@ impl ValueAnalysis {
                     Insn::Jalr { .. }
                         if matches!(insn.flow(addr), Flow::IndirectJump | Flow::IndirectCall) =>
                     {
-                        let transfer_ref = ValueTransfer::new(
-                            program,
-                            hw,
-                            cfg,
-                            options.domain,
-                            Rc::clone(&thresholds),
-                        );
-                        let targets =
-                            transfer_ref.jalr_targets(&s, &insn).expect("jalr has targets");
+                        let targets = transfer.jalr_targets(&s, &insn).expect("jalr has targets");
                         let in_text = targets.lo() >= text_lo && targets.hi() < text_hi;
                         if in_text && targets.count() <= 64 {
                             indirect_targets.entry(addr).or_default().extend(targets.iter());
@@ -157,9 +149,7 @@ impl ValueAnalysis {
                     }
                     _ => {}
                 }
-                let transfer_ref =
-                    ValueTransfer::new(program, hw, cfg, options.domain, Rc::clone(&thresholds));
-                transfer_ref.step(&mut s, addr, &insn);
+                transfer.step(&mut s, addr, &insn);
             }
         }
 
@@ -237,130 +227,6 @@ impl ValueAnalysis {
     pub fn constant_branches(&self) -> usize {
         self.branches.values().filter(|o| !matches!(o, BranchOutcome::Unknown)).count()
     }
-
-    /// Deep-freezes the analysis into a `Send + Sync` artifact that can
-    /// be shared across threads (the kernel's `Rc`-based copy-on-write
-    /// state is thread-local by design; see [`FrozenValueAnalysis`]).
-    ///
-    /// Structural sharing survives the round trip: word maps shared
-    /// between abstract states (the common case after copy-on-write)
-    /// are stored once, keyed by `Rc` identity, and re-shared on thaw.
-    pub fn freeze(&self) -> FrozenValueAnalysis {
-        let mut word_maps: Vec<BTreeMap<u32, SInt>> = Vec::new();
-        let mut by_ptr: HashMap<*const BTreeMap<u32, SInt>, usize> = HashMap::new();
-        let mut freeze_state = |s: &AState| -> FrozenState {
-            let rc = s.mem.words_rc();
-            let idx = *by_ptr.entry(Rc::as_ptr(rc)).or_insert_with(|| {
-                word_maps.push((**rc).clone());
-                word_maps.len() - 1
-            });
-            FrozenState { regs: *s.regs(), words: idx }
-        };
-        let (ins, outs) = self.fixpoint.states();
-        let frozen_ins: Vec<Option<FrozenState>> =
-            ins.iter().map(|s| s.as_ref().map(&mut freeze_state)).collect();
-        let frozen_outs: Vec<Option<FrozenState>> =
-            outs.iter().map(|s| s.as_ref().map(&mut freeze_state)).collect();
-        let ladder = ins.iter().chain(outs).flatten().next().map(|s| s.thresholds_rc());
-        // Every state descends from the single entry state, so they all
-        // share one ladder; freezing stores it once. Make the invariant
-        // loud if a future change ever breaks it — a silently wrong
-        // ladder after thaw would diverge widening across jobs.
-        debug_assert!(
-            ins.iter()
-                .chain(outs)
-                .flatten()
-                .all(|s| { Rc::ptr_eq(s.thresholds_rc(), ladder.expect("some state exists")) }),
-            "freeze assumes one shared threshold ladder per analysis"
-        );
-        let thresholds = ladder.map(|t| (**t).clone()).unwrap_or_default();
-
-        let mut accesses: Vec<((u32, CtxId), AccessInfo)> =
-            self.accesses.iter().map(|(k, v)| (*k, v.clone())).collect();
-        accesses.sort_by_key(|(k, _)| *k);
-        let mut branches: Vec<((u32, CtxId), BranchOutcome)> =
-            self.branches.iter().map(|(k, v)| (*k, *v)).collect();
-        branches.sort_by_key(|(k, _)| *k);
-
-        FrozenValueAnalysis {
-            thresholds,
-            word_maps,
-            ins: frozen_ins,
-            outs: frozen_outs,
-            infeasible_edges: self.fixpoint.infeasible_edges.clone(),
-            accesses,
-            branches,
-            indirect_targets: self.indirect_targets.clone(),
-            unresolved: self.unresolved.clone(),
-            options: self.options.clone(),
-            evaluations: self.evaluations,
-        }
-    }
-}
-
-/// An abstract register file plus an index into the frozen word-map
-/// pool — one abstract state with its sharing made explicit.
-#[derive(Clone, Debug)]
-struct FrozenState {
-    regs: [SInt; Reg::COUNT],
-    words: usize,
-}
-
-/// A deep-frozen [`ValueAnalysis`]: plain owned data, no `Rc`, hence
-/// `Send + Sync` — the form in which value-analysis results live in a
-/// cross-job artifact store. [`FrozenValueAnalysis::thaw`] reconstructs
-/// a job-local `ValueAnalysis` with fresh `Rc`s, restoring the original
-/// structural sharing, and is exact: every downstream phase observes
-/// the same states, accesses, branches and statistics as on the
-/// original.
-#[derive(Clone, Debug)]
-pub struct FrozenValueAnalysis {
-    thresholds: Vec<u32>,
-    /// Unique word maps, deduplicated by `Rc` identity at freeze time.
-    word_maps: Vec<BTreeMap<u32, SInt>>,
-    ins: Vec<Option<FrozenState>>,
-    outs: Vec<Option<FrozenState>>,
-    infeasible_edges: Vec<IEdgeId>,
-    accesses: Vec<((u32, CtxId), AccessInfo)>,
-    branches: Vec<((u32, CtxId), BranchOutcome)>,
-    indirect_targets: BTreeMap<u32, BTreeSet<u32>>,
-    unresolved: Vec<(u32, CtxId)>,
-    options: ValueOptions,
-    evaluations: u64,
-}
-
-impl FrozenValueAnalysis {
-    /// Reconstructs a job-local [`ValueAnalysis`] (see the type docs).
-    pub fn thaw(&self) -> ValueAnalysis {
-        let thresholds = Rc::new(self.thresholds.clone());
-        let word_rcs: Vec<Rc<BTreeMap<u32, SInt>>> =
-            self.word_maps.iter().map(|m| Rc::new(m.clone())).collect();
-        let thaw_state = |f: &FrozenState| -> AState {
-            AState::from_parts(
-                f.regs,
-                crate::amem::AMem::from_words(Rc::clone(&word_rcs[f.words])),
-                Rc::clone(&thresholds),
-            )
-        };
-        let ins: Vec<Option<AState>> =
-            self.ins.iter().map(|s| s.as_ref().map(thaw_state)).collect();
-        let outs: Vec<Option<AState>> =
-            self.outs.iter().map(|s| s.as_ref().map(thaw_state)).collect();
-        ValueAnalysis {
-            fixpoint: Fixpoint::from_parts(
-                ins,
-                outs,
-                self.infeasible_edges.clone(),
-                self.evaluations,
-            ),
-            accesses: self.accesses.iter().cloned().collect(),
-            branches: self.branches.iter().copied().collect(),
-            indirect_targets: self.indirect_targets.clone(),
-            unresolved: self.unresolved.clone(),
-            options: self.options.clone(),
-            evaluations: self.evaluations,
-        }
-    }
 }
 
 impl stamp_codec::Codec for ValueOptions {
@@ -407,29 +273,60 @@ impl stamp_codec::Codec for BranchOutcome {
     }
 }
 
-impl stamp_codec::Codec for FrozenState {
+/// The stored form: the threshold ladder once, each distinct word map
+/// once (deduplicated by `Arc` identity, in first-use order over the
+/// entry then the exit states), every state as its registers plus a
+/// word-map index, then the derived facts with `accesses`/`branches`
+/// in key order. Decoding re-shares the word maps, so states that
+/// shared memory before encoding share it after.
+impl stamp_codec::Codec for ValueAnalysis {
     fn enc(&self, e: &mut stamp_codec::Enc) {
-        for r in &self.regs {
-            r.enc(e);
+        let (ins, outs) = self.fixpoint.states();
+        let states = || ins.iter().chain(outs).flatten();
+        // Every state descends from the single entry state, so they all
+        // share one ladder. Make the invariant loud if a future change
+        // ever breaks it — a wrong ladder after decoding would diverge
+        // widening across jobs.
+        let ladder = states().next().map_or(&[][..], AState::thresholds);
+        debug_assert!(
+            states().all(|s| std::ptr::eq(s.thresholds(), ladder)),
+            "the encoding assumes one shared threshold ladder per analysis"
+        );
+        e.len_prefix(ladder.len());
+        for &t in ladder {
+            e.u32(t);
         }
-        self.words.enc(e);
-    }
-    fn dec(d: &mut stamp_codec::Dec) -> Result<FrozenState, stamp_codec::CodecError> {
-        let mut regs = [SInt::top(); Reg::COUNT];
-        for r in regs.iter_mut() {
-            *r = SInt::dec(d)?;
-        }
-        Ok(FrozenState { regs, words: usize::dec(d)? })
-    }
-}
 
-impl stamp_codec::Codec for FrozenValueAnalysis {
-    fn enc(&self, e: &mut stamp_codec::Enc) {
-        self.thresholds.enc(e);
-        self.word_maps.enc(e);
-        self.ins.enc(e);
-        self.outs.enc(e);
-        self.infeasible_edges.enc(e);
+        let mut pool: Vec<&BTreeMap<u32, SInt>> = Vec::new();
+        let mut index: HashMap<*const BTreeMap<u32, SInt>, usize> = HashMap::new();
+        for s in states() {
+            let words = s.mem.shared_words();
+            index.entry(Arc::as_ptr(words)).or_insert_with(|| {
+                pool.push(words);
+                pool.len() - 1
+            });
+        }
+        e.len_prefix(pool.len());
+        for words in pool {
+            words.enc(e);
+        }
+        for half in [ins, outs] {
+            e.len_prefix(half.len());
+            for state in half {
+                match state {
+                    None => e.u8(0),
+                    Some(s) => {
+                        e.u8(1);
+                        for r in s.regs() {
+                            r.enc(e);
+                        }
+                        index[&Arc::as_ptr(s.mem.shared_words())].enc(e);
+                    }
+                }
+            }
+        }
+
+        self.fixpoint.infeasible_edges.enc(e);
         self.accesses.enc(e);
         self.branches.enc(e);
         self.indirect_targets.enc(e);
@@ -437,28 +334,51 @@ impl stamp_codec::Codec for FrozenValueAnalysis {
         self.options.enc(e);
         e.u64(self.evaluations);
     }
-    fn dec(d: &mut stamp_codec::Dec) -> Result<FrozenValueAnalysis, stamp_codec::CodecError> {
-        let f = FrozenValueAnalysis {
-            thresholds: Vec::dec(d)?,
-            word_maps: Vec::dec(d)?,
-            ins: Vec::dec(d)?,
-            outs: Vec::dec(d)?,
-            infeasible_edges: Vec::dec(d)?,
-            accesses: Vec::dec(d)?,
-            branches: Vec::dec(d)?,
-            indirect_targets: BTreeMap::dec(d)?,
-            unresolved: Vec::dec(d)?,
-            options: ValueOptions::dec(d)?,
-            evaluations: d.u64()?,
-        };
-        // Word-map indices must stay inside the deduplicated pool, or
-        // `thaw` would panic on a corrupt artifact.
-        for s in f.ins.iter().chain(&f.outs).flatten() {
-            if s.words >= f.word_maps.len() {
-                return Err(stamp_codec::CodecError::Invalid("word-map index"));
+    fn dec(d: &mut stamp_codec::Dec) -> Result<ValueAnalysis, stamp_codec::CodecError> {
+        use stamp_codec::CodecError;
+        let thresholds = Arc::new(Vec::<u32>::dec(d)?);
+        let pool: Vec<Arc<BTreeMap<u32, SInt>>> =
+            Vec::<BTreeMap<u32, SInt>>::dec(d)?.into_iter().map(Arc::new).collect();
+        let dec_states = |d: &mut stamp_codec::Dec| -> Result<Vec<Option<AState>>, CodecError> {
+            let n = d.len_prefix(1)?;
+            let mut states = Vec::with_capacity(n);
+            for _ in 0..n {
+                states.push(match d.u8()? {
+                    0 => None,
+                    1 => {
+                        let mut regs = [SInt::top(); Reg::COUNT];
+                        for r in regs.iter_mut() {
+                            *r = SInt::dec(d)?;
+                        }
+                        // A corrupt index must be an error, not a panic.
+                        let words = pool
+                            .get(usize::dec(d)?)
+                            .ok_or(CodecError::Invalid("word-map index"))?;
+                        let mem = AMem::from_words(Arc::clone(words));
+                        Some(AState::from_parts(regs, mem, Arc::clone(&thresholds)))
+                    }
+                    _ => return Err(CodecError::Invalid("option tag")),
+                });
             }
-        }
-        Ok(f)
+            Ok(states)
+        };
+        let (ins, outs) = (dec_states(d)?, dec_states(d)?);
+        let infeasible_edges = Vec::dec(d)?;
+        let accesses = HashMap::dec(d)?;
+        let branches = HashMap::dec(d)?;
+        let indirect_targets = BTreeMap::dec(d)?;
+        let unresolved = Vec::dec(d)?;
+        let options = ValueOptions::dec(d)?;
+        let evaluations = d.u64()?;
+        Ok(ValueAnalysis {
+            fixpoint: Fixpoint::from_parts(ins, outs, infeasible_edges, evaluations),
+            accesses,
+            branches,
+            indirect_targets,
+            unresolved,
+            options,
+            evaluations,
+        })
     }
 }
 
@@ -497,6 +417,7 @@ mod tests {
     use super::*;
     use stamp_ai::VivuConfig;
     use stamp_cfg::CfgBuilder;
+    use stamp_codec::Codec;
     use stamp_isa::asm::assemble;
     use stamp_isa::Reg;
 
@@ -644,39 +565,43 @@ mod tests {
     }
 
     #[test]
-    fn frozen_value_analysis_is_send_sync() {
+    fn value_analysis_is_send_sync() {
         fn assert_send_sync<T: Send + Sync>() {}
-        assert_send_sync::<FrozenValueAnalysis>();
+        assert_send_sync::<ValueAnalysis>();
+    }
+
+    /// A program exercising every encoded field: memory knowledge
+    /// (store + load), a decidable branch, strided accesses.
+    const MEMORY_LOOP: &str = "\
+        .text
+        main: la r1, v
+              li r2, 7
+              sw r2, 0(r1)
+              lw r3, 0(r1)
+              li r4, 0
+        loop: addi r4, r4, 1
+              slti r5, r4, 10
+              bnez r5, loop
+              halt
+        .data
+        v:    .space 8
+    ";
+
+    fn round_trip(va: &ValueAnalysis) -> ValueAnalysis {
+        stamp_codec::decode_value(&stamp_codec::encode_value(va)).expect("decodes")
     }
 
     #[test]
-    fn freeze_thaw_round_trips_exactly() {
-        // A program exercising every frozen field: memory knowledge
-        // (store + load), a decidable branch, strided accesses, and a
-        // resolvable jump table.
-        let src = "\
-            .text
-            main: la r1, v
-                  li r2, 7
-                  sw r2, 0(r1)
-                  lw r3, 0(r1)
-                  li r4, 0
-            loop: addi r4, r4, 1
-                  slti r5, r4, 10
-                  bnez r5, loop
-                  halt
-            .data
-            v:    .space 8
-        ";
-        let (_p, _cfg, icfg, va) = analyze(src);
-        let thawed = va.freeze().thaw();
+    fn codec_round_trips_exactly() {
+        let (_p, _cfg, icfg, va) = analyze(MEMORY_LOOP);
+        let back = round_trip(&va);
 
         // The fixpoint: same reachability, registers, and memory words
         // at every node entry and exit.
         for n in icfg.nodes() {
             for (a, b) in [
-                (va.entry_state(n.id), thawed.entry_state(n.id)),
-                (va.exit_state(n.id), thawed.exit_state(n.id)),
+                (va.entry_state(n.id), back.entry_state(n.id)),
+                (va.exit_state(n.id), back.exit_state(n.id)),
             ] {
                 match (a, b) {
                     (None, None) => {}
@@ -694,70 +619,87 @@ mod tests {
         }
 
         // Every derived fact and statistic.
-        assert_eq!(va.evaluations, thawed.evaluations);
-        assert_eq!(va.infeasible_edges(), thawed.infeasible_edges());
-        assert_eq!(va.indirect_targets(), thawed.indirect_targets());
-        assert_eq!(va.unresolved_indirects(), thawed.unresolved_indirects());
-        assert_eq!(va.precision_summary(), thawed.precision_summary());
-        assert_eq!(va.constant_branches(), thawed.constant_branches());
-        assert_eq!(va.accesses().len(), thawed.accesses().len());
+        assert_eq!(va.evaluations, back.evaluations);
+        assert_eq!(va.infeasible_edges(), back.infeasible_edges());
+        assert_eq!(va.indirect_targets(), back.indirect_targets());
+        assert_eq!(va.unresolved_indirects(), back.unresolved_indirects());
+        assert_eq!(va.precision_summary(), back.precision_summary());
+        assert_eq!(va.constant_branches(), back.constant_branches());
+        assert_eq!(va.accesses().len(), back.accesses().len());
         for (k, info) in va.accesses() {
-            let t = thawed.accesses().get(k).expect("access present after thaw");
+            let t = back.accesses().get(k).expect("access present after decoding");
             assert_eq!(info.addrs, t.addrs);
             assert_eq!(info.width, t.width);
             assert_eq!(info.is_load, t.is_load);
         }
-        assert_eq!(va.branches(), thawed.branches());
+        assert_eq!(va.branches(), back.branches());
     }
 
     #[test]
-    fn freeze_preserves_structural_sharing() {
-        // States that never touch memory all share one word map: the
-        // frozen pool must stay small rather than cloning per state.
+    fn codec_round_trips_byte_exactly() {
+        let (_p, _cfg, _icfg, va) = analyze(MEMORY_LOOP);
+        let bytes = stamp_codec::encode_value(&va);
+        let back: ValueAnalysis = stamp_codec::decode_value(&bytes).unwrap();
+        assert_eq!(stamp_codec::encode_value(&back), bytes);
+        assert!(stamp_codec::decode_value::<ValueAnalysis>(&bytes[..bytes.len() - 1]).is_err());
+    }
+
+    #[test]
+    fn decode_preserves_structural_sharing() {
+        // States that never touch memory all share one word map: decoding
+        // must re-share it rather than clone it per state.
         let (_p, _cfg, icfg, va) =
             analyze(".text\nmain: li r1, 3\nloop: addi r1, r1, -1\nbnez r1, loop\nhalt\n");
-        let frozen = va.freeze();
-        let states = icfg.nodes().iter().filter(|n| va.entry_state(n.id).is_some()).count();
-        assert!(states > 2, "expected several reachable states");
-        assert!(
-            frozen.word_maps.len() <= 2,
-            "untouched memory should freeze into a shared map, got {}",
-            frozen.word_maps.len()
-        );
+        let back = round_trip(&va);
+        let pairs = |va: &ValueAnalysis| -> Vec<(NodeId, NodeId, bool)> {
+            let live: Vec<(NodeId, &AState)> =
+                icfg.nodes().iter().filter_map(|n| Some((n.id, va.entry_state(n.id)?))).collect();
+            let mut out = Vec::new();
+            for (i, (a, sa)) in live.iter().enumerate() {
+                for (b, sb) in &live[i + 1..] {
+                    let shared = Arc::ptr_eq(sa.mem.shared_words(), sb.mem.shared_words());
+                    out.push((*a, *b, shared));
+                }
+            }
+            out
+        };
+        let (before, after) = (pairs(&va), pairs(&back));
+        assert!(before.len() > 2, "expected several reachable states");
+        assert!(before.iter().any(|&(_, _, shared)| shared), "the analysis shares word maps");
+        assert_eq!(before, after, "decoding keeps exactly the original sharing");
+    }
+
+    /// The byte offset of the first entry state's word-map index in an
+    /// encoded analysis, and the length of the word-map pool.
+    fn first_word_index(bytes: &[u8]) -> (usize, usize) {
+        let mut d = stamp_codec::Dec::new(bytes);
+        Vec::<u32>::dec(&mut d).unwrap();
+        let pool = Vec::<BTreeMap<u32, SInt>>::dec(&mut d).unwrap().len();
+        d.len_prefix(1).unwrap();
+        assert_eq!(d.u8().unwrap(), 1, "the entry node is reachable");
+        for _ in 0..Reg::COUNT {
+            SInt::dec(&mut d).unwrap();
+        }
+        (bytes.len() - d.remaining(), pool)
     }
 
     #[test]
-    fn frozen_analysis_round_trips_byte_exactly() {
-        let src = "\
-            .text
-            main: la r1, v
-                  li r2, 7
-                  sw r2, 0(r1)
-                  lw r3, 0(r1)
-                  li r4, 0
-            loop: addi r4, r4, 1
-                  slti r5, r4, 10
-                  bnez r5, loop
-                  halt
-            .data
-            v:    .space 8
-        ";
-        let (_p, _cfg, icfg, va) = analyze(src);
-        let frozen = va.freeze();
-        let bytes = stamp_codec::encode_value(&frozen);
-        let back: FrozenValueAnalysis = stamp_codec::decode_value(&bytes).unwrap();
-        assert_eq!(stamp_codec::encode_value(&back), bytes);
-        // A decoded artifact thaws into the same analysis.
-        let thawed = back.thaw();
-        assert_eq!(va.evaluations, thawed.evaluations);
-        assert_eq!(va.branches(), thawed.branches());
-        assert_eq!(va.precision_summary(), thawed.precision_summary());
-        for n in icfg.nodes() {
-            assert_eq!(va.entry_state(n.id).is_some(), thawed.entry_state(n.id).is_some());
+    fn corrupt_word_map_index_is_invalid_not_a_panic() {
+        let (_p, _cfg, _icfg, va) = analyze(MEMORY_LOOP);
+        let bytes = stamp_codec::encode_value(&va);
+        let (at, pool) = first_word_index(&bytes);
+        for bad in [pool as u64, u64::MAX] {
+            let mut hostile = bytes.clone();
+            hostile[at..at + 8].copy_from_slice(&bad.to_le_bytes());
+            assert!(matches!(
+                stamp_codec::decode_value::<ValueAnalysis>(&hostile),
+                Err(stamp_codec::CodecError::Invalid("word-map index"))
+            ));
         }
-        assert!(
-            stamp_codec::decode_value::<FrozenValueAnalysis>(&bytes[..bytes.len() - 1]).is_err()
-        );
+        // The same record with an in-range index decodes cleanly.
+        let mut fine = bytes.clone();
+        fine[at..at + 8].copy_from_slice(&0u64.to_le_bytes());
+        assert!(stamp_codec::decode_value::<ValueAnalysis>(&fine).is_ok());
     }
 
     #[test]

@@ -50,7 +50,7 @@ mod transfer;
 
 pub use amem::AMem;
 pub use analysis::PrecisionSummary;
-pub use analysis::{AccessInfo, BranchOutcome, FrozenValueAnalysis, ValueAnalysis, ValueOptions};
+pub use analysis::{AccessInfo, BranchOutcome, ValueAnalysis, ValueOptions};
 pub use interval::{DomainKind, SInt};
 pub use state::AState;
 pub use transfer::{effective_cond, register_delta, CondRhs, EffCond, ValueTransfer};

@@ -1,6 +1,6 @@
 //! The abstract machine state: register file × abstract memory.
 
-use std::rc::Rc;
+use std::sync::Arc;
 
 use stamp_ai::Domain;
 use stamp_isa::Reg;
@@ -18,13 +18,13 @@ pub struct AState {
     regs: [SInt; Reg::COUNT],
     /// Abstract RAM.
     pub mem: AMem,
-    thresholds: Rc<Vec<u32>>,
+    thresholds: Arc<Vec<u32>>,
 }
 
 impl AState {
     /// The task-entry state: `r0 = 0`, `sp = stack_top`, all other
     /// registers and all RAM unknown.
-    pub fn entry(stack_top: u32, thresholds: Rc<Vec<u32>>) -> AState {
+    pub fn entry(stack_top: u32, thresholds: Arc<Vec<u32>>) -> AState {
         let mut regs = [SInt::top(); Reg::COUNT];
         regs[Reg::ZERO.index()] = SInt::cst(0);
         regs[Reg::SP.index()] = SInt::cst(stack_top);
@@ -64,23 +64,17 @@ impl AState {
         &self.thresholds
     }
 
-    /// The register file (for freezing states into thread-shareable
-    /// artifacts).
+    /// The register file (for encoding analyses).
     pub(crate) fn regs(&self) -> &[SInt; Reg::COUNT] {
         &self.regs
     }
 
-    /// The shared threshold ladder, by reference count.
-    pub(crate) fn thresholds_rc(&self) -> &Rc<Vec<u32>> {
-        &self.thresholds
-    }
-
     /// Reassembles a state from raw parts — the inverse of
-    /// [`AState::regs`] / [`AState::thresholds_rc`] plus the memory.
+    /// [`AState::regs`] / [`AState::thresholds`] plus the memory.
     pub(crate) fn from_parts(
         regs: [SInt; Reg::COUNT],
         mem: AMem,
-        thresholds: Rc<Vec<u32>>,
+        thresholds: Arc<Vec<u32>>,
     ) -> AState {
         AState { regs, mem, thresholds }
     }
@@ -102,17 +96,17 @@ impl Domain for AState {
 
     fn widen_from(&mut self, other: &AState) -> bool {
         let mut changed = false;
-        let thr = Rc::clone(&self.thresholds);
+        let thr = &self.thresholds;
         for i in 0..Reg::COUNT {
             if !other.regs[i].subset_of(&self.regs[i]) {
-                let w = self.regs[i].widen(&other.regs[i], &thr);
+                let w = self.regs[i].widen(&other.regs[i], thr);
                 if w != self.regs[i] {
                     self.regs[i] = w;
                     changed = true;
                 }
             }
         }
-        changed |= self.mem.widen_from(&other.mem, &thr);
+        changed |= self.mem.widen_from(&other.mem, thr);
         changed
     }
 
@@ -127,7 +121,7 @@ mod tests {
     use super::*;
 
     fn st() -> AState {
-        AState::entry(0x1010_0000, Rc::new(vec![0, 16, 256]))
+        AState::entry(0x1010_0000, Arc::new(vec![0, 16, 256]))
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! The abstract transfer function for EVA32 instructions.
 
-use std::rc::Rc;
+use std::sync::Arc;
 
 use stamp_ai::{IEdge, IEdgeKind, Icfg, NodeId, Transfer};
 use stamp_cfg::{Cfg, EdgeKind};
@@ -17,7 +17,7 @@ pub struct ValueTransfer<'a> {
     cfg: &'a Cfg,
     stack_top: u32,
     domain: DomainKind,
-    thresholds: Rc<Vec<u32>>,
+    thresholds: Arc<Vec<u32>>,
 }
 
 impl<'a> ValueTransfer<'a> {
@@ -27,7 +27,7 @@ impl<'a> ValueTransfer<'a> {
         hw: &'a HwConfig,
         cfg: &'a Cfg,
         domain: DomainKind,
-        thresholds: Rc<Vec<u32>>,
+        thresholds: Arc<Vec<u32>>,
     ) -> ValueTransfer<'a> {
         ValueTransfer { program, cfg, stack_top: hw.mem.stack_top(), domain, thresholds }
     }
@@ -311,7 +311,7 @@ impl Transfer for ValueTransfer<'_> {
     type State = AState;
 
     fn boundary(&self) -> AState {
-        AState::entry(self.stack_top, Rc::clone(&self.thresholds))
+        AState::entry(self.stack_top, Arc::clone(&self.thresholds))
     }
 
     fn transfer(&mut self, icfg: &Icfg, node: NodeId, input: &AState) -> AState {
@@ -429,14 +429,14 @@ mod tests {
     }
 
     fn fresh_state(hw: &HwConfig) -> AState {
-        AState::entry(hw.mem.stack_top(), Rc::new(vec![0]))
+        AState::entry(hw.mem.stack_top(), Arc::new(vec![0]))
     }
 
     #[test]
     fn constant_folding_matches_hardware() {
         let (p, hw) = setup(".text\nmain: halt\n");
         let cfg = stamp_cfg::CfgBuilder::new(&p).build().unwrap();
-        let t = ValueTransfer::new(&p, &hw, &cfg, DomainKind::Strided, Rc::new(vec![0]));
+        let t = ValueTransfer::new(&p, &hw, &cfg, DomainKind::Strided, Arc::new(vec![0]));
         let mut s = fresh_state(&hw);
         s.set_reg(Reg::new(1), SInt::cst(7));
         s.set_reg(Reg::new(2), SInt::cst(0));
@@ -453,7 +453,7 @@ mod tests {
     fn rom_load_folds_to_constant() {
         let (p, hw) = setup(".text\nmain: halt\n.rodata\ntbl: .word 0xcafe\n");
         let cfg = stamp_cfg::CfgBuilder::new(&p).build().unwrap();
-        let t = ValueTransfer::new(&p, &hw, &cfg, DomainKind::Strided, Rc::new(vec![0]));
+        let t = ValueTransfer::new(&p, &hw, &cfg, DomainKind::Strided, Arc::new(vec![0]));
         let mut s = fresh_state(&hw);
         let tbl = p.symbols.addr_of("tbl").unwrap();
         s.set_reg(Reg::new(1), SInt::cst(tbl));
@@ -475,7 +475,7 @@ mod tests {
     fn stack_store_load_roundtrip() {
         let (p, hw) = setup(".text\nmain: halt\n");
         let cfg = stamp_cfg::CfgBuilder::new(&p).build().unwrap();
-        let t = ValueTransfer::new(&p, &hw, &cfg, DomainKind::Strided, Rc::new(vec![0]));
+        let t = ValueTransfer::new(&p, &hw, &cfg, DomainKind::Strided, Arc::new(vec![0]));
         let mut s = fresh_state(&hw);
         s.set_reg(Reg::new(1), SInt::cst(99));
         // addi sp, sp, -8 ; sw r1, 4(sp) ; lw r2, 4(sp)
@@ -504,7 +504,7 @@ mod tests {
     fn signed_byte_load_extends() {
         let (p, hw) = setup(".text\nmain: halt\n.rodata\nb: .byte 0xff, 0x7f\n");
         let cfg = stamp_cfg::CfgBuilder::new(&p).build().unwrap();
-        let t = ValueTransfer::new(&p, &hw, &cfg, DomainKind::Strided, Rc::new(vec![0]));
+        let t = ValueTransfer::new(&p, &hw, &cfg, DomainKind::Strided, Arc::new(vec![0]));
         let mut s = fresh_state(&hw);
         let b = p.symbols.addr_of("b").unwrap();
         s.set_reg(Reg::new(1), SInt::cst(b));
@@ -526,7 +526,7 @@ mod tests {
     fn domain_degradation() {
         let (p, hw) = setup(".text\nmain: halt\n");
         let cfg = stamp_cfg::CfgBuilder::new(&p).build().unwrap();
-        let t = ValueTransfer::new(&p, &hw, &cfg, DomainKind::Const, Rc::new(vec![0]));
+        let t = ValueTransfer::new(&p, &hw, &cfg, DomainKind::Const, Arc::new(vec![0]));
         let mut s = fresh_state(&hw);
         s.set_reg(Reg::new(1), SInt::range(0, 10));
         t.step(
