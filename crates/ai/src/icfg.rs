@@ -765,6 +765,25 @@ impl stamp_codec::Codec for Icfg {
         {
             return Err(stamp_codec::CodecError::Invalid("icfg table lengths"));
         }
+        // Every id into the supergraph's own tables must be in range, so
+        // a decoded graph indexes without panicking. (Block, CFG-edge
+        // and function ids name the separate `Cfg` artifact.)
+        let node = |n: &NodeId| n.index() < nodes.len();
+        let edge = |e: &IEdgeId| e.index() < edges.len();
+        let ctx = |c: &CtxId| c.index() < ctxs.len();
+        let in_range = nodes.iter().all(|n| ctx(&n.ctx))
+            && edges
+                .iter()
+                .enumerate()
+                .all(|(i, e)| e.id.index() == i && node(&e.from) && node(&e.to))
+            && succs.iter().chain(&preds).flatten().all(edge)
+            && node(&entry)
+            && exits.iter().all(node)
+            && call_instances.iter().all(|c| ctx(&c.inner) && c.return_node.iter().all(node))
+            && loop_instances.iter().all(|l| l.entries.iter().chain(&l.backs).all(edge));
+        if !in_range {
+            return Err(stamp_codec::CodecError::Invalid("icfg id out of range"));
+        }
         let mut node_ids = HashMap::new();
         let mut nodes_by_block: HashMap<BlockId, Vec<NodeId>> = HashMap::new();
         for (i, nd) in nodes.iter().enumerate() {
@@ -926,5 +945,25 @@ mod tests {
             assert_eq!(back.rpo_index(nd.id), icfg.rpo_index(nd.id));
         }
         assert!(stamp_codec::decode_value::<Icfg>(&bytes[..bytes.len() - 2]).is_err());
+    }
+
+    #[test]
+    fn out_of_range_ids_are_invalid_not_a_panic() {
+        use stamp_codec::Codec;
+        let icfg = icfg_of(".text\nmain: call f\nhalt\nf: ret\n", &VivuConfig::default());
+        let bytes = stamp_codec::encode_value(&icfg);
+        // The first edge's target node, pointed one past the last node.
+        let mut d = stamp_codec::Dec::new(&bytes);
+        Vec::<Node>::dec(&mut d).unwrap();
+        assert!(d.len_prefix(1).unwrap() > 0, "the graph has an edge");
+        IEdgeId::dec(&mut d).unwrap();
+        NodeId::dec(&mut d).unwrap();
+        let at = bytes.len() - d.remaining();
+        let mut hostile = bytes.clone();
+        hostile[at..at + 4].copy_from_slice(&(icfg.nodes().len() as u32).to_le_bytes());
+        assert!(matches!(
+            stamp_codec::decode_value::<Icfg>(&hostile),
+            Err(stamp_codec::CodecError::Invalid("icfg id out of range"))
+        ));
     }
 }

@@ -95,11 +95,7 @@ impl LineSet {
     /// returns a new age, drop the rest. `f` must not change line order
     /// (ages only — line keys are never rewritten).
     fn update_retain(&mut self, mut f: impl FnMut(u32, u8) -> Option<u8>) {
-        let slice = if self.spill.is_empty() {
-            &mut self.inline[..self.len as usize]
-        } else {
-            &mut self.spill[..]
-        };
+        let slice = self.entries_mut();
         let mut w = 0;
         for r in 0..slice.len() {
             let (line, age) = slice[r];
@@ -139,6 +135,32 @@ fn for_sets(sets_len: u32, set_indices: Option<&[u32]>, mut f: impl FnMut(usize)
     match set_indices {
         Some(idx) => idx.iter().for_each(|&si| f(si as usize)),
         None => (0..sets_len).for_each(|si| f(si as usize)),
+    }
+}
+
+/// An access to one of `lines`, not knowing which: the join of the
+/// outcomes of accessing each (shared by the three domains).
+fn access_any<D: Clone>(
+    dom: &mut D,
+    lines: &[u32],
+    access: impl Fn(&mut D, u32),
+    join: impl Fn(&mut D, &D) -> bool,
+) {
+    match lines {
+        [] => {}
+        [one] => access(dom, *one),
+        [first, rest @ ..] => {
+            let outcome = |l: u32| {
+                let mut c = dom.clone();
+                access(&mut c, l);
+                c
+            };
+            let mut acc = outcome(*first);
+            for &l in rest {
+                join(&mut acc, &outcome(l));
+            }
+            *dom = acc;
+        }
     }
 }
 
@@ -194,25 +216,7 @@ impl MustCache {
     /// Applies an access whose line is only known to lie in `lines`
     /// (join over the possibilities).
     pub fn access_any(&mut self, lines: &[u32]) {
-        match lines {
-            [] => {}
-            [one] => self.access(*one),
-            _ => {
-                let mut acc: Option<MustCache> = None;
-                for &l in lines {
-                    let mut c = self.clone();
-                    c.access(l);
-                    acc = Some(match acc {
-                        None => c,
-                        Some(mut p) => {
-                            p.join_from(&c);
-                            p
-                        }
-                    });
-                }
-                *self = acc.expect("non-empty lines");
-            }
-        }
+        access_any(self, lines, MustCache::access, MustCache::join_from);
     }
 
     /// Sound treatment of an access with an unbounded address set that
@@ -332,25 +336,7 @@ impl MayCache {
 
     /// Access with a small set of candidate lines: union of outcomes.
     pub fn access_any(&mut self, lines: &[u32]) {
-        match lines {
-            [] => {}
-            [one] => self.access(*one),
-            _ => {
-                let mut acc: Option<MayCache> = None;
-                for &l in lines {
-                    let mut c = self.clone();
-                    c.access(l);
-                    acc = Some(match acc {
-                        None => c,
-                        Some(mut p) => {
-                            p.join_from(&c);
-                            p
-                        }
-                    });
-                }
-                *self = acc.expect("non-empty lines");
-            }
-        }
+        access_any(self, lines, MayCache::access, MayCache::join_from);
     }
 
     /// Unbounded access: the touched sets may afterwards contain anything.
@@ -575,25 +561,7 @@ impl PersCache {
 
     /// Access with several candidate lines (join over the possibilities).
     pub fn access_any(&mut self, lines: &[u32]) {
-        match lines {
-            [] => {}
-            [one] => self.access(*one),
-            _ => {
-                let mut acc: Option<PersCache> = None;
-                for &l in lines {
-                    let mut c = self.clone();
-                    c.access(l);
-                    acc = Some(match acc {
-                        None => c,
-                        Some(mut p) => {
-                            p.join_from(&c);
-                            p
-                        }
-                    });
-                }
-                *self = acc.expect("non-empty lines");
-            }
-        }
+        access_any(self, lines, PersCache::access, PersCache::join_from);
     }
 
     /// Unbounded access: every line in the touched sets may have gained

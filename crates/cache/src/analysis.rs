@@ -1,12 +1,14 @@
 //! The cache-analysis fixpoint and hit/miss classification.
 
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 
-use stamp_ai::{solve, CtxId, Domain, Icfg, NodeId, Transfer};
+use stamp_ai::{solve, CtxId, Domain, Fixpoint, Icfg, NodeId, Transfer};
 use stamp_cfg::Cfg;
 use stamp_hw::{CacheConfig, HwConfig};
-use stamp_isa::MemWidth;
+use stamp_isa::{Insn, MemWidth};
 use stamp_value::{SInt, ValueAnalysis};
+
+use crate::{MayCache, MustCache, PersCache};
 
 /// Classification of one memory reference, following aiT's terminology.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -21,59 +23,96 @@ pub enum Classification {
     NotClassified,
 }
 
-/// The joint abstract state of the instruction and data caches.
+/// The joint abstract state of the instruction and data caches: one
+/// must/may/persistence triple per configured cache.
 #[derive(Clone, Debug, PartialEq)]
 pub struct CacheState {
-    pub(crate) imust: Option<crate::MustCache>,
-    pub(crate) imay: Option<crate::MayCache>,
-    pub(crate) ipers: Option<crate::PersCache>,
-    pub(crate) dmust: Option<crate::MustCache>,
-    pub(crate) dmay: Option<crate::MayCache>,
-    pub(crate) dpers: Option<crate::PersCache>,
-}
-
-impl CacheState {
-    fn new(icache: Option<CacheConfig>, dcache: Option<CacheConfig>) -> CacheState {
-        CacheState {
-            imust: icache.map(crate::MustCache::new),
-            imay: icache.map(crate::MayCache::new),
-            ipers: icache.map(crate::PersCache::new),
-            dmust: dcache.map(crate::MustCache::new),
-            dmay: dcache.map(crate::MayCache::new),
-            dpers: dcache.map(crate::PersCache::new),
-        }
-    }
+    i: Option<CacheDomains>,
+    d: Option<CacheDomains>,
 }
 
 impl Domain for CacheState {
     fn join_from(&mut self, other: &CacheState) -> bool {
-        let mut ch = false;
-        macro_rules! j {
-            ($f:ident) => {
-                if let (Some(a), Some(b)) = (self.$f.as_mut(), other.$f.as_ref()) {
-                    ch |= a.join_from(b);
-                }
-            };
+        let mut changed = false;
+        for (a, b) in [(&mut self.i, &other.i), (&mut self.d, &other.d)] {
+            if let (Some(a), Some(b)) = (a, b) {
+                changed |= a.join_from(b);
+            }
         }
-        j!(imust);
-        j!(imay);
-        j!(ipers);
-        j!(dmust);
-        j!(dmay);
-        j!(dpers);
-        ch
+        changed
     }
 
     fn le(&self, other: &CacheState) -> bool {
-        macro_rules! l {
-            ($f:ident) => {
-                match (self.$f.as_ref(), other.$f.as_ref()) {
-                    (Some(a), Some(b)) => a.le(b),
-                    _ => true,
-                }
-            };
+        [(&self.i, &other.i), (&self.d, &other.d)].into_iter().all(|pair| match pair {
+            (Some(a), Some(b)) => a.le(b),
+            _ => true,
+        })
+    }
+}
+
+/// The must, may and persistence domains of one cache, updated in
+/// lockstep.
+#[derive(Clone, Debug, PartialEq)]
+struct CacheDomains {
+    must: MustCache,
+    may: MayCache,
+    pers: PersCache,
+}
+
+impl CacheDomains {
+    fn new(config: CacheConfig) -> CacheDomains {
+        CacheDomains {
+            must: MustCache::new(config),
+            may: MayCache::new(config),
+            pers: PersCache::new(config),
         }
-        l!(imust) && l!(imay) && l!(ipers) && l!(dmust) && l!(dmay) && l!(dpers)
+    }
+
+    /// An access to the line containing `addr`.
+    fn access(&mut self, addr: u32) {
+        self.must.access(addr);
+        self.may.access(addr);
+        self.pers.access(addr);
+    }
+
+    /// The effect of one data load.
+    fn load(&mut self, access: &DataAccess) {
+        match access {
+            DataAccess::Lines(lines) => {
+                self.must.access_any(lines);
+                self.may.access_any(lines);
+                self.pers.access_any(lines);
+            }
+            DataAccess::Clobber(sets) => {
+                self.must.clobber(sets.as_deref());
+                self.may.clobber(sets.as_deref());
+                self.pers.clobber(sets.as_deref());
+            }
+        }
+    }
+
+    fn join_from(&mut self, other: &CacheDomains) -> bool {
+        let must = self.must.join_from(&other.must);
+        let may = self.may.join_from(&other.may);
+        let pers = self.pers.join_from(&other.pers);
+        must | may | pers
+    }
+
+    fn le(&self, other: &CacheDomains) -> bool {
+        self.must.le(&other.must) && self.may.le(&other.may) && self.pers.le(&other.pers)
+    }
+
+    /// Classifies an access to one of `lines`.
+    fn classify(&self, lines: &[u32]) -> Classification {
+        if !lines.is_empty() && lines.iter().all(|&l| self.must.definitely_cached(l)) {
+            Classification::AlwaysHit
+        } else if lines.iter().all(|&l| !self.may.possibly_cached(l)) {
+            Classification::AlwaysMiss
+        } else if !lines.is_empty() && lines.iter().all(|&l| self.pers.persistent(l)) {
+            Classification::Persistent
+        } else {
+            Classification::NotClassified
+        }
     }
 }
 
@@ -101,13 +140,17 @@ pub struct ClassStats {
 }
 
 impl ClassStats {
-    fn add(&mut self, c: Classification) {
-        match c {
-            Classification::AlwaysHit => self.hit += 1,
-            Classification::AlwaysMiss => self.miss += 1,
-            Classification::Persistent => self.persistent += 1,
-            Classification::NotClassified => self.unclassified += 1,
+    fn of(classes: impl Iterator<Item = Classification>) -> ClassStats {
+        let mut s = ClassStats::default();
+        for c in classes {
+            match c {
+                Classification::AlwaysHit => s.hit += 1,
+                Classification::AlwaysMiss => s.miss += 1,
+                Classification::Persistent => s.persistent += 1,
+                Classification::NotClassified => s.unclassified += 1,
+            }
         }
+        s
     }
 
     /// Total classified references.
@@ -124,9 +167,9 @@ pub struct CacheAnalysis {
     pub(crate) dcache: Option<CacheConfig>,
     /// Distinct I-cache lines behind persistent fetches: each can miss
     /// at most once over the whole task.
-    pub(crate) ps_fetch_lines: std::collections::BTreeSet<u32>,
+    pub(crate) ps_fetch_lines: BTreeSet<u32>,
     /// Distinct D-cache lines behind persistent loads.
-    pub(crate) ps_data_lines: std::collections::BTreeSet<u32>,
+    pub(crate) ps_data_lines: BTreeSet<u32>,
     /// Solver node evaluations (scaling experiment).
     pub evaluations: u64,
 }
@@ -228,99 +271,96 @@ pub(crate) fn sets_of(cfg: CacheConfig, addrs: &SInt) -> Option<Vec<u32>> {
 }
 
 impl CacheTransfer<'_> {
-    fn apply_block(&self, icfg: &Icfg, node: NodeId, state: &mut CacheState) {
-        let n = icfg.node(node);
-        let block = self.cfg.block(n.block);
-        let mut prev_line = None;
-        for &(addr, insn) in &block.insns {
-            // Instruction fetch. A fetch from the line just fetched is an
-            // exact no-op in all three i-domains (the line is MRU with an
-            // empty conflict record), so consecutive same-line fetches —
-            // the common case with multiple instructions per line — are
-            // skipped. Data accesses never touch the i-domains, so the
-            // skip is valid across intervening loads.
-            let line = self.icache.map(|ic| ic.line_addr(addr));
-            if line != prev_line || line.is_none() {
-                prev_line = line;
-                if let Some(m) = state.imust.as_mut() {
-                    m.access(addr);
-                }
-                if let Some(m) = state.imay.as_mut() {
-                    m.access(addr);
-                }
-                if let Some(m) = state.ipers.as_mut() {
-                    m.access(addr);
-                }
-            }
-            // Data access: loads allocate; stores are write-around and
-            // do not touch the cache.
-            if insn.is_load() {
-                if self.dcache.is_none() {
-                    continue;
-                }
-                match self.data.get(&(addr, n.ctx)).expect("load effect precomputed") {
-                    DataAccess::Lines(lines) => {
-                        if let Some(m) = state.dmust.as_mut() {
-                            m.access_any(lines);
-                        }
-                        if let Some(m) = state.dmay.as_mut() {
-                            m.access_any(lines);
-                        }
-                        if let Some(m) = state.dpers.as_mut() {
-                            m.access_any(lines);
-                        }
-                    }
-                    DataAccess::Clobber(sets) => {
-                        if let Some(m) = state.dmust.as_mut() {
-                            m.clobber(sets.as_deref());
-                        }
-                        if let Some(m) = state.dmay.as_mut() {
-                            m.clobber(sets.as_deref());
-                        }
-                        if let Some(m) = state.dpers.as_mut() {
-                            m.clobber(sets.as_deref());
-                        }
-                    }
-                }
+    /// Applies one instruction's cache effects: its fetch, unless it is
+    /// from `prev_line`, and, for a load, its data access. A fetch from
+    /// the line just fetched is an exact no-op in all three domains (the
+    /// line is MRU with an empty conflict record), so consecutive
+    /// same-line fetches — the common case with several instructions
+    /// per line — are skipped; data accesses never touch the I-cache, so
+    /// the skip holds across loads. Stores are write-around and do not
+    /// touch the cache.
+    fn step(
+        &self,
+        state: &mut CacheState,
+        addr: u32,
+        insn: &Insn,
+        ctx: CtxId,
+        prev_line: &mut Option<u32>,
+    ) {
+        if let (Some(i), Some(ic)) = (state.i.as_mut(), self.icache) {
+            let line = Some(ic.line_addr(addr));
+            if *prev_line != line {
+                *prev_line = line;
+                i.access(addr);
             }
         }
+        if let Some(d) = state.d.as_mut().filter(|_| insn.is_load()) {
+            d.load(self.data.get(&(addr, ctx)).expect("load effect precomputed"));
+        }
+    }
+
+    /// Replays every solved node's input state through its block with
+    /// [`CacheTransfer::step`], classifying each fetch and load first
+    /// and collecting the persistent lines.
+    fn replay_classes(&self, icfg: &Icfg, fixpoint: &Fixpoint<CacheState>) -> ReplayOut {
+        let mut classes = HashMap::new();
+        let mut ps_fetch_lines = BTreeSet::new();
+        let mut ps_data_lines = BTreeSet::new();
+        for nd in icfg.nodes() {
+            let Some(input) = fixpoint.input(nd.id) else { continue };
+            let mut s = input.clone();
+            let mut prev_line = None;
+            for &(addr, insn) in &self.cfg.block(nd.block).insns {
+                let fetch = match (&s.i, self.icache) {
+                    (Some(i), Some(ic)) => {
+                        let line = ic.line_addr(addr);
+                        let c = i.classify(&[line]);
+                        if c == Classification::Persistent {
+                            ps_fetch_lines.insert(line);
+                        }
+                        c
+                    }
+                    // No cache configured: every access is a
+                    // (flat-latency) miss.
+                    _ => Classification::AlwaysMiss,
+                };
+                let data = insn.is_load().then(|| match (&s.d, self.data.get(&(addr, nd.ctx))) {
+                    (Some(d), Some(DataAccess::Lines(lines))) => {
+                        let c = d.classify(lines);
+                        if c == Classification::Persistent {
+                            ps_data_lines.extend(lines.iter().copied());
+                        }
+                        c
+                    }
+                    (Some(_), _) => Classification::NotClassified,
+                    (None, _) => Classification::AlwaysMiss,
+                });
+                classes.insert((addr, nd.ctx), AccessClass { fetch, data });
+                self.step(&mut s, addr, &insn, nd.ctx, &mut prev_line);
+            }
+        }
+        (classes, ps_fetch_lines, ps_data_lines)
     }
 }
 
-/// Classifies one reference against the current abstract state.
-fn classify(state: &CacheState, lines: &[u32], data: bool) -> Classification {
-    let (must, may, pers) = if data {
-        (&state.dmust, &state.dmay, &state.dpers)
-    } else {
-        (&state.imust, &state.imay, &state.ipers)
-    };
-    match (must, may, pers) {
-        (Some(must), Some(may), Some(pers)) => {
-            if !lines.is_empty() && lines.iter().all(|&l| must.definitely_cached(l)) {
-                Classification::AlwaysHit
-            } else if lines.iter().all(|&l| !may.possibly_cached(l)) {
-                Classification::AlwaysMiss
-            } else if !lines.is_empty() && lines.iter().all(|&l| pers.persistent(l)) {
-                Classification::Persistent
-            } else {
-                Classification::NotClassified
-            }
-        }
-        // No cache configured: every access is a (flat-latency) miss.
-        _ => Classification::AlwaysMiss,
-    }
-}
+/// Per-(instruction, context) classifications plus the I- and D-cache
+/// lines behind persistent references.
+type ReplayOut = (HashMap<(u32, CtxId), AccessClass>, BTreeSet<u32>, BTreeSet<u32>);
 
 impl Transfer for CacheTransfer<'_> {
     type State = CacheState;
 
     fn boundary(&self) -> CacheState {
-        CacheState::new(self.icache, self.dcache)
+        CacheState { i: self.icache.map(CacheDomains::new), d: self.dcache.map(CacheDomains::new) }
     }
 
     fn transfer(&mut self, icfg: &Icfg, node: NodeId, input: &CacheState) -> CacheState {
+        let n = icfg.node(node);
         let mut s = input.clone();
-        self.apply_block(icfg, node, &mut s);
+        let mut prev_line = None;
+        for &(addr, insn) in &self.cfg.block(n.block).insns {
+            self.step(&mut s, addr, &insn, n.ctx, &mut prev_line);
+        }
         s
     }
 
@@ -353,8 +393,7 @@ impl CacheAnalysis {
         // (widening = join), so the delay value is irrelevant.
         let fixpoint = solve(icfg, &mut transfer, u32::MAX);
 
-        let (classes, ps_fetch_lines, ps_data_lines) =
-            replay_classes(&transfer, hw, cfg, icfg, &fixpoint);
+        let (classes, ps_fetch_lines, ps_data_lines) = transfer.replay_classes(icfg, &fixpoint);
 
         CacheAnalysis {
             classes,
@@ -369,13 +408,13 @@ impl CacheAnalysis {
     /// Distinct I-cache lines behind persistent fetches. Each misses at
     /// most once over the whole task, so pricing persistent fetches as
     /// hits is sound after adding one miss penalty per line.
-    pub fn ps_fetch_lines(&self) -> &std::collections::BTreeSet<u32> {
+    pub fn ps_fetch_lines(&self) -> &BTreeSet<u32> {
         &self.ps_fetch_lines
     }
 
     /// Distinct D-cache lines behind persistent loads (see
     /// [`CacheAnalysis::ps_fetch_lines`]).
-    pub fn ps_data_lines(&self) -> &std::collections::BTreeSet<u32> {
+    pub fn ps_data_lines(&self) -> &BTreeSet<u32> {
         &self.ps_data_lines
     }
 
@@ -391,22 +430,12 @@ impl CacheAnalysis {
 
     /// Aggregate fetch statistics over all instruction instances.
     pub fn fetch_stats(&self) -> ClassStats {
-        let mut s = ClassStats::default();
-        for c in self.classes.values() {
-            s.add(c.fetch);
-        }
-        s
+        ClassStats::of(self.classes.values().map(|c| c.fetch))
     }
 
     /// Aggregate data-access statistics over all load instances.
     pub fn data_stats(&self) -> ClassStats {
-        let mut s = ClassStats::default();
-        for c in self.classes.values() {
-            if let Some(d) = c.data {
-                s.add(d);
-            }
-        }
-        s
+        ClassStats::of(self.classes.values().filter_map(|c| c.data))
     }
 
     /// The I-cache geometry, if configured.
@@ -417,121 +446,6 @@ impl CacheAnalysis {
     /// The D-cache geometry, if configured.
     pub fn dcache(&self) -> Option<CacheConfig> {
         self.dcache
-    }
-}
-
-/// Replays every solved node's abstract state through its block,
-/// classifying each fetch and load and collecting the persistent lines.
-type ReplayOut = (
-    HashMap<(u32, CtxId), AccessClass>,
-    std::collections::BTreeSet<u32>,
-    std::collections::BTreeSet<u32>,
-);
-
-fn replay_classes(
-    transfer: &CacheTransfer<'_>,
-    hw: &HwConfig,
-    cfg: &Cfg,
-    icfg: &Icfg,
-    fixpoint: &stamp_ai::Fixpoint<CacheState>,
-) -> ReplayOut {
-    let mut classes = HashMap::new();
-    let mut ps_fetch_lines = std::collections::BTreeSet::new();
-    let mut ps_data_lines = std::collections::BTreeSet::new();
-    for nd in icfg.nodes() {
-        let Some(input) = fixpoint.input(nd.id) else { continue };
-        let mut s = input.clone();
-        let block = cfg.block(nd.block);
-        let mut prev_line = None;
-        for &(addr, insn) in &block.insns {
-            let fetch = match hw.icache {
-                Some(ic) => {
-                    let c = classify(&s, &[ic.line_addr(addr)], false);
-                    if c == Classification::Persistent {
-                        ps_fetch_lines.insert(ic.line_addr(addr));
-                    }
-                    c
-                }
-                None => Classification::AlwaysMiss,
-            };
-            let data = if insn.is_load() {
-                Some(match hw.dcache {
-                    Some(_) => match transfer.data.get(&(addr, nd.ctx)) {
-                        Some(DataAccess::Lines(lines)) => {
-                            let c = classify(&s, lines, true);
-                            if c == Classification::Persistent {
-                                ps_data_lines.extend(lines.iter().copied());
-                            }
-                            c
-                        }
-                        _ => Classification::NotClassified,
-                    },
-                    None => Classification::AlwaysMiss,
-                })
-            } else {
-                None
-            };
-            classes.insert((addr, nd.ctx), AccessClass { fetch, data });
-            // Advance the state through this instruction (same
-            // same-line fetch skip as `apply_block`).
-            let line = hw.icache.map(|ic| ic.line_addr(addr));
-            let fetch_is_noop = line == prev_line && line.is_some();
-            prev_line = line;
-            apply_one(transfer, &mut s, addr, &insn, nd.ctx, fetch_is_noop);
-        }
-    }
-    (classes, ps_fetch_lines, ps_data_lines)
-}
-
-/// Applies one instruction's cache effects (helper for the
-/// classification replay).
-fn apply_one(
-    t: &CacheTransfer<'_>,
-    state: &mut CacheState,
-    addr: u32,
-    insn: &stamp_isa::Insn,
-    ctx: CtxId,
-    fetch_is_noop: bool,
-) {
-    if !fetch_is_noop {
-        if let Some(m) = state.imust.as_mut() {
-            m.access(addr);
-        }
-        if let Some(m) = state.imay.as_mut() {
-            m.access(addr);
-        }
-        if let Some(m) = state.ipers.as_mut() {
-            m.access(addr);
-        }
-    }
-    if insn.is_load() {
-        if t.dcache.is_none() {
-            return;
-        }
-        match t.data.get(&(addr, ctx)).expect("load effect precomputed") {
-            DataAccess::Lines(lines) => {
-                if let Some(m) = state.dmust.as_mut() {
-                    m.access_any(lines);
-                }
-                if let Some(m) = state.dmay.as_mut() {
-                    m.access_any(lines);
-                }
-                if let Some(m) = state.dpers.as_mut() {
-                    m.access_any(lines);
-                }
-            }
-            DataAccess::Clobber(sets) => {
-                if let Some(m) = state.dmust.as_mut() {
-                    m.clobber(sets.as_deref());
-                }
-                if let Some(m) = state.dmay.as_mut() {
-                    m.clobber(sets.as_deref());
-                }
-                if let Some(m) = state.dpers.as_mut() {
-                    m.clobber(sets.as_deref());
-                }
-            }
-        }
     }
 }
 

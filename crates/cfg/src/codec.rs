@@ -161,8 +161,10 @@ impl Codec for Cfg {
         self.entry_func.enc(e);
         self.unresolved.enc(e);
     }
+    /// Rejects a graph any of whose block, edge or function ids is out
+    /// of range, so a decoded graph indexes without panicking.
     fn dec(d: &mut Dec) -> Result<Cfg, CodecError> {
-        Ok(Cfg {
+        let cfg = Cfg {
             blocks: Vec::dec(d)?,
             functions: Vec::dec(d)?,
             edges: Vec::dec(d)?,
@@ -172,7 +174,32 @@ impl Codec for Cfg {
             block_at: BTreeMap::dec(d)?,
             entry_func: FuncId::dec(d)?,
             unresolved: Vec::dec(d)?,
-        })
+        };
+        let block = |b: &BlockId| b.index() < cfg.blocks.len();
+        let func = |f: &FuncId| f.index() < cfg.functions.len();
+        let edge = |e: &EdgeId| e.index() < cfg.edges.len();
+        let in_range = cfg.blocks.iter().all(|b| block(&b.id) && func(&b.func))
+            && cfg.functions.iter().all(|f| {
+                func(&f.id)
+                    && block(&f.entry)
+                    && f.blocks.iter().chain(&f.returns).chain(&f.halts).all(block)
+            })
+            && cfg.edges.iter().all(|e| block(&e.from) && block(&e.to))
+            && cfg.succs.len() == cfg.blocks.len()
+            && cfg.preds.len() == cfg.blocks.len()
+            && cfg.succs.iter().chain(&cfg.preds).flatten().all(edge)
+            && cfg.call_sites.iter().all(|c| {
+                block(&c.block)
+                    && c.return_to.iter().all(block)
+                    && c.callee.targets().iter().all(func)
+            })
+            && cfg.block_at.values().all(block)
+            && func(&cfg.entry_func);
+        if in_range {
+            Ok(cfg)
+        } else {
+            Err(CodecError::Invalid("cfg id out of range"))
+        }
     }
 }
 
@@ -219,5 +246,29 @@ mod tests {
         let cfg = CfgBuilder::new(&p).build().unwrap();
         let bytes = encode_value(&cfg);
         assert!(decode_value::<Cfg>(&bytes[..bytes.len() - 1]).is_err());
+    }
+
+    #[test]
+    fn out_of_range_ids_are_invalid_not_a_panic() {
+        use stamp_codec::{Codec, CodecError, Dec};
+
+        use crate::{BasicBlock, BlockId, Function};
+
+        let p = assemble(".text\nmain: beq r1, r0, done\nnop\ndone: halt\n").unwrap();
+        let cfg = CfgBuilder::new(&p).build().unwrap();
+        let bytes = encode_value(&cfg);
+        // The first edge's target block, pointed one past the last block.
+        let mut d = Dec::new(&bytes);
+        Vec::<BasicBlock>::dec(&mut d).unwrap();
+        Vec::<Function>::dec(&mut d).unwrap();
+        assert!(d.len_prefix(1).unwrap() > 0, "the graph has an edge");
+        BlockId::dec(&mut d).unwrap();
+        let at = bytes.len() - d.remaining();
+        let mut hostile = bytes.clone();
+        hostile[at..at + 4].copy_from_slice(&(cfg.blocks().len() as u32).to_le_bytes());
+        assert!(matches!(
+            decode_value::<Cfg>(&hostile),
+            Err(CodecError::Invalid("cfg id out of range"))
+        ));
     }
 }

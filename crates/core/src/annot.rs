@@ -99,11 +99,11 @@ impl Annotations {
     }
 
     /// The loop-bound phase options: loop bounds resolved to header
-    /// addresses, default iteration cap.
+    /// addresses.
     pub(crate) fn loop_bound_options(&self, program: &Program) -> LoopBoundOptions {
         let annotations =
             self.loop_bounds.iter().filter_map(|(l, b)| l.resolve(program).map(|a| (a, *b)));
-        LoopBoundOptions { annotations: annotations.collect(), ..LoopBoundOptions::default() }
+        LoopBoundOptions { annotations: annotations.collect() }
     }
 
     /// Resolves indirect-target annotations to addresses.

@@ -221,7 +221,7 @@ impl ArtifactStore {
             }
             SlotClaim::Fill(inner) => {
                 if let Some(disk) = &self.disk {
-                    if let Some(bytes) = disk.get(phase, fp) {
+                    if let Some(bytes) = disk.take(phase, fp) {
                         match store_disk::decode_artifact(phase, &bytes) {
                             Ok(any) => {
                                 counters.hits_disk.fetch_add(1, Ordering::Relaxed);
@@ -662,7 +662,8 @@ mod tests {
         assert!(store.take_disk_warning().is_none());
 
         // In-memory reuse still works for both pre- and post-fault
-        // artifacts, and pre-fault disk contents still answer reads.
+        // artifacts: an artifact computed before the fault is still
+        // served.
         for (key, bound) in [(fp(1), 8), (fp(2), 16)] {
             let (r, reused) = get(
                 &store,
@@ -745,7 +746,60 @@ mod tests {
         // The recomputed artifact was written through and now answers
         // a fresh process.
         let (disk, _) = DiskStore::open(&dir).unwrap();
-        assert_eq!(*disk.get(PhaseId::Value, key).unwrap(), good);
+        assert_eq!(disk.take(PhaseId::Value, key).unwrap(), good);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// `bytes`, an encoded CFG, with its first edge's target block
+    /// pointed one past the last block.
+    fn with_dangling_edge(bytes: &[u8]) -> Vec<u8> {
+        use stamp_codec::Codec;
+        let mut d = stamp_codec::Dec::new(bytes);
+        let blocks = Vec::<stamp_cfg::BasicBlock>::dec(&mut d).unwrap();
+        Vec::<stamp_cfg::Function>::dec(&mut d).unwrap();
+        assert!(d.len_prefix(1).unwrap() > 0, "the graph has an edge");
+        stamp_cfg::BlockId::dec(&mut d).unwrap(); // the first edge's source
+        let at = bytes.len() - d.remaining();
+        let mut hostile = bytes.to_vec();
+        hostile[at..at + 4].copy_from_slice(&(blocks.len() as u32).to_le_bytes());
+        hostile
+    }
+
+    #[test]
+    fn hostile_cfg_record_is_evicted_and_recomputed() {
+        let program = stamp_isa::asm::assemble(LOOP_TASK).unwrap();
+        let (mut expect, cold) =
+            crate::WcetAnalysis::new(&program).run_full(&ArtifactStore::disabled()).unwrap();
+        let good = stamp_codec::encode_value(&*cold.cfg);
+        let hostile = with_dangling_edge(&good);
+        assert!(matches!(
+            stamp_codec::decode_value::<stamp_cfg::Cfg>(&hostile),
+            Err(stamp_codec::CodecError::Invalid("cfg id out of range"))
+        ));
+
+        // Plant the record, CRC-valid, under the job's CFG key.
+        let config = crate::AnalysisConfig::default();
+        let indirects = crate::Annotations::new().resolved_indirects(&program);
+        let program_fp = crate::phase::program_fingerprint(&program);
+        let key = crate::phase::PrefixKeys::new(program_fp, &indirects, &config).cfg;
+        let dir = tmp_dir("hostile-cfg");
+        DiskStore::open(&dir).unwrap().0.append(PhaseId::Cfg, key, &hostile);
+
+        let (store, warnings) = ArtifactStore::with_disk(&dir).unwrap();
+        assert!(warnings.is_empty(), "the record itself is intact: {warnings:?}");
+        let (mut got, warm) = crate::WcetAnalysis::new(&program).run_full(&store).unwrap();
+        let cfg = store.stats().phase("cfg").unwrap();
+        assert_eq!((cfg.hits_disk, cfg.misses), (0, 1), "evicted, then recomputed");
+        assert_eq!(stamp_codec::encode_value(&*warm.cfg), good);
+        expect.phases.clear();
+        got.phases.clear();
+        assert_eq!(got.to_json().to_string(), expect.to_json().to_string());
+        drop(store);
+
+        // The recomputed graph was written through and now answers a
+        // fresh process.
+        let (disk, _) = DiskStore::open(&dir).unwrap();
+        assert_eq!(disk.take(PhaseId::Cfg, key).unwrap(), good);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

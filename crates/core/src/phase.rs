@@ -20,7 +20,7 @@
 //! | `cfg`      | program image (entry, sections, symbols) + indirect-target map |
 //! | `context`  | `cfg` + all of `VivuConfig` |
 //! | `value`    | `context` + `MemoryMap` + all of `ValueOptions` |
-//! | `loopbound`| `value` + resolved loop-bound annotations + iteration cap |
+//! | `loopbound`| `value` + resolved loop-bound annotations |
 //! | `cache`    | `value` + I/D cache geometries |
 //! | `pipeline` | `cache` + the whole `HwConfig` (timing and caches) |
 //! | `path`     | `pipeline` + `loopbound` + `use_infeasible` + `summaries` |
@@ -254,18 +254,17 @@ pub fn value_fingerprint(
     fp.finish()
 }
 
-/// `loopbound`: the value analysis plus resolved loop-bound annotations
-/// and the iteration cap.
+/// `loopbound`: the value analysis plus resolved loop-bound
+/// annotations.
 pub fn loopbound_fingerprint(value: Fingerprint, options: &LoopBoundOptions) -> Fingerprint {
-    let LoopBoundOptions { ref annotations, max_iterations } = *options;
-    let mut fp = Fp::new("stamp/loopbound/1");
+    let LoopBoundOptions { ref annotations } = *options;
+    let mut fp = Fp::new("stamp/loopbound/2");
     fp.fp(value);
     fp.u64(annotations.len() as u64);
     for (addr, bound) in annotations {
         fp.u32(*addr);
         fp.u64(*bound);
     }
-    fp.u64(max_iterations);
     fp.finish()
 }
 

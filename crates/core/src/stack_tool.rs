@@ -37,8 +37,9 @@ use crate::report::PhaseStats;
 pub struct StackReport {
     /// Worst-case stack usage of the task in bytes.
     pub bound: u32,
-    /// Which analysis produced the bound: `"precise"` (supergraph replay)
-    /// or `"callgraph"` (compositional, used for recursive tasks).
+    /// Which analysis produced the bound: `"precise"` (the value
+    /// analysis's stack extent) or `"callgraph"` (compositional, used
+    /// for recursive tasks).
     pub mode: &'static str,
     /// Per-function breakdown (callgraph mode only).
     pub per_function: BTreeMap<String, FunctionStack>,
@@ -179,9 +180,9 @@ impl<'p> StackAnalysis<'p> {
         let Prefix { keys, cfg, valued } =
             phase::value_prefix(&mut run, program, &self.annotations, &prefix_config(self.hw))?;
         let report = match valued {
-            Ok((icfg, va)) => {
+            Ok((_, va)) => {
                 run.run(PhaseId::Stack, phase::stack_fingerprint(keys.value, recursion), || {
-                    let precise = stamp_stack::analyze_icfg(program, &self.hw, &cfg, &icfg, &va)?;
+                    let precise = stamp_stack::analyze_icfg(&self.hw, &va)?;
                     // The callgraph mode also provides the per-function
                     // table.
                     let breakdown = stamp_stack::analyze_callgraph(program, &cfg, &options)

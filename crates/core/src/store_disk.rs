@@ -37,7 +37,7 @@ const FORMAT_VERSION: u32 = 1;
 /// incompatible change to a `Codec` impl reachable from a phase
 /// artifact; old logs are then discarded wholesale instead of being
 /// misdecoded.
-const ARTIFACT_CODEC_VERSION: u32 = 2;
+const ARTIFACT_CODEC_VERSION: u32 = 3;
 
 /// Name of the log file inside a store directory.
 const LOG_NAME: &str = "artifacts.log";
@@ -66,7 +66,11 @@ impl<T: Write + Send> LogSink for T {}
 
 struct Inner {
     sink: Box<dyn LogSink>,
-    index: HashMap<(PhaseId, Fingerprint), Arc<Vec<u8>>>,
+    /// Every key in the log. A record loaded at open keeps its bytes
+    /// until its first claim takes them to decode; after that, and for
+    /// every record this process appended, the artifact lives in the
+    /// [`crate::ArtifactStore`]'s slot and only the key stays here.
+    index: HashMap<(PhaseId, Fingerprint), Option<Vec<u8>>>,
     /// Set on the first write failure: persistence is off for the rest
     /// of this process, reads keep serving from the in-memory index.
     degraded: bool,
@@ -82,10 +86,10 @@ struct Inner {
 /// Writes are best-effort: the first append that fails (disk full,
 /// permission lost mid-run) flips the store into *degraded* mode — no
 /// further writes are attempted, one warning is queued for the caller
-/// to surface ([`DiskStore::take_warning`]), and every read keeps
-/// working, because the index holding previously-persisted artifacts
-/// is in memory. Analysis results are never affected; only durability
-/// of new artifacts is lost.
+/// to surface ([`DiskStore::take_warning`]), and every artifact already
+/// computed or loaded keeps being served from the
+/// [`crate::ArtifactStore`]'s in-memory slots. Analysis results are
+/// never affected; only durability of new artifacts is lost.
 pub(crate) struct DiskStore {
     path: PathBuf,
     inner: Mutex<Inner>,
@@ -134,7 +138,7 @@ impl DiskStore {
         }
 
         // Scan records; stop (and truncate) at the first invalid one.
-        let mut index: HashMap<(PhaseId, Fingerprint), Arc<Vec<u8>>> = HashMap::new();
+        let mut index = HashMap::new();
         let mut off = HEADER_LEN as usize;
         let valid_end = loop {
             if off == bytes.len() {
@@ -150,7 +154,7 @@ impl DiskStore {
                 break off;
             };
             let (key, payload, consumed) = rec;
-            index.insert(key, Arc::new(payload.to_vec()));
+            index.insert(key, Some(payload.to_vec()));
             off += consumed;
         };
         if valid_end < bytes.len() {
@@ -171,9 +175,11 @@ impl DiskStore {
         self.inner.lock().unwrap().index.len()
     }
 
-    /// The stored bytes for a key, if present.
-    pub(crate) fn get(&self, phase: PhaseId, fp: Fingerprint) -> Option<Arc<Vec<u8>>> {
-        self.inner.lock().unwrap().index.get(&(phase, fp)).cloned()
+    /// Takes the bytes a key's record was loaded with at open, if it has
+    /// not been taken yet. The key stays, so the record is not appended
+    /// again.
+    pub(crate) fn take(&self, phase: PhaseId, fp: Fingerprint) -> Option<Vec<u8>> {
+        self.inner.lock().unwrap().index.get_mut(&(phase, fp))?.take()
     }
 
     /// Drops a key from the in-memory index (after a decode failure);
@@ -204,7 +210,7 @@ impl DiskStore {
         let wrote = inner.sink.write_all(&record).and_then(|()| inner.sink.flush());
         match wrote {
             Ok(()) => {
-                inner.index.insert((phase, fp), Arc::new(artifact.to_vec()));
+                inner.index.insert((phase, fp), None);
             }
             Err(e) => {
                 // A partial record may now sit at the log's tail; the
@@ -347,9 +353,12 @@ mod tests {
         let (store, warnings) = DiskStore::open(&dir).unwrap();
         assert!(warnings.is_empty());
         assert_eq!(store.len(), 2);
-        assert_eq!(store.get(PhaseId::Cfg, fp(1)).unwrap().as_slice(), b"cfg-bytes");
-        assert_eq!(store.get(PhaseId::Value, fp(2)).unwrap().as_slice(), b"value-bytes");
-        assert!(store.get(PhaseId::Cfg, fp(2)).is_none());
+        assert_eq!(store.take(PhaseId::Cfg, fp(1)).unwrap(), b"cfg-bytes");
+        assert_eq!(store.take(PhaseId::Value, fp(2)).unwrap(), b"value-bytes");
+        assert!(store.take(PhaseId::Cfg, fp(2)).is_none());
+        // The first take hands the bytes over; the key stays indexed.
+        assert!(store.take(PhaseId::Cfg, fp(1)).is_none());
+        assert_eq!(store.len(), 2);
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -361,6 +370,9 @@ mod tests {
         let size_after_first = fs::metadata(store.path()).unwrap().len();
         store.append(PhaseId::Cfg, fp(1), b"once");
         assert_eq!(fs::metadata(store.path()).unwrap().len(), size_after_first);
+        // An appended record keeps only its key in memory, not its bytes.
+        assert_eq!(store.len(), 1);
+        assert!(store.take(PhaseId::Cfg, fp(1)).is_none());
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -379,8 +391,8 @@ mod tests {
         let (store, warnings) = DiskStore::open(&dir).unwrap();
         assert_eq!(warnings.len(), 1, "{warnings:?}");
         assert!(warnings[0].contains("truncated"), "{warnings:?}");
-        assert!(store.get(PhaseId::Cfg, fp(1)).is_some(), "valid prefix survives");
-        assert!(store.get(PhaseId::Value, fp(2)).is_none(), "cut record dropped");
+        assert!(store.take(PhaseId::Cfg, fp(1)).is_some(), "valid prefix survives");
+        assert!(store.take(PhaseId::Value, fp(2)).is_none(), "cut record dropped");
         // The log was repaired: reopening is clean and appendable again.
         drop(store);
         let (store, warnings) = DiskStore::open(&dir).unwrap();
@@ -405,8 +417,8 @@ mod tests {
         fs::write(&path, &bytes).unwrap();
         let (store, warnings) = DiskStore::open(&dir).unwrap();
         assert_eq!(warnings.len(), 1, "{warnings:?}");
-        assert!(store.get(PhaseId::Cfg, fp(1)).is_some());
-        assert!(store.get(PhaseId::Value, fp(2)).is_none());
+        assert!(store.take(PhaseId::Cfg, fp(1)).is_some());
+        assert!(store.take(PhaseId::Value, fp(2)).is_none());
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -455,10 +467,12 @@ mod tests {
         assert!(warning.contains("persistence disabled"), "{warning}");
         assert!(store.take_warning().is_none(), "the warning is delivered once");
 
-        // Reads keep working: the pre-failure artifact is still served
-        // from the in-memory index, the lost one is simply absent.
-        assert!(store.get(PhaseId::Cfg, fp(1)).is_some());
-        assert!(store.get(PhaseId::Value, fp(2)).is_none());
+        // The pre-failure key stays indexed, the lost one is simply
+        // absent. Serving the pre-failure artifact is the job of the
+        // `ArtifactStore` slot that holds it decoded (see
+        // `disk_write_failure_degrades_without_failing_jobs`).
+        assert_eq!(store.len(), 1);
+        assert!(store.take(PhaseId::Value, fp(2)).is_none());
 
         // Further appends are skipped silently — no error, no second
         // warning, no growth.
@@ -488,7 +502,7 @@ mod tests {
             store.append(PhaseId::Assemble, fp(1), &bytes);
         }
         let (store, _) = DiskStore::open(&dir).unwrap();
-        let loaded = store.get(PhaseId::Assemble, fp(1)).unwrap();
+        let loaded = store.take(PhaseId::Assemble, fp(1)).unwrap();
         let any = decode_artifact(PhaseId::Assemble, &loaded).unwrap();
         let back = any.downcast_ref::<stamp_isa::Program>().unwrap();
         assert_eq!(back.entry, program.entry);

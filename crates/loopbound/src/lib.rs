@@ -58,21 +58,16 @@ use stamp_value::{effective_cond, CondRhs, SInt, ValueAnalysis};
 pub use stamp_ai::LoopKey;
 
 /// Options for the loop-bound analysis.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct LoopBoundOptions {
     /// Per-header-address user annotations: "this loop executes its
     /// header at most N times per entry".
     pub annotations: BTreeMap<u32, u64>,
-    /// Abstract-iteration cap; loops that survive this many iterations
-    /// are reported unbounded.
-    pub max_iterations: u64,
 }
 
-impl Default for LoopBoundOptions {
-    fn default() -> LoopBoundOptions {
-        LoopBoundOptions { annotations: BTreeMap::new(), max_iterations: 1 << 20 }
-    }
-}
+/// Abstract-iteration cap; loops that survive this many iterations are
+/// reported unbounded.
+const MAX_ITERATIONS: u64 = 1 << 20;
 
 /// Loop bounds per loop instance. Build with [`LoopBoundAnalysis::run`].
 #[derive(Clone, Debug)]
@@ -103,9 +98,7 @@ impl LoopBoundAnalysis {
                 let pattern = InductionPattern::detect(cfg, forest.dominators(), l);
                 let annotated = options.annotations.get(&cfg.block(l.header).start).copied();
                 for inst in icfg.loop_instances_of(l.header) {
-                    let computed = pattern
-                        .as_ref()
-                        .and_then(|p| p.bound(cfg, icfg, va, inst, options.max_iterations));
+                    let computed = pattern.as_ref().and_then(|p| p.bound(cfg, icfg, va, inst));
                     let bound = match (computed, annotated) {
                         (Some(c), Some(a)) => Some(c.min(a)),
                         (c, a) => c.or(a),
@@ -244,7 +237,6 @@ impl InductionPattern {
         icfg: &Icfg,
         va: &ValueAnalysis,
         inst: &LoopInstance,
-        cap: u64,
     ) -> Option<u64> {
         // Initial value of the induction register and of every invariant
         // rhs: joined over the instance's entry edges.
@@ -278,7 +270,7 @@ impl InductionPattern {
             // k (1-based): init + (k-1)·step (+ step if the increment ran).
             let interval_bound = limit.and_then(|limit| {
                 let x = if inc_before { init.add_i32(self.step) } else { init };
-                abstract_iterate(cont, x, &limit, self.step, cap)
+                abstract_iterate(cont, x, &limit, self.step)
             });
             // Relational path (paper §1: "upper and lower bounds for
             // their differences"): a pointer-range loop
@@ -288,7 +280,7 @@ impl InductionPattern {
             // relational one is often tighter, so take the minimum.
             let relational_bound = match rhs {
                 CondRhs::Reg(limit_reg) => {
-                    self.relational_bound(cfg, icfg, va, inst, cont, limit_reg, inc_before, cap)
+                    self.relational_bound(cfg, icfg, va, inst, cont, limit_reg, inc_before)
                 }
                 CondRhs::Imm(_) => None,
             };
@@ -316,7 +308,6 @@ impl InductionPattern {
         cont: Cond,
         limit_reg: Reg,
         inc_before: bool,
-        cap: u64,
     ) -> Option<u64> {
         if !matches!(cont, Cond::Lt | Cond::Ltu) || self.step <= 0 {
             return None;
@@ -343,21 +334,21 @@ impl InductionPattern {
         }
         let limit = SInt::cst(gap as u32);
         let x = SInt::cst(if inc_before { self.step as u32 } else { 0 });
-        abstract_iterate(Cond::Lt, x, &limit, self.step, cap)
+        abstract_iterate(Cond::Lt, x, &limit, self.step)
     }
 }
 
 /// Iterates `x ← refine(cont, x, limit) + step` until the continue
 /// condition becomes unsatisfiable; returns the number of header
-/// executions, or `None` past `cap`.
-fn abstract_iterate(cont: Cond, mut x: SInt, limit: &SInt, step: i32, cap: u64) -> Option<u64> {
+/// executions, or `None` past [`MAX_ITERATIONS`].
+fn abstract_iterate(cont: Cond, mut x: SInt, limit: &SInt, step: i32) -> Option<u64> {
     let mut k: u64 = 1;
     loop {
         match SInt::refine(cont, &x, limit) {
             None => break Some(k), // cannot continue: ≤ k headers
             Some((rx, _)) => {
                 k += 1;
-                if k > cap {
+                if k > MAX_ITERATIONS {
                     break None;
                 }
                 x = rx.add_i32(step);

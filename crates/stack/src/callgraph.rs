@@ -335,7 +335,7 @@ mod tests {
         let hw = HwConfig::default();
         let icfg = Icfg::build(&cfg, &VivuConfig::default()).unwrap();
         let va = ValueAnalysis::run(&p, &hw, &cfg, &icfg, &ValueOptions::default());
-        let precise = crate::analyze_icfg(&p, &hw, &cfg, &icfg, &va).unwrap();
+        let precise = crate::analyze_icfg(&hw, &va).unwrap();
         assert_eq!(cg.total, precise.total);
         assert_eq!(cg.total, 64);
     }

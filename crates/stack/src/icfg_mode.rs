@@ -1,24 +1,21 @@
-//! The precise (supergraph-replay) stack analysis.
+//! The precise stack analysis: the value analysis's own stack extent.
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
-use stamp_ai::Icfg;
-use stamp_cfg::Cfg;
 use stamp_hw::HwConfig;
-use stamp_isa::{Program, Reg};
-use stamp_value::{DomainKind, ValueAnalysis, ValueTransfer};
+use stamp_value::{StackExtent, ValueAnalysis};
 
 use crate::{StackError, StackResult};
 
-/// Computes the task's worst-case stack usage by replaying the value
-/// analysis and minimizing `sp` over every instruction of every
-/// `(block, context)` instance.
+/// The task's worst-case stack usage: how far below the stack top the
+/// value analysis found `sp` can reach after any instruction of any
+/// `(block, context)` instance ([`ValueAnalysis::stack_extent`]).
 ///
 /// # Errors
 ///
 /// [`StackError::UnknownStackPointer`] if `sp` escapes the analysis at
-/// some instruction (its interval widens to the whole address space).
+/// some instruction (its interval widens to the whole address space, or
+/// below the RAM).
 ///
 /// # Example
 ///
@@ -35,52 +32,25 @@ use crate::{StackError, StackResult};
 /// let cfg = CfgBuilder::new(&p).build()?;
 /// let icfg = Icfg::build(&cfg, &VivuConfig::default())?;
 /// let va = ValueAnalysis::run(&p, &hw, &cfg, &icfg, &ValueOptions::default());
-/// let r = stamp_stack::analyze_icfg(&p, &hw, &cfg, &icfg, &va)?;
+/// let r = stamp_stack::analyze_icfg(&hw, &va)?;
 /// assert_eq!(r.total, 48);
 /// # Ok(())
 /// # }
 /// ```
-pub fn analyze_icfg(
-    program: &Program,
-    hw: &HwConfig,
-    cfg: &Cfg,
-    icfg: &Icfg,
-    va: &ValueAnalysis,
-) -> Result<StackResult, StackError> {
-    let stack_top = hw.mem.stack_top();
-    let transfer = ValueTransfer::new(program, hw, cfg, DomainKind::Strided, Arc::new(vec![0]));
-    let mut worst: u32 = 0;
-
-    for nd in icfg.nodes() {
-        let Some(entry) = va.entry_state(nd.id) else { continue };
-        let mut s = entry.clone();
-        let block = cfg.block(nd.block);
-        for &(addr, insn) in &block.insns {
-            transfer.step(&mut s, addr, &insn);
-            let sp = s.reg(Reg::SP);
-            if sp.is_top() {
-                return Err(StackError::UnknownStackPointer { addr });
-            }
-            // The deepest possible stack extent at this point.
-            let usage = stack_top.saturating_sub(sp.lo());
-            if usage > worst {
-                // Sanity: a "usage" beyond the RAM size means sp escaped
-                // downwards — treat like an unknown stack pointer.
-                if usage > hw.mem.ram_size {
-                    return Err(StackError::UnknownStackPointer { addr });
-                }
-                worst = usage;
-            }
-        }
+pub fn analyze_icfg(hw: &HwConfig, va: &ValueAnalysis) -> Result<StackResult, StackError> {
+    match va.stack_extent() {
+        StackExtent::Lowest(sp) => Ok(StackResult {
+            total: hw.mem.stack_top().saturating_sub(sp),
+            per_function: BTreeMap::new(),
+        }),
+        StackExtent::Escapes(addr) => Err(StackError::UnknownStackPointer { addr }),
     }
-
-    Ok(StackResult { total: worst, per_function: BTreeMap::new() })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use stamp_ai::VivuConfig;
+    use stamp_ai::{Icfg, VivuConfig};
     use stamp_cfg::CfgBuilder;
     use stamp_isa::asm::assemble;
     use stamp_value::ValueOptions;
@@ -91,7 +61,7 @@ mod tests {
         let cfg = CfgBuilder::new(&p).build().expect("builds");
         let icfg = Icfg::build(&cfg, &VivuConfig::default()).expect("expands");
         let va = ValueAnalysis::run(&p, &hw, &cfg, &icfg, &ValueOptions::default());
-        analyze_icfg(&p, &hw, &cfg, &icfg, &va)
+        analyze_icfg(&hw, &va)
     }
 
     #[test]

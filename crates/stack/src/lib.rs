@@ -8,9 +8,11 @@
 //!
 //! Two analysis modes are provided:
 //!
-//! * [`analyze_icfg`] — the precise mode: replays the value analysis over
-//!   the context-expanded supergraph and takes the minimum possible `sp`
-//!   at any instruction. Exact for non-recursive tasks.
+//! * [`analyze_icfg`] — the precise mode: reads the stack extent the
+//!   value analysis records during its own pass over the
+//!   context-expanded supergraph (the minimum possible `sp` after any
+//!   instruction, [`stamp_value::StackExtent`]). Nothing is re-walked
+//!   here. Exact for non-recursive tasks.
 //! * [`analyze_callgraph`] — the compositional mode: per-function frame
 //!   effects plus a longest-path traversal of the call graph, with
 //!   user-annotated recursion depths (recursion is rejected otherwise,

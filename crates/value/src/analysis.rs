@@ -56,6 +56,20 @@ pub enum BranchOutcome {
     Unknown,
 }
 
+/// How far down the stack pointer reaches over the analysed supergraph:
+/// the fact the precise stack analysis (`stamp_stack::analyze_icfg`)
+/// reads.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum StackExtent {
+    /// The lowest value `sp` may hold after any instruction of any
+    /// reachable instance (`u32::MAX` when no instruction is reachable).
+    Lowest(u32),
+    /// The address of the first instruction, in node order, after which
+    /// `sp` is unknown (⊤) or below the RAM the stack can occupy
+    /// (`stack_top − ram_size`).
+    Escapes(u32),
+}
+
 /// Results of the value analysis over the supergraph.
 ///
 /// See the crate documentation for the role each field plays in the
@@ -66,6 +80,7 @@ pub struct ValueAnalysis {
     branches: HashMap<(u32, CtxId), BranchOutcome>,
     indirect_targets: BTreeMap<u32, BTreeSet<u32>>,
     unresolved: Vec<(u32, CtxId)>,
+    stack: StackExtent,
     options: ValueOptions,
     /// Solver node evaluations (scaling experiment).
     pub evaluations: u64,
@@ -103,6 +118,8 @@ impl ValueAnalysis {
         let fixpoint = solve(icfg, &mut transfer, options.widen_delay);
 
         // Post-pass: replay each node to collect per-instruction facts.
+        let stack_top = hw.mem.stack_top();
+        let mut stack = StackExtent::Lowest(u32::MAX);
         let mut accesses = HashMap::new();
         let mut branches = HashMap::new();
         let mut indirect_targets: BTreeMap<u32, BTreeSet<u32>> = BTreeMap::new();
@@ -115,15 +132,11 @@ impl ValueAnalysis {
             let mut s = input.clone();
             for &(addr, insn) in &block.insns {
                 match insn {
-                    Insn::Load { width, base, offset, .. } => {
+                    Insn::Load { width, base, offset, .. }
+                    | Insn::Store { width, base, offset, .. } => {
                         let addrs = s.reg(base).add_i32(offset);
-                        accesses
-                            .insert((addr, node.ctx), AccessInfo { addrs, width, is_load: true });
-                    }
-                    Insn::Store { width, base, offset, .. } => {
-                        let addrs = s.reg(base).add_i32(offset);
-                        accesses
-                            .insert((addr, node.ctx), AccessInfo { addrs, width, is_load: false });
+                        let is_load = insn.is_load();
+                        accesses.insert((addr, node.ctx), AccessInfo { addrs, width, is_load });
                     }
                     Insn::Branch { cond, rs1, rs2, .. } => {
                         let (a, b) = (s.reg(rs1), s.reg(rs2));
@@ -150,6 +163,14 @@ impl ValueAnalysis {
                     _ => {}
                 }
                 transfer.step(&mut s, addr, &insn);
+                if let StackExtent::Lowest(lowest) = stack {
+                    let sp = s.reg(Reg::SP);
+                    stack = if sp.is_top() || stack_top.saturating_sub(sp.lo()) > hw.mem.ram_size {
+                        StackExtent::Escapes(addr)
+                    } else {
+                        StackExtent::Lowest(lowest.min(sp.lo()))
+                    };
+                }
             }
         }
 
@@ -160,6 +181,7 @@ impl ValueAnalysis {
             branches,
             indirect_targets,
             unresolved,
+            stack,
             options: options.clone(),
             evaluations,
         }
@@ -206,6 +228,11 @@ impl ValueAnalysis {
     /// require annotations, as in aiT.
     pub fn unresolved_indirects(&self) -> &[(u32, CtxId)] {
         &self.unresolved
+    }
+
+    /// How far down `sp` reaches (see [`StackExtent`]).
+    pub fn stack_extent(&self) -> StackExtent {
+        self.stack
     }
 
     /// Classification of all data accesses by address precision (E3).
@@ -277,8 +304,8 @@ impl stamp_codec::Codec for BranchOutcome {
 /// once (deduplicated by `Arc` identity, in first-use order over the
 /// entry then the exit states), every state as its registers plus a
 /// word-map index, then the derived facts with `accesses`/`branches`
-/// in key order. Decoding re-shares the word maps, so states that
-/// shared memory before encoding share it after.
+/// in key order and the stack extent last. Decoding re-shares the word
+/// maps, so states that shared memory before encoding share it after.
 impl stamp_codec::Codec for ValueAnalysis {
     fn enc(&self, e: &mut stamp_codec::Enc) {
         let (ins, outs) = self.fixpoint.states();
@@ -333,6 +360,12 @@ impl stamp_codec::Codec for ValueAnalysis {
         self.unresolved.enc(e);
         self.options.enc(e);
         e.u64(self.evaluations);
+        let (tag, v) = match self.stack {
+            StackExtent::Lowest(sp) => (0, sp),
+            StackExtent::Escapes(addr) => (1, addr),
+        };
+        e.u8(tag);
+        e.u32(v);
     }
     fn dec(d: &mut stamp_codec::Dec) -> Result<ValueAnalysis, stamp_codec::CodecError> {
         use stamp_codec::CodecError;
@@ -370,12 +403,18 @@ impl stamp_codec::Codec for ValueAnalysis {
         let unresolved = Vec::dec(d)?;
         let options = ValueOptions::dec(d)?;
         let evaluations = d.u64()?;
+        let stack = match (d.u8()?, d.u32()?) {
+            (0, sp) => StackExtent::Lowest(sp),
+            (1, addr) => StackExtent::Escapes(addr),
+            _ => return Err(CodecError::Invalid("stack extent")),
+        };
         Ok(ValueAnalysis {
             fixpoint: Fixpoint::from_parts(ins, outs, infeasible_edges, evaluations),
             accesses,
             branches,
             indirect_targets,
             unresolved,
+            stack,
             options,
             evaluations,
         })
@@ -633,6 +672,7 @@ mod tests {
             assert_eq!(info.is_load, t.is_load);
         }
         assert_eq!(va.branches(), back.branches());
+        assert_eq!(va.stack_extent(), back.stack_extent());
     }
 
     #[test]

@@ -16,7 +16,10 @@
 //!   by such conditions are never executed" — discovered here via branch
 //!   refinement and exported as edge facts to the path analysis,
 //! * **resolved indirect jumps**: loads from jump tables in ROM are
-//!   folded, closing the CFG-reconstruction ↔ value-analysis loop.
+//!   folded, closing the CFG-reconstruction ↔ value-analysis loop,
+//! * **the stack extent** ([`StackExtent`]): "by concentrating on the
+//!   value of the stack pointer during value analysis", the lowest `sp`
+//!   after any instruction, the bound `stamp-stack`'s precise mode reads.
 //!
 //! The analysis runs on the context-expanded supergraph (`stamp-ai`), so
 //! every result is per *(instruction, context)*.
@@ -50,7 +53,7 @@ mod transfer;
 
 pub use amem::AMem;
 pub use analysis::PrecisionSummary;
-pub use analysis::{AccessInfo, BranchOutcome, ValueAnalysis, ValueOptions};
+pub use analysis::{AccessInfo, BranchOutcome, StackExtent, ValueAnalysis, ValueOptions};
 pub use interval::{DomainKind, SInt};
 pub use state::AState;
 pub use transfer::{effective_cond, register_delta, CondRhs, EffCond, ValueTransfer};

@@ -1,8 +1,20 @@
 //! Whole-system stack analysis (experiments E2/E8): per-task bounds,
 //! recursion handling, and the OSEK preemption-chain computation.
 
+use std::collections::BTreeMap;
+use std::sync::Arc;
+
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+use stamp::ai::{Icfg, VivuConfig};
+use stamp::cfg::{Cfg, CfgBuilder};
+use stamp::isa::Reg;
+use stamp::stack::StackError;
+use stamp::suite::{generate, GenConfig};
+use stamp::value::{DomainKind, ValueAnalysis, ValueOptions, ValueTransfer};
 use stamp::{
-    assemble, AnalysisError, Annotations, HwConfig, OsekSystem, Simulator, StackAnalysis, Task,
+    assemble, AnalysisError, Annotations, HwConfig, OsekSystem, Program, Simulator, StackAnalysis,
+    Task,
 };
 
 /// A multi-task ECU image: three tasks sharing helper functions.
@@ -199,4 +211,124 @@ fn recursive_task_with_computed_jump_needs_indirect_targets() {
     let observed = simulated_max_stack(&program);
     assert_eq!(observed, 512);
     assert!(report.bound >= observed, "bound {} < observed {observed}", report.bound);
+}
+
+/// The precise stack mode computed the long way: re-walk every reachable
+/// `(block, context)` instance of the finished value fixpoint with a
+/// second `ValueTransfer` and minimize `sp` after each instruction. The
+/// value analysis's own stack extent must agree with it, error address
+/// included.
+fn replayed_stack(
+    program: &Program,
+    hw: &HwConfig,
+    cfg: &Cfg,
+    icfg: &Icfg,
+    va: &ValueAnalysis,
+) -> Result<u32, StackError> {
+    let stack_top = hw.mem.stack_top();
+    let transfer = ValueTransfer::new(program, hw, cfg, DomainKind::Strided, Arc::new(vec![0]));
+    let mut worst: u32 = 0;
+    for nd in icfg.nodes() {
+        let Some(entry) = va.entry_state(nd.id) else { continue };
+        let mut s = entry.clone();
+        for &(addr, insn) in &cfg.block(nd.block).insns {
+            transfer.step(&mut s, addr, &insn);
+            let sp = s.reg(Reg::SP);
+            if sp.is_top() {
+                return Err(StackError::UnknownStackPointer { addr });
+            }
+            let usage = stack_top.saturating_sub(sp.lo());
+            if usage > worst {
+                if usage > hw.mem.ram_size {
+                    return Err(StackError::UnknownStackPointer { addr });
+                }
+                worst = usage;
+            }
+        }
+    }
+    Ok(worst)
+}
+
+/// Checks the precise mode against [`replayed_stack`] on `program`'s
+/// final CFG (jump tables resolved the way the analyzer resolves them).
+/// Returns the outcome, or `None` if the task does not expand (it
+/// recurses).
+fn check_against_replay(
+    program: &Program,
+    hw: &HwConfig,
+    what: &str,
+) -> Option<Result<u32, StackError>> {
+    let mut targets: BTreeMap<u32, Vec<u32>> = BTreeMap::new();
+    loop {
+        let mut builder = CfgBuilder::new(program);
+        for (&addr, ts) in &targets {
+            builder.indirect_targets(addr, ts.iter().copied());
+        }
+        let cfg = builder.build().unwrap_or_else(|e| panic!("{what}: {e}"));
+        let icfg = Icfg::build(&cfg, &VivuConfig::default()).ok()?;
+        let va = ValueAnalysis::run(program, hw, &cfg, &icfg, &ValueOptions::default());
+        let mut progress = false;
+        for (&addr, ts) in va.indirect_targets() {
+            let known = targets.entry(addr).or_default();
+            for &t in ts {
+                if !known.contains(&t) {
+                    known.push(t);
+                    progress = true;
+                }
+            }
+        }
+        if cfg.unresolved_indirects().is_empty() || !progress {
+            let precise = stamp_stack::analyze_icfg(hw, &va).map(|r| r.total);
+            assert_eq!(precise, replayed_stack(program, hw, &cfg, &icfg, &va), "{what}");
+            return Some(precise);
+        }
+    }
+}
+
+#[test]
+fn precise_mode_matches_the_replay_oracle() {
+    let hw = HwConfig::default();
+    let mut checked = 0;
+    for b in stamp::suite::benchmarks() {
+        let program = assemble(b.source).expect("corpus assembles");
+        checked += check_against_replay(&program, &hw, b.name).is_some() as usize;
+    }
+    for src in [ECU_IMAGE, JUMP_TABLE_TASK] {
+        let program = assemble(src).expect("assembles");
+        assert!(check_against_replay(&program, &hw, "hand-written task").is_some());
+    }
+    assert!(checked >= 15, "only {checked} corpus tasks expanded");
+
+    let mut generated = 0;
+    for seed in 0..240u64 {
+        let shape = if seed % 3 == 2 { GenConfig::rich() } else { GenConfig::default() };
+        let src = generate(&mut StdRng::seed_from_u64(seed), &shape);
+        let program = assemble(&src).expect("generated programs assemble");
+        generated +=
+            check_against_replay(&program, &hw, &format!("seed {seed}")).is_some() as usize;
+    }
+    assert!(generated >= 200, "only {generated} generated programs expanded");
+}
+
+#[test]
+fn precise_mode_errors_match_the_replay_oracle() {
+    let hw = HwConfig::default();
+    let escapes = |src: &str, label: &str| {
+        let program = assemble(src).expect("assembles");
+        let addr = program.symbols.addr_of(label).expect("label");
+        let outcome = check_against_replay(&program, &hw, label).expect("expands");
+        assert_eq!(outcome, Err(StackError::UnknownStackPointer { addr }), "{label}");
+    };
+    // `sp` computed from unknown data becomes ⊤.
+    escapes(".text\nmain: lw r1, 0(r2)\nunknown: sub sp, sp, r1\nhalt\n", "unknown");
+    // A frame larger than the RAM puts `sp` below it.
+    escapes(".text\nmain: li r1, 0x200000\nhuge: sub sp, sp, r1\nhalt\n", "huge");
+    // The first escape in node order wins, not the first in execution
+    // order: the caller's return block is numbered before the callee's
+    // body, whose `sp` it inherits.
+    escapes(
+        ".text\nmain: addi sp, sp, -16\ncall f\nback: addi sp, sp, 16\nhalt\n\
+         f: lw r1, 0(r2)\nsub sp, sp, r1\nret\n",
+        "back",
+    );
 }
