@@ -32,6 +32,12 @@ pub trait Transfer {
     fn boundary(&self) -> Self::State;
 
     /// Transfer through the instructions of a node's block.
+    ///
+    /// [`solve`] re-schedules a node whenever its input grows, so the last
+    /// call for each reached node sees that node's final input. A
+    /// transfer may therefore record per-node facts as it walks the block,
+    /// overwriting the node's earlier record, and needs no second walk
+    /// over the finished fixpoint.
     fn transfer(&mut self, icfg: &Icfg, node: NodeId, input: &Self::State) -> Self::State;
 
     /// Transfer along an edge (e.g. branch refinement). Returning `None`

@@ -11,6 +11,10 @@
 //!   stresses worklist ordering and the infeasible-edge bookkeeping;
 //! * the real value analysis (`ValueTransfer`), which stresses widening,
 //!   branch refinement and the copy-on-write `AState` representation.
+//!
+//! Under the same two transfers it also checks the contract the value,
+//! cache and pipeline analyses record their facts by: the last
+//! evaluation of every reached node sees that node's final input.
 
 use std::borrow::Cow;
 use std::collections::BTreeSet;
@@ -219,6 +223,94 @@ proptest! {
             rf.evaluations,
         );
     }
+}
+
+/// Wraps a transfer and remembers the last input each node was
+/// evaluated on (the first one, with `first_only`, to check the check).
+struct LastInput<T: Transfer> {
+    inner: T,
+    last: Vec<Option<T::State>>,
+    first_only: bool,
+}
+
+impl<T: Transfer> Transfer for LastInput<T> {
+    type State = T::State;
+
+    fn boundary(&self) -> T::State {
+        self.inner.boundary()
+    }
+
+    fn transfer(&mut self, icfg: &Icfg, node: NodeId, input: &T::State) -> T::State {
+        if !(self.first_only && self.last[node.index()].is_some()) {
+            self.last[node.index()] = Some(input.clone());
+        }
+        self.inner.transfer(icfg, node, input)
+    }
+
+    fn edge<'s>(&mut self, icfg: &Icfg, e: &IEdge, s: &'s T::State) -> Option<Cow<'s, T::State>> {
+        self.inner.edge(icfg, e, s)
+    }
+}
+
+/// The contract transfers that record facts during the fixpoint rely on:
+/// the last evaluation of every reached node sees its final input, and
+/// unreached nodes are never evaluated. Returns the first node breaking
+/// it.
+fn last_input_is_final<T: Transfer>(
+    icfg: &Icfg,
+    inner: T,
+    widen_delay: u32,
+    first_only: bool,
+) -> Option<NodeId> {
+    let mut t = LastInput { inner, last: vec![None; icfg.nodes().len()], first_only };
+    let fp = solve(icfg, &mut t, widen_delay);
+    icfg.nodes().iter().map(|nd| nd.id).find(|&n| match (fp.input(n), &t.last[n.index()]) {
+        (None, None) => false,
+        (Some(fin), Some(last)) => !(fin.le(last) && last.le(fin)),
+        _ => true,
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn last_evaluation_sees_the_final_input(seed in 0u64..500) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let src = generate(&mut rng, &GenConfig::default());
+        let Ok(program) = assemble(&src) else { return Ok(()) };
+        let Ok(cfg) = CfgBuilder::new(&program).build() else { return Ok(()) };
+        let Ok(icfg) = Icfg::build(&cfg, &VivuConfig::default()) else { return Ok(()) };
+        let hw = HwConfig::default();
+        let thresholds = Arc::new(vec![0, 16, 256, hw.mem.stack_top()]);
+        for widen_delay in [0u32, 2] {
+            let chaotic = last_input_is_final(&icfg, Chaotic { seed }, widen_delay, false);
+            prop_assert_eq!(chaotic, None, "Chaotic, seed {}, widen_delay {}", seed, widen_delay);
+            let value = ValueTransfer::new(
+                &program,
+                &hw,
+                &cfg,
+                DomainKind::Strided,
+                Arc::clone(&thresholds),
+            );
+            let value = last_input_is_final(&icfg, value, widen_delay, false);
+            prop_assert_eq!(value, None, "ValueTransfer, seed {}, widen_delay {}", seed, widen_delay);
+        }
+    }
+}
+
+#[test]
+fn last_input_oracle_rejects_a_stale_input() {
+    // Remembering only each node's first input must be caught on a loop,
+    // whose head is evaluated again on a grown input.
+    let src = ".text\nmain: li r1, 4\nloop: addi r1, r1, -1\nbnez r1, loop\nhalt\n";
+    let program = assemble(src).unwrap();
+    let cfg = CfgBuilder::new(&program).build().unwrap();
+    let icfg = Icfg::build(&cfg, &VivuConfig::default()).unwrap();
+    let hw = HwConfig::default();
+    let value = || ValueTransfer::new(&program, &hw, &cfg, DomainKind::Strided, Arc::new(vec![0]));
+    assert_eq!(last_input_is_final(&icfg, value(), 2, false), None);
+    assert!(last_input_is_final(&icfg, value(), 2, true).is_some());
 }
 
 #[test]

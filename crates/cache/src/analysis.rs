@@ -2,7 +2,7 @@
 
 use std::collections::{BTreeSet, HashMap};
 
-use stamp_ai::{solve, CtxId, Domain, Fixpoint, Icfg, NodeId, Transfer};
+use stamp_ai::{solve, CtxId, Domain, Icfg, NodeId, Transfer};
 use stamp_cfg::Cfg;
 use stamp_hw::{CacheConfig, HwConfig};
 use stamp_isa::{Insn, MemWidth};
@@ -196,9 +196,11 @@ struct CacheTransfer<'a> {
     /// that every visited node has value-analysis access information.
     infeasible: std::collections::HashSet<stamp_ai::IEdgeId>,
     /// Candidate-line information per load instance, precomputed once so
-    /// neither the fixpoint nor the classification replay re-enumerates
-    /// value-analysis address sets.
+    /// no evaluation re-enumerates value-analysis address sets.
     data: HashMap<(u32, CtxId), DataAccess>,
+    /// Each instruction instance's class, from the latest evaluation of
+    /// its node.
+    classes: HashMap<(u32, CtxId), AccessClass>,
 }
 
 /// The candidate line addresses of a data access, or `None` when too
@@ -222,8 +224,8 @@ pub(crate) fn lines_of(cfg: CacheConfig, addrs: &SInt, width: MemWidth) -> Optio
 }
 
 /// Precomputes the D-cache effect of every load instance in the
-/// supergraph, so the fixpoint and the classification replay both read
-/// the same table instead of re-enumerating address sets per visit.
+/// supergraph, so every evaluation, and the classification it records,
+/// reads the same table instead of re-enumerating address sets per visit.
 fn data_accesses(
     dcache: Option<CacheConfig>,
     cfg: &Cfg,
@@ -299,53 +301,22 @@ impl CacheTransfer<'_> {
         }
     }
 
-    /// Replays every solved node's input state through its block with
-    /// [`CacheTransfer::step`], classifying each fetch and load first
-    /// and collecting the persistent lines.
-    fn replay_classes(&self, icfg: &Icfg, fixpoint: &Fixpoint<CacheState>) -> ReplayOut {
-        let mut classes = HashMap::new();
-        let mut ps_fetch_lines = BTreeSet::new();
-        let mut ps_data_lines = BTreeSet::new();
-        for nd in icfg.nodes() {
-            let Some(input) = fixpoint.input(nd.id) else { continue };
-            let mut s = input.clone();
-            let mut prev_line = None;
-            for &(addr, insn) in &self.cfg.block(nd.block).insns {
-                let fetch = match (&s.i, self.icache) {
-                    (Some(i), Some(ic)) => {
-                        let line = ic.line_addr(addr);
-                        let c = i.classify(&[line]);
-                        if c == Classification::Persistent {
-                            ps_fetch_lines.insert(line);
-                        }
-                        c
-                    }
-                    // No cache configured: every access is a
-                    // (flat-latency) miss.
-                    _ => Classification::AlwaysMiss,
-                };
-                let data = insn.is_load().then(|| match (&s.d, self.data.get(&(addr, nd.ctx))) {
-                    (Some(d), Some(DataAccess::Lines(lines))) => {
-                        let c = d.classify(lines);
-                        if c == Classification::Persistent {
-                            ps_data_lines.extend(lines.iter().copied());
-                        }
-                        c
-                    }
-                    (Some(_), _) => Classification::NotClassified,
-                    (None, _) => Classification::AlwaysMiss,
-                });
-                classes.insert((addr, nd.ctx), AccessClass { fetch, data });
-                self.step(&mut s, addr, &insn, nd.ctx, &mut prev_line);
-            }
-        }
-        (classes, ps_fetch_lines, ps_data_lines)
+    /// Classifies the fetch of the instruction at `addr` and, for a
+    /// load, its data access, in the state just before it executes.
+    fn classify(&self, state: &CacheState, addr: u32, insn: &Insn, ctx: CtxId) -> AccessClass {
+        let fetch = match (&state.i, self.icache) {
+            (Some(i), Some(ic)) => i.classify(&[ic.line_addr(addr)]),
+            // No cache configured: every access is a (flat-latency) miss.
+            _ => Classification::AlwaysMiss,
+        };
+        let data = insn.is_load().then(|| match (&state.d, self.data.get(&(addr, ctx))) {
+            (Some(d), Some(DataAccess::Lines(lines))) => d.classify(lines),
+            (Some(_), _) => Classification::NotClassified,
+            (None, _) => Classification::AlwaysMiss,
+        });
+        AccessClass { fetch, data }
     }
 }
-
-/// Per-(instruction, context) classifications plus the I- and D-cache
-/// lines behind persistent references.
-type ReplayOut = (HashMap<(u32, CtxId), AccessClass>, BTreeSet<u32>, BTreeSet<u32>);
 
 impl Transfer for CacheTransfer<'_> {
     type State = CacheState;
@@ -359,6 +330,10 @@ impl Transfer for CacheTransfer<'_> {
         let mut s = input.clone();
         let mut prev_line = None;
         for &(addr, insn) in &self.cfg.block(n.block).insns {
+            // The last evaluation sees the node's final input, so the
+            // class it records is the one that stands.
+            let class = self.classify(&s, addr, &insn, n.ctx);
+            self.classes.insert((addr, n.ctx), class);
             self.step(&mut s, addr, &insn, n.ctx, &mut prev_line);
         }
         s
@@ -370,11 +345,7 @@ impl Transfer for CacheTransfer<'_> {
         edge: &stamp_ai::IEdge,
         state: &'s CacheState,
     ) -> Option<std::borrow::Cow<'s, CacheState>> {
-        if self.infeasible.contains(&edge.id) {
-            None
-        } else {
-            Some(std::borrow::Cow::Borrowed(state))
-        }
+        (!self.infeasible.contains(&edge.id)).then_some(std::borrow::Cow::Borrowed(state))
     }
 }
 
@@ -388,15 +359,27 @@ impl CacheAnalysis {
             dcache: hw.dcache,
             infeasible: va.infeasible_edges().iter().copied().collect(),
             data: data_accesses(hw.dcache, cfg, icfg, va),
+            classes: HashMap::new(),
         };
         // Cache domains have finite ascending chains; plain join suffices
         // (widening = join), so the delay value is irrelevant.
         let fixpoint = solve(icfg, &mut transfer, u32::MAX);
 
-        let (classes, ps_fetch_lines, ps_data_lines) = transfer.replay_classes(icfg, &fixpoint);
+        let mut ps_fetch_lines = BTreeSet::new();
+        let mut ps_data_lines = BTreeSet::new();
+        for (&(addr, ctx), class) in &transfer.classes {
+            if let (Classification::Persistent, Some(ic)) = (class.fetch, hw.icache) {
+                ps_fetch_lines.insert(ic.line_addr(addr));
+            }
+            if let (Some(Classification::Persistent), Some(DataAccess::Lines(lines))) =
+                (class.data, transfer.data.get(&(addr, ctx)))
+            {
+                ps_data_lines.extend(lines.iter().copied());
+            }
+        }
 
         CacheAnalysis {
-            classes,
+            classes: transfer.classes,
             icache: hw.icache,
             dcache: hw.dcache,
             ps_fetch_lines,

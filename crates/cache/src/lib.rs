@@ -21,6 +21,12 @@
 //! analysis uses the results of value analysis to predict the behavior
 //! of the (data) cache").
 //!
+//! Each evaluation of a node classifies the node's fetches and loads in
+//! the state just before each one, overwriting the node's earlier
+//! record. The solver evaluates every reached node last on its final
+//! input, so the records left after the fixpoint are the final
+//! classifications, and nothing re-walks the fixpoint to collect them.
+//!
 //! Because the analysis runs per VIVU context, the first-iteration
 //! contexts absorb the cold-cache misses and the steady-state contexts
 //! typically classify as always-hit; this is how "miss once, then hit"

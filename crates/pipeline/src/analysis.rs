@@ -31,6 +31,8 @@ struct PipeTransfer<'a> {
     ca: &'a CacheAnalysis,
     /// Edges the value analysis proved infeasible (not propagated).
     infeasible: std::collections::HashSet<stamp_ai::IEdgeId>,
+    /// Per evaluated node, the cycle bound of its latest evaluation.
+    times: HashMap<NodeId, u64>,
 }
 
 impl PipeTransfer<'_> {
@@ -97,10 +99,13 @@ impl Transfer for PipeTransfer<'_> {
 
     fn transfer(&mut self, icfg: &Icfg, node: NodeId, input: &PipeSet) -> PipeSet {
         let mut out = PipeSet::empty();
+        let mut time = 0;
         for s in input.iter() {
-            let (_, exit) = self.walk(icfg, node, *s);
+            let (cycles, exit) = self.walk(icfg, node, *s);
+            time = time.max(cycles);
             out.insert(exit);
         }
+        self.times.insert(node, time);
         if out.is_empty() {
             out.insert(PipeState::clean());
         }
@@ -113,11 +118,7 @@ impl Transfer for PipeTransfer<'_> {
         edge: &IEdge,
         state: &'s PipeSet,
     ) -> Option<std::borrow::Cow<'s, PipeSet>> {
-        if self.infeasible.contains(&edge.id) {
-            None
-        } else {
-            Some(std::borrow::Cow::Borrowed(state))
-        }
+        (!self.infeasible.contains(&edge.id)).then_some(std::borrow::Cow::Borrowed(state))
     }
 }
 
@@ -135,23 +136,22 @@ impl PipelineAnalysis {
             hw,
             ca,
             infeasible: va.infeasible_edges().iter().copied().collect(),
+            times: HashMap::new(),
         };
         let fixpoint = solve(icfg, &mut transfer, u32::MAX);
 
-        let mut times = HashMap::new();
-        let universe = PipeSet::universe();
+        // Unreached nodes (dead code under the value analysis) still get
+        // a sound bound — over all pipeline states — so that the path
+        // analysis can optionally ignore infeasibility facts.
         for nd in icfg.nodes() {
-            // Unreached nodes (dead code under the value analysis) still
-            // get a sound bound — over all pipeline states — so that the
-            // path analysis can optionally ignore infeasibility facts.
-            let input = fixpoint.input(nd.id).unwrap_or(&universe);
-            let t = input.iter().map(|s| transfer.walk(icfg, nd.id, *s).0).max().unwrap_or(0);
-            times.insert(nd.id, t);
+            if !transfer.times.contains_key(&nd.id) {
+                transfer.transfer(icfg, nd.id, &PipeSet::universe());
+            }
         }
         let ps_extra = ca.ps_fetch_lines().len() as u64 * hw.timing.i_miss_penalty as u64
             + ca.ps_data_lines().len() as u64 * hw.timing.d_miss_penalty as u64;
         PipelineAnalysis {
-            times,
+            times: transfer.times,
             branch_penalty: hw.timing.branch_penalty as u64,
             ps_extra,
             evaluations: fixpoint.evaluations,
@@ -199,11 +199,6 @@ impl PipelineAnalysis {
                 }
             }
         }
-    }
-
-    /// All per-node times.
-    pub fn times(&self) -> &HashMap<NodeId, u64> {
-        &self.times
     }
 }
 

@@ -12,7 +12,9 @@
 //! the analysis tracks — exactly as aiT does — **sets of abstract
 //! pipeline states** at block boundaries ([`PipeSet`]) and computes, per
 //! `(block, context)`, a cycle bound valid for *every* incoming pipeline
-//! state ([`PipelineAnalysis::time`]).
+//! state ([`PipelineAnalysis::time`]), kept by the node's last
+//! evaluation, which sees its final input. Only nodes the solver never
+//! reaches are walked afterwards, over all pipeline states.
 //!
 //! Taken-branch penalties are attributed to supergraph *edges*
 //! ([`PipelineAnalysis::edge_penalty`]) so that the path analysis charges

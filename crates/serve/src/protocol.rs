@@ -145,12 +145,18 @@ pub fn parse_request(line: &str, base: &Path) -> Result<Request, RequestError> {
         return reject(Some(id), "analyze requests need a `job` object");
     };
     // A served `file` target stays inside the daemon's directory: no
-    // absolute path, no `..`, no root or drive prefix.
+    // absolute path, no `..`, no root or drive prefix, and, when it
+    // exists, no symlink out: its canonical path must lie under the
+    // canonical `base`.
     if let Some(Json::Str(file)) = job.get("file") {
-        if !Path::new(file)
+        let relative = Path::new(file)
             .components()
-            .all(|c| matches!(c, Component::Normal(_) | Component::CurDir))
-        {
+            .all(|c| matches!(c, Component::Normal(_) | Component::CurDir));
+        let leaves_base = || match base.join(file).canonicalize() {
+            Ok(real) => !base.canonicalize().is_ok_and(|b| real.starts_with(b)),
+            Err(_) => false,
+        };
+        if !relative || leaves_base() {
             return reject(
                 Some(id),
                 format!("`file` must be a relative path inside the daemon's directory: `{file}`"),
@@ -315,6 +321,31 @@ mod tests {
             assert_eq!(e.id.as_deref(), *id, "line {line:?}");
             assert!(e.error.contains(needle), "line {line:?} gave `{}`", e.error);
         }
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn file_targets_cannot_follow_a_symlink_out_of_the_base() {
+        use std::os::unix::fs::symlink;
+        let root = std::env::temp_dir().join(format!("stamp-serve-symlink-{}", std::process::id()));
+        let base = root.join("base");
+        let _ = std::fs::remove_dir_all(&root);
+        std::fs::create_dir_all(&base).unwrap();
+        let task = ".text\nmain: halt\n";
+        std::fs::write(root.join("outside.s"), task).unwrap();
+        std::fs::write(base.join("inside.s"), task).unwrap();
+        symlink(root.join("outside.s"), base.join("out.s")).unwrap();
+        symlink("inside.s", base.join("in.s")).unwrap();
+
+        let request = |file: &str| {
+            parse_request(&format!(r#"{{"id": "l", "job": {{"file": "{file}"}}}}"#), &base)
+        };
+        let e = request("out.s").unwrap_err();
+        assert_eq!(e.id.as_deref(), Some("l"));
+        assert!(e.error.contains("relative path inside the daemon's directory"), "{}", e.error);
+        assert!(matches!(request("in.s"), Ok(Request::Analyze(_))));
+        assert!(matches!(request("inside.s"), Ok(Request::Analyze(_))));
+        std::fs::remove_dir_all(&root).unwrap();
     }
 
     #[test]

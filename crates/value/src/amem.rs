@@ -81,25 +81,7 @@ impl AMem {
     /// Reads a range of possible addresses: the join over all members.
     /// Falls back to ⊤ when the set is large.
     pub fn read_range(&self, addrs: &SInt, width: MemWidth) -> SInt {
-        if let Some(a) = addrs.is_const() {
-            return self.read(a, width);
-        }
-        if addrs.count() <= 64 {
-            let mut acc: Option<SInt> = None;
-            for a in addrs.iter() {
-                let v = self.read(a, width);
-                acc = Some(match acc {
-                    None => v,
-                    Some(prev) => prev.join(&v),
-                });
-                if acc.as_ref().is_some_and(SInt::is_top) {
-                    break;
-                }
-            }
-            acc.unwrap_or_else(SInt::top)
-        } else {
-            SInt::top()
-        }
+        join_reads(addrs, |a| self.read(a, width))
     }
 
     /// Stores `value` of `width` at the constant address `addr`
@@ -256,6 +238,26 @@ impl AMem {
                 .iter()
                 .all(|(k, ov)| self.words.get(k).is_some_and(|sv| sv.subset_of(ov)))
     }
+}
+
+/// The join of `read` over the members of `addrs`, or ⊤ when they are
+/// more than 64.
+pub(crate) fn join_reads(addrs: &SInt, read: impl Fn(u32) -> SInt) -> SInt {
+    if let Some(a) = addrs.is_const() {
+        return read(a);
+    }
+    if addrs.count() > 64 {
+        return SInt::top();
+    }
+    let mut acc: Option<SInt> = None;
+    for a in addrs.iter() {
+        let v = read(a);
+        acc = Some(acc.map_or(v, |p| p.join(&v)));
+        if acc.as_ref().is_some_and(SInt::is_top) {
+            break;
+        }
+    }
+    acc.unwrap_or_else(SInt::top)
 }
 
 #[cfg(test)]

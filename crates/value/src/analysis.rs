@@ -6,7 +6,7 @@ use std::sync::Arc;
 use stamp_ai::{solve, CtxId, Fixpoint, IEdgeId, Icfg, NodeId};
 use stamp_cfg::Cfg;
 use stamp_hw::HwConfig;
-use stamp_isa::{Flow, Insn, MemWidth, Program, Reg};
+use stamp_isa::{Insn, MemWidth, Program, Reg};
 
 use crate::amem::AMem;
 use crate::interval::{DomainKind, SInt};
@@ -45,29 +45,64 @@ pub struct AccessInfo {
     pub is_load: bool,
 }
 
-/// Outcome of a conditional branch in one context.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum BranchOutcome {
-    /// The condition always holds — the fall-through edge is dead.
-    AlwaysTaken,
-    /// The condition never holds — the taken edge is dead.
-    NeverTaken,
-    /// Both directions are possible.
-    Unknown,
-}
-
 /// How far down the stack pointer reaches over the analysed supergraph:
 /// the fact the precise stack analysis (`stamp_stack::analyze_icfg`)
-/// reads.
+/// reads. `sp` is *out of range* when it is unknown (⊤) or below the
+/// RAM the stack can occupy (`stack_top − ram_size`).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum StackExtent {
     /// The lowest value `sp` may hold after any instruction of any
     /// reachable instance (`u32::MAX` when no instruction is reachable).
     Lowest(u32),
-    /// The address of the first instruction, in node order, after which
-    /// `sp` is unknown (⊤) or below the RAM the stack can occupy
-    /// (`stack_top − ram_size`).
+    /// `sp` is out of range after some instruction. The address is that
+    /// of the first instruction, in node order, whose own step takes `sp`
+    /// out of range; when no step does (widening at a loop head), it is
+    /// the first instruction of the first node that `sp` enters out of
+    /// range and that instruction leaves it out of range.
     Escapes(u32),
+}
+
+/// What one node's block does to `sp`, as its latest evaluation saw it.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum NodeStack {
+    /// `sp` stays in range after every instruction, and this is the
+    /// lowest value it takes (`u32::MAX` for a node never evaluated).
+    Lowest(u32),
+    /// `sp` enters the node out of range and is still out of range after
+    /// its first instruction, at this address.
+    EntersOut(u32),
+    /// The address of the first instruction whose own step takes `sp`
+    /// from in range to out of range.
+    StepsOut(u32),
+}
+
+impl NodeStack {
+    /// The record after one more instruction, at `addr`: `was_in` tells
+    /// whether `sp` was in range before it, and `sp` is the lowest value
+    /// it may hold after it (`None` when out of range).
+    pub(crate) fn after(self, addr: u32, was_in: bool, sp: Option<u32>) -> NodeStack {
+        match (self, sp) {
+            (NodeStack::StepsOut(_), _) => self,
+            (_, None) if was_in => NodeStack::StepsOut(addr),
+            (NodeStack::Lowest(_), None) => NodeStack::EntersOut(addr),
+            (NodeStack::Lowest(l), Some(lo)) => NodeStack::Lowest(l.min(lo)),
+            (NodeStack::EntersOut(_), _) => self,
+        }
+    }
+
+    /// The stack extent of all nodes' records, in node order.
+    pub(crate) fn extent(nodes: &[NodeStack]) -> StackExtent {
+        let mut lowest = u32::MAX;
+        let mut enters_out = None;
+        for n in nodes {
+            match *n {
+                NodeStack::Lowest(l) => lowest = lowest.min(l),
+                NodeStack::EntersOut(addr) => enters_out = enters_out.or(Some(addr)),
+                NodeStack::StepsOut(addr) => return StackExtent::Escapes(addr),
+            }
+        }
+        enters_out.map_or(StackExtent::Lowest(lowest), StackExtent::Escapes)
+    }
 }
 
 /// Results of the value analysis over the supergraph.
@@ -77,9 +112,8 @@ pub enum StackExtent {
 pub struct ValueAnalysis {
     fixpoint: Fixpoint<AState>,
     accesses: HashMap<(u32, CtxId), AccessInfo>,
-    branches: HashMap<(u32, CtxId), BranchOutcome>,
+    constant_branches: usize,
     indirect_targets: BTreeMap<u32, BTreeSet<u32>>,
-    unresolved: Vec<(u32, CtxId)>,
     stack: StackExtent,
     options: ValueOptions,
     /// Solver node evaluations (scaling experiment).
@@ -117,71 +151,22 @@ impl ValueAnalysis {
         let mut transfer = ValueTransfer::new(program, hw, cfg, options.domain, thresholds);
         let fixpoint = solve(icfg, &mut transfer, options.widen_delay);
 
-        // Post-pass: replay each node to collect per-instruction facts.
-        let stack_top = hw.mem.stack_top();
-        let mut stack = StackExtent::Lowest(u32::MAX);
-        let mut accesses = HashMap::new();
-        let mut branches = HashMap::new();
-        let mut indirect_targets: BTreeMap<u32, BTreeSet<u32>> = BTreeMap::new();
-        let mut unresolved = Vec::new();
         let (text_lo, text_hi) = program.text_range();
-
-        for node in icfg.nodes() {
-            let Some(input) = fixpoint.input(node.id) else { continue };
-            let block = cfg.block(node.block);
-            let mut s = input.clone();
-            for &(addr, insn) in &block.insns {
-                match insn {
-                    Insn::Load { width, base, offset, .. }
-                    | Insn::Store { width, base, offset, .. } => {
-                        let addrs = s.reg(base).add_i32(offset);
-                        let is_load = insn.is_load();
-                        accesses.insert((addr, node.ctx), AccessInfo { addrs, width, is_load });
-                    }
-                    Insn::Branch { cond, rs1, rs2, .. } => {
-                        let (a, b) = (s.reg(rs1), s.reg(rs2));
-                        let taken_possible = SInt::refine(cond, &a, &b).is_some();
-                        let fall_possible = SInt::refine(cond.negate(), &a, &b).is_some();
-                        let outcome = match (taken_possible, fall_possible) {
-                            (true, false) => BranchOutcome::AlwaysTaken,
-                            (false, true) => BranchOutcome::NeverTaken,
-                            _ => BranchOutcome::Unknown,
-                        };
-                        branches.insert((addr, node.ctx), outcome);
-                    }
-                    Insn::Jalr { .. }
-                        if matches!(insn.flow(addr), Flow::IndirectJump | Flow::IndirectCall) =>
-                    {
-                        let targets = transfer.jalr_targets(&s, &insn).expect("jalr has targets");
-                        let in_text = targets.lo() >= text_lo && targets.hi() < text_hi;
-                        if in_text && targets.count() <= 64 {
-                            indirect_targets.entry(addr).or_default().extend(targets.iter());
-                        } else {
-                            unresolved.push((addr, node.ctx));
-                        }
-                    }
-                    _ => {}
-                }
-                transfer.step(&mut s, addr, &insn);
-                if let StackExtent::Lowest(lowest) = stack {
-                    let sp = s.reg(Reg::SP);
-                    stack = if sp.is_top() || stack_top.saturating_sub(sp.lo()) > hw.mem.ram_size {
-                        StackExtent::Escapes(addr)
-                    } else {
-                        StackExtent::Lowest(lowest.min(sp.lo()))
-                    };
-                }
+        let mut indirect_targets: BTreeMap<u32, BTreeSet<u32>> = BTreeMap::new();
+        for (&(addr, _), targets) in &transfer.jalr_targets {
+            let in_text = targets.lo() >= text_lo && targets.hi() < text_hi;
+            if in_text && targets.count() <= 64 {
+                indirect_targets.entry(addr).or_default().extend(targets.iter());
             }
         }
 
         let evaluations = fixpoint.evaluations;
         ValueAnalysis {
             fixpoint,
-            accesses,
-            branches,
+            accesses: transfer.accesses,
+            constant_branches: transfer.constant_branches.iter().filter(|&&c| c).count(),
             indirect_targets,
-            unresolved,
-            stack,
+            stack: NodeStack::extent(&transfer.stack),
             options: options.clone(),
             evaluations,
         }
@@ -213,21 +198,10 @@ impl ValueAnalysis {
         self.accesses.get(&(addr, ctx))
     }
 
-    /// Per-(branch, context) condition outcomes.
-    pub fn branches(&self) -> &HashMap<(u32, CtxId), BranchOutcome> {
-        &self.branches
-    }
-
     /// Resolved targets of indirect jumps/calls, for feeding back into
     /// [`stamp_cfg::CfgBuilder::indirect_targets`].
     pub fn indirect_targets(&self) -> &BTreeMap<u32, BTreeSet<u32>> {
         &self.indirect_targets
-    }
-
-    /// Indirect jumps whose target sets could not be bounded; these
-    /// require annotations, as in aiT.
-    pub fn unresolved_indirects(&self) -> &[(u32, CtxId)] {
-        &self.unresolved
     }
 
     /// How far down `sp` reaches (see [`StackExtent`]).
@@ -252,7 +226,7 @@ impl ValueAnalysis {
 
     /// Count of branch instances decided to be constant (E4).
     pub fn constant_branches(&self) -> usize {
-        self.branches.values().filter(|o| !matches!(o, BranchOutcome::Unknown)).count()
+        self.constant_branches
     }
 }
 
@@ -282,29 +256,12 @@ impl stamp_codec::Codec for AccessInfo {
     }
 }
 
-impl stamp_codec::Codec for BranchOutcome {
-    fn enc(&self, e: &mut stamp_codec::Enc) {
-        e.u8(match self {
-            BranchOutcome::AlwaysTaken => 0,
-            BranchOutcome::NeverTaken => 1,
-            BranchOutcome::Unknown => 2,
-        });
-    }
-    fn dec(d: &mut stamp_codec::Dec) -> Result<BranchOutcome, stamp_codec::CodecError> {
-        match d.u8()? {
-            0 => Ok(BranchOutcome::AlwaysTaken),
-            1 => Ok(BranchOutcome::NeverTaken),
-            2 => Ok(BranchOutcome::Unknown),
-            _ => Err(stamp_codec::CodecError::Invalid("branch outcome")),
-        }
-    }
-}
-
 /// The stored form: the threshold ladder once, each distinct word map
 /// once (deduplicated by `Arc` identity, in first-use order over the
 /// entry then the exit states), every state as its registers plus a
-/// word-map index, then the derived facts with `accesses`/`branches`
-/// in key order and the stack extent last. Decoding re-shares the word
+/// word-map index, then the derived facts (`accesses` in key order, the
+/// constant-branch count, the indirect targets) and the stack extent
+/// last. Decoding re-shares the word
 /// maps, so states that shared memory before encoding share it after.
 impl stamp_codec::Codec for ValueAnalysis {
     fn enc(&self, e: &mut stamp_codec::Enc) {
@@ -355,9 +312,8 @@ impl stamp_codec::Codec for ValueAnalysis {
 
         self.fixpoint.infeasible_edges.enc(e);
         self.accesses.enc(e);
-        self.branches.enc(e);
+        self.constant_branches.enc(e);
         self.indirect_targets.enc(e);
-        self.unresolved.enc(e);
         self.options.enc(e);
         e.u64(self.evaluations);
         let (tag, v) = match self.stack {
@@ -398,9 +354,8 @@ impl stamp_codec::Codec for ValueAnalysis {
         let (ins, outs) = (dec_states(d)?, dec_states(d)?);
         let infeasible_edges = Vec::dec(d)?;
         let accesses = HashMap::dec(d)?;
-        let branches = HashMap::dec(d)?;
+        let constant_branches = usize::dec(d)?;
         let indirect_targets = BTreeMap::dec(d)?;
-        let unresolved = Vec::dec(d)?;
         let options = ValueOptions::dec(d)?;
         let evaluations = d.u64()?;
         let stack = match (d.u8()?, d.u32()?) {
@@ -411,9 +366,8 @@ impl stamp_codec::Codec for ValueAnalysis {
         Ok(ValueAnalysis {
             fixpoint: Fixpoint::from_parts(ins, outs, infeasible_edges, evaluations),
             accesses,
-            branches,
+            constant_branches,
             indirect_targets,
-            unresolved,
             stack,
             options,
             evaluations,
@@ -661,7 +615,6 @@ mod tests {
         assert_eq!(va.evaluations, back.evaluations);
         assert_eq!(va.infeasible_edges(), back.infeasible_edges());
         assert_eq!(va.indirect_targets(), back.indirect_targets());
-        assert_eq!(va.unresolved_indirects(), back.unresolved_indirects());
         assert_eq!(va.precision_summary(), back.precision_summary());
         assert_eq!(va.constant_branches(), back.constant_branches());
         assert_eq!(va.accesses().len(), back.accesses().len());
@@ -671,7 +624,6 @@ mod tests {
             assert_eq!(info.width, t.width);
             assert_eq!(info.is_load, t.is_load);
         }
-        assert_eq!(va.branches(), back.branches());
         assert_eq!(va.stack_extent(), back.stack_extent());
     }
 
@@ -758,5 +710,22 @@ mod tests {
         assert_eq!(s.exact, 1);
         assert_eq!(s.unknown, 1);
         assert_eq!(s.total(), 2);
+    }
+
+    #[test]
+    fn stack_escape_names_the_step_out_before_a_widened_entry() {
+        use NodeStack::{EntersOut, Lowest, StepsOut};
+        // One node's walk: `sp` enters out of range, comes back in at 8
+        // and a step at 12 takes it out again.
+        let walk = [(4, false, None), (8, false, Some(0x40)), (12, true, None)];
+        let node = walk.iter().fold(Lowest(u32::MAX), |n, &(a, was_in, sp)| n.after(a, was_in, sp));
+        assert!(matches!(node, StepsOut(12)), "{node:?}");
+        let entered = Lowest(u32::MAX).after(4, false, None).after(8, false, Some(0x40));
+        assert!(matches!(entered, EntersOut(4)), "{entered:?}");
+
+        let extent = NodeStack::extent;
+        assert_eq!(extent(&[Lowest(9), Lowest(7)]), StackExtent::Lowest(7));
+        assert_eq!(extent(&[Lowest(9), EntersOut(4), EntersOut(8)]), StackExtent::Escapes(4));
+        assert_eq!(extent(&[EntersOut(4), StepsOut(12), StepsOut(16)]), StackExtent::Escapes(12));
     }
 }

@@ -24,6 +24,12 @@
 //! The analysis runs on the context-expanded supergraph (`stamp-ai`), so
 //! every result is per *(instruction, context)*.
 //!
+//! [`ValueTransfer`] records the per-instruction facts (access address
+//! sets, decided branches, `jalr` targets and each node's effect on `sp`)
+//! while the fixpoint runs. Each evaluation of a node overwrites that
+//! node's record, and the solver's last evaluation of a node sees its
+//! final input, so no second pass re-walks the finished fixpoint.
+//!
 //! # Example
 //!
 //! ```
@@ -53,7 +59,7 @@ mod transfer;
 
 pub use amem::AMem;
 pub use analysis::PrecisionSummary;
-pub use analysis::{AccessInfo, BranchOutcome, StackExtent, ValueAnalysis, ValueOptions};
+pub use analysis::{AccessInfo, StackExtent, ValueAnalysis, ValueOptions};
 pub use interval::{DomainKind, SInt};
 pub use state::AState;
 pub use transfer::{effective_cond, register_delta, CondRhs, EffCond, ValueTransfer};

@@ -1,23 +1,41 @@
 //! The abstract transfer function for EVA32 instructions.
 
+use std::collections::HashMap;
 use std::sync::Arc;
 
-use stamp_ai::{IEdge, IEdgeKind, Icfg, NodeId, Transfer};
+use stamp_ai::{CtxId, IEdge, IEdgeKind, Icfg, Node, NodeId, Transfer};
 use stamp_cfg::{Cfg, EdgeKind};
 use stamp_hw::HwConfig;
-use stamp_isa::{AluOp, Insn, MemWidth, Program, Reg};
+use stamp_isa::{AluOp, Flow, Insn, MemWidth, Program, Reg};
 
+use crate::amem::join_reads;
+use crate::analysis::{AccessInfo, NodeStack};
 use crate::interval::{DomainKind, SInt};
 use crate::state::AState;
 
 /// The value-analysis dataflow problem: abstract execution of every
 /// instruction plus branch refinement along edges.
+///
+/// Each evaluation of a node also records the node's per-instruction
+/// facts, overwriting what its earlier evaluations recorded. The solver
+/// evaluates every reached node last on its final input, so once the
+/// fixpoint is reached the records are the fixpoint's facts.
 pub struct ValueTransfer<'a> {
     program: &'a Program,
     cfg: &'a Cfg,
     stack_top: u32,
+    ram_size: u32,
     domain: DomainKind,
     thresholds: Arc<Vec<u32>>,
+    /// The address set of each memory access, per `(address, context)`.
+    pub(crate) accesses: HashMap<(u32, CtxId), AccessInfo>,
+    /// Per node, whether its block ends in a branch whose direction is
+    /// decided.
+    pub(crate) constant_branches: Vec<bool>,
+    /// The target set of each indirect jump or call.
+    pub(crate) jalr_targets: HashMap<(u32, CtxId), SInt>,
+    /// What each node's block does to `sp`, indexed by node.
+    pub(crate) stack: Vec<NodeStack>,
 }
 
 impl<'a> ValueTransfer<'a> {
@@ -29,38 +47,63 @@ impl<'a> ValueTransfer<'a> {
         domain: DomainKind,
         thresholds: Arc<Vec<u32>>,
     ) -> ValueTransfer<'a> {
-        ValueTransfer { program, cfg, stack_top: hw.mem.stack_top(), domain, thresholds }
+        ValueTransfer {
+            program,
+            cfg,
+            stack_top: hw.mem.stack_top(),
+            ram_size: hw.mem.ram_size,
+            domain,
+            thresholds,
+            accesses: HashMap::new(),
+            constant_branches: Vec::new(),
+            jalr_targets: HashMap::new(),
+            stack: Vec::new(),
+        }
+    }
+
+    /// The lowest value `sp` may hold in `state`, or `None` when `sp` is
+    /// unknown (⊤) or below the RAM the stack can occupy
+    /// (`stack_top − ram_size`).
+    fn sp_low(&self, state: &AState) -> Option<u32> {
+        let sp = state.reg(Reg::SP);
+        let in_ram = !sp.is_top() && self.stack_top.saturating_sub(sp.lo()) <= self.ram_size;
+        in_ram.then(|| sp.lo())
+    }
+
+    /// Records the facts of the instruction at `addr` of `node` about to
+    /// execute on `state`.
+    fn record(&mut self, state: &AState, addr: u32, insn: &Insn, node: Node) {
+        let ctx = node.ctx;
+        match *insn {
+            Insn::Load { width, base, offset, .. } | Insn::Store { width, base, offset, .. } => {
+                let addrs = state.reg(base).add_i32(offset);
+                let info = AccessInfo { addrs, width, is_load: insn.is_load() };
+                self.accesses.insert((addr, ctx), info);
+            }
+            Insn::Branch { cond, rs1, rs2, .. } => {
+                let (a, b) = (state.reg(rs1), state.reg(rs2));
+                let taken_possible = SInt::refine(cond, &a, &b).is_some();
+                let fall_possible = SInt::refine(cond.negate(), &a, &b).is_some();
+                self.constant_branches[node.id.index()] = taken_possible != fall_possible;
+            }
+            Insn::Jalr { .. }
+                if matches!(insn.flow(addr), Flow::IndirectJump | Flow::IndirectCall) =>
+            {
+                let targets = self.jalr_targets(state, insn).expect("jalr has targets");
+                self.jalr_targets.insert((addr, ctx), targets);
+            }
+            _ => {}
+        }
     }
 
     /// Abstract value loaded by an access of `width` from the address set
     /// `addrs`: ROM reads fold to image constants, RAM reads consult the
     /// abstract memory.
     pub fn read_mem(&self, state: &AState, addrs: &SInt, width: MemWidth) -> SInt {
-        let one = |a: u32| -> SInt {
-            match self.program.rom_value(a, width) {
-                Some(v) => SInt::cst(v),
-                None => state.mem.read(a, width),
-            }
-        };
-        if let Some(a) = addrs.is_const() {
-            return one(a);
-        }
-        if addrs.count() <= 64 {
-            let mut acc: Option<SInt> = None;
-            for a in addrs.iter() {
-                let v = one(a);
-                acc = Some(match acc {
-                    None => v,
-                    Some(p) => p.join(&v),
-                });
-                if acc.as_ref().is_some_and(SInt::is_top) {
-                    return SInt::top();
-                }
-            }
-            acc.unwrap_or_else(SInt::top)
-        } else {
-            SInt::top()
-        }
+        join_reads(addrs, |a| match self.program.rom_value(a, width) {
+            Some(v) => SInt::cst(v),
+            None => state.mem.read(a, width),
+        })
     }
 
     /// Applies the sign/zero extension of a load to the raw abstract value.
@@ -315,11 +358,23 @@ impl Transfer for ValueTransfer<'_> {
     }
 
     fn transfer(&mut self, icfg: &Icfg, node: NodeId, input: &AState) -> AState {
-        let block = self.cfg.block(icfg.node(node).block);
-        let mut s = input.clone();
-        for &(addr, insn) in &block.insns {
-            self.step(&mut s, addr, &insn);
+        let n = icfg.node(node);
+        let block = self.cfg.block(n.block);
+        if self.stack.len() < icfg.nodes().len() {
+            self.stack.resize(icfg.nodes().len(), NodeStack::Lowest(u32::MAX));
+            self.constant_branches.resize(icfg.nodes().len(), false);
         }
+        let mut s = input.clone();
+        let mut sp_was_in = self.sp_low(&s).is_some();
+        let mut stack = NodeStack::Lowest(u32::MAX);
+        for &(addr, insn) in &block.insns {
+            self.record(&s, addr, &insn, n);
+            self.step(&mut s, addr, &insn);
+            let sp = self.sp_low(&s);
+            stack = stack.after(addr, sp_was_in, sp);
+            sp_was_in = sp.is_some();
+        }
+        self.stack[node.index()] = stack;
         s
     }
 
@@ -364,7 +419,6 @@ impl ValueTransfer<'_> {
         taken: bool,
         state: &'s AState,
     ) -> Option<std::borrow::Cow<'s, AState>> {
-        use stamp_isa::Cond;
         use std::borrow::Cow;
         let Some((_, Insn::Branch { cond, rs1, rs2, .. })) = block.last() else {
             return Some(Cow::Borrowed(state));
@@ -375,44 +429,22 @@ impl ValueTransfer<'_> {
         if !s.refine_reg(rs1, &ra) || !s.refine_reg(rs2, &rb) {
             return None;
         }
-
-        // Compare-then-branch idiom: the branch tests a 0/1 flag.
-        let (rc, flag_set) = match (assumed, rs1, rs2) {
-            (Cond::Ne, rc, z) | (Cond::Ne, z, rc) if z.is_zero() && !rc.is_zero() => (rc, true),
-            (Cond::Eq, rc, z) | (Cond::Eq, z, rc) if z.is_zero() && !rc.is_zero() => (rc, false),
-            _ => return Some(Cow::Owned(s)),
-        };
-        // Find the instruction defining the flag within this block; if
-        // it is not here, there is simply nothing further to refine.
-        let body = &block.insns[..block.insns.len() - 1];
-        let Some(def_idx) = body.iter().rposition(|(_, i)| i.def() == Some(rc)) else {
-            return Some(Cow::Owned(s));
-        };
-        let (signed, a, b_val, b_reg) = match body[def_idx].1 {
-            Insn::Alu { op: op @ (AluOp::Slt | AluOp::Sltu), rs1: a, rs2: b, .. } => {
-                (op == AluOp::Slt, a, s.reg(b), Some(b))
-            }
-            Insn::AluImm { op: op @ (AluOp::Slt | AluOp::Sltu), rs1: a, imm, .. } => {
-                (op == AluOp::Slt, a, SInt::cst(imm as u32), None)
-            }
-            _ => return Some(Cow::Owned(s)),
-        };
-        // The operands must still hold their compared values at the branch.
-        let clobbered = body[def_idx + 1..]
-            .iter()
-            .any(|(_, i)| i.def() == Some(a) || b_reg.is_some_and(|b| i.def() == Some(b)));
-        if clobbered || a == rc || b_reg == Some(rc) {
-            return Some(Cow::Owned(s));
-        }
-        let base = if signed { Cond::Lt } else { Cond::Ltu };
-        let effective = if flag_set { base } else { base.negate() };
-        let (ra, rb) = SInt::refine(effective, &s.reg(a), &b_val)?;
-        if !s.refine_reg(a, &ra) {
-            return None;
-        }
-        if let Some(b) = b_reg {
-            if !s.refine_reg(b, &rb) {
+        // Compare-then-branch idiom: also refine the compared operands.
+        let eff = effective_cond(block).expect("the block ends in a branch");
+        if eff != (EffCond { cond, lhs: rs1, rhs: CondRhs::Reg(rs2) }) {
+            let effective = if taken { eff.cond } else { eff.cond.negate() };
+            let b_val = match eff.rhs {
+                CondRhs::Reg(b) => s.reg(b),
+                CondRhs::Imm(k) => SInt::cst(k),
+            };
+            let (ra, rb) = SInt::refine(effective, &s.reg(eff.lhs), &b_val)?;
+            if !s.refine_reg(eff.lhs, &ra) {
                 return None;
+            }
+            if let CondRhs::Reg(b) = eff.rhs {
+                if !s.refine_reg(b, &rb) {
+                    return None;
+                }
             }
         }
         Some(Cow::Owned(s))

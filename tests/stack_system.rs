@@ -1,17 +1,17 @@
 //! Whole-system stack analysis (experiments E2/E8): per-task bounds,
 //! recursion handling, and the OSEK preemption-chain computation.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use stamp::ai::{Icfg, VivuConfig};
+use stamp::ai::{CtxId, Icfg, VivuConfig};
 use stamp::cfg::{Cfg, CfgBuilder};
-use stamp::isa::Reg;
+use stamp::isa::{Flow, Insn, MemWidth, Reg};
 use stamp::stack::StackError;
 use stamp::suite::{generate, GenConfig};
-use stamp::value::{DomainKind, ValueAnalysis, ValueOptions, ValueTransfer};
+use stamp::value::{AState, DomainKind, SInt, ValueAnalysis, ValueOptions, ValueTransfer};
 use stamp::{
     assemble, AnalysisError, Annotations, HwConfig, OsekSystem, Program, Simulator, StackAnalysis,
     Task,
@@ -213,46 +213,114 @@ fn recursive_task_with_computed_jump_needs_indirect_targets() {
     assert!(report.bound >= observed, "bound {} < observed {observed}", report.bound);
 }
 
-/// The precise stack mode computed the long way: re-walk every reachable
+/// Every fact the value analysis records, computed the long way.
+#[derive(Debug, PartialEq)]
+struct ReplayedFacts {
+    /// Address set, width and load flag of each `(address, context)`
+    /// memory access.
+    accesses: BTreeMap<(u32, CtxId), (SInt, MemWidth, bool)>,
+    constant_branches: usize,
+    indirect_targets: BTreeMap<u32, BTreeSet<u32>>,
+    /// The precise stack bound, or the instruction named for `sp`
+    /// escaping.
+    stack: Result<u32, StackError>,
+}
+
+/// The facts of `va`, as [`ReplayedFacts`].
+fn recorded_facts(hw: &HwConfig, va: &ValueAnalysis) -> ReplayedFacts {
+    ReplayedFacts {
+        accesses: va
+            .accesses()
+            .iter()
+            .map(|(&key, info)| (key, (info.addrs, info.width, info.is_load)))
+            .collect(),
+        constant_branches: va.constant_branches(),
+        indirect_targets: va.indirect_targets().clone(),
+        stack: stamp_stack::analyze_icfg(hw, va).map(|r| r.total),
+    }
+}
+
+/// The value facts collected by a post-pass: re-walk every reachable
 /// `(block, context)` instance of the finished value fixpoint with a
-/// second `ValueTransfer` and minimize `sp` after each instruction. The
-/// value analysis's own stack extent must agree with it, error address
-/// included.
-fn replayed_stack(
+/// second `ValueTransfer`, reading each instruction's facts from the
+/// state before it and `sp` after it. The analysis records its facts
+/// during the fixpoint instead; both must agree, error address included.
+///
+/// `sp` is out of range when ⊤ or below the RAM. An escape names the
+/// first instruction, in node order, whose step takes `sp` out of range;
+/// failing that, the first instruction of the first node `sp` enters
+/// out of range, if `sp` stays out after it.
+fn replayed_facts(
     program: &Program,
     hw: &HwConfig,
     cfg: &Cfg,
     icfg: &Icfg,
     va: &ValueAnalysis,
-) -> Result<u32, StackError> {
+) -> ReplayedFacts {
     let stack_top = hw.mem.stack_top();
+    let out_of_range = |s: &AState| {
+        let sp = s.reg(Reg::SP);
+        sp.is_top() || stack_top.saturating_sub(sp.lo()) > hw.mem.ram_size
+    };
+    let (text_lo, text_hi) = program.text_range();
     let transfer = ValueTransfer::new(program, hw, cfg, DomainKind::Strided, Arc::new(vec![0]));
-    let mut worst: u32 = 0;
+    let mut facts = ReplayedFacts {
+        accesses: BTreeMap::new(),
+        constant_branches: 0,
+        indirect_targets: BTreeMap::new(),
+        stack: Ok(0),
+    };
+    let (mut steps_out, mut enters_out, mut worst) = (None, None, 0);
     for nd in icfg.nodes() {
         let Some(entry) = va.entry_state(nd.id) else { continue };
         let mut s = entry.clone();
-        for &(addr, insn) in &cfg.block(nd.block).insns {
-            transfer.step(&mut s, addr, &insn);
-            let sp = s.reg(Reg::SP);
-            if sp.is_top() {
-                return Err(StackError::UnknownStackPointer { addr });
-            }
-            let usage = stack_top.saturating_sub(sp.lo());
-            if usage > worst {
-                if usage > hw.mem.ram_size {
-                    return Err(StackError::UnknownStackPointer { addr });
+        let mut was_out = out_of_range(&s);
+        for (i, &(addr, insn)) in cfg.block(nd.block).insns.iter().enumerate() {
+            match insn {
+                Insn::Load { width, base, offset, .. }
+                | Insn::Store { width, base, offset, .. } => {
+                    let addrs = s.reg(base).add_i32(offset);
+                    facts.accesses.insert((addr, nd.ctx), (addrs, width, insn.is_load()));
                 }
-                worst = usage;
+                Insn::Branch { cond, rs1, rs2, .. } => {
+                    let (a, b) = (s.reg(rs1), s.reg(rs2));
+                    let taken = SInt::refine(cond, &a, &b).is_some();
+                    let fall = SInt::refine(cond.negate(), &a, &b).is_some();
+                    facts.constant_branches += (taken != fall) as usize;
+                }
+                Insn::Jalr { .. }
+                    if matches!(insn.flow(addr), Flow::IndirectJump | Flow::IndirectCall) =>
+                {
+                    let targets = transfer.jalr_targets(&s, &insn).expect("a jalr");
+                    if targets.lo() >= text_lo && targets.hi() < text_hi && targets.count() <= 64 {
+                        facts.indirect_targets.entry(addr).or_default().extend(targets.iter());
+                    }
+                }
+                _ => {}
             }
+            transfer.step(&mut s, addr, &insn);
+            let now_out = out_of_range(&s);
+            if now_out && !was_out {
+                steps_out = steps_out.or(Some(addr));
+            } else if now_out && i == 0 {
+                enters_out = enters_out.or(Some(addr));
+            } else if !now_out {
+                worst = worst.max(stack_top.saturating_sub(s.reg(Reg::SP).lo()));
+            }
+            was_out = now_out;
         }
     }
-    Ok(worst)
+    facts.stack = match steps_out.or(enters_out) {
+        Some(addr) => Err(StackError::UnknownStackPointer { addr }),
+        None => Ok(worst),
+    };
+    facts
 }
 
-/// Checks the precise mode against [`replayed_stack`] on `program`'s
-/// final CFG (jump tables resolved the way the analyzer resolves them).
-/// Returns the outcome, or `None` if the task does not expand (it
-/// recurses).
+/// Checks the value analysis's recorded facts against
+/// [`replayed_facts`] on `program`'s final CFG (jump tables resolved the
+/// way the analyzer resolves them). Returns the precise stack outcome,
+/// or `None` if the task does not expand (it recurses).
 fn check_against_replay(
     program: &Program,
     hw: &HwConfig,
@@ -267,6 +335,8 @@ fn check_against_replay(
         let cfg = builder.build().unwrap_or_else(|e| panic!("{what}: {e}"));
         let icfg = Icfg::build(&cfg, &VivuConfig::default()).ok()?;
         let va = ValueAnalysis::run(program, hw, &cfg, &icfg, &ValueOptions::default());
+        let recorded = recorded_facts(hw, &va);
+        assert_eq!(recorded, replayed_facts(program, hw, &cfg, &icfg, &va), "{what}");
         let mut progress = false;
         for (&addr, ts) in va.indirect_targets() {
             let known = targets.entry(addr).or_default();
@@ -278,9 +348,7 @@ fn check_against_replay(
             }
         }
         if cfg.unresolved_indirects().is_empty() || !progress {
-            let precise = stamp_stack::analyze_icfg(hw, &va).map(|r| r.total);
-            assert_eq!(precise, replayed_stack(program, hw, &cfg, &icfg, &va), "{what}");
-            return Some(precise);
+            return Some(recorded.stack);
         }
     }
 }
@@ -323,12 +391,12 @@ fn precise_mode_errors_match_the_replay_oracle() {
     escapes(".text\nmain: lw r1, 0(r2)\nunknown: sub sp, sp, r1\nhalt\n", "unknown");
     // A frame larger than the RAM puts `sp` below it.
     escapes(".text\nmain: li r1, 0x200000\nhuge: sub sp, sp, r1\nhalt\n", "huge");
-    // The first escape in node order wins, not the first in execution
-    // order: the caller's return block is numbered before the callee's
-    // body, whose `sp` it inherits.
+    // The instruction whose own step takes `sp` out of range is named,
+    // not the caller's return block, which is numbered before the
+    // callee's body and only inherits the escaped `sp`.
     escapes(
         ".text\nmain: addi sp, sp, -16\ncall f\nback: addi sp, sp, 16\nhalt\n\
-         f: lw r1, 0(r2)\nsub sp, sp, r1\nret\n",
-        "back",
+         f: lw r1, 0(r2)\nshrink: sub sp, sp, r1\nret\n",
+        "shrink",
     );
 }
