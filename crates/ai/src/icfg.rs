@@ -69,8 +69,21 @@ pub enum IEdgeKind {
     /// A call edge from the call block into a callee entry.
     Call { site: u32 },
     /// A return edge from a callee return block to the caller's
-    /// continuation.
-    Return { site: u32 },
+    /// continuation; `back_edge_of` names the loop header when the
+    /// call's fall-through edge is a back edge of that loop.
+    Return { site: u32, back_edge_of: Option<BlockId> },
+}
+
+impl IEdgeKind {
+    /// The loop header this edge is a back edge of, if any.
+    pub fn back_edge_of(self) -> Option<BlockId> {
+        match self {
+            IEdgeKind::Intra { back_edge_of, .. } | IEdgeKind::Return { back_edge_of, .. } => {
+                back_edge_of
+            }
+            IEdgeKind::Call { .. } => None,
+        }
+    }
 }
 
 /// A supergraph edge.
@@ -144,7 +157,9 @@ pub type LoopKey = (BlockId, Vec<Frame>);
 /// Its header nodes are the nodes of `header` whose context, less a
 /// trailing `Frame::Loop` of this loop, is `outer`. Loop-bound
 /// analysis bounds each instance, and path analysis and sampling
-/// constrain `Σ backs ≤ (bound − 1) · Σ entries` over it.
+/// constrain `Σ backs ≤ (bound − 1) · Σ entries` over it. When the
+/// task entry node is a header node ([`Icfg::entered_at_start`]), the
+/// virtual source that starts the task counts as one more entry.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct LoopInstance {
     /// The loop header block.
@@ -155,7 +170,9 @@ pub struct LoopInstance {
     /// loop (intra entry edges, and call or return edges arriving at
     /// a header), in id order.
     pub entries: Vec<IEdgeId>,
-    /// Back edges of this loop into the header nodes, in id order.
+    /// Back edges of this loop into the header nodes (intra edges, and
+    /// return edges whose call falls through into the header), in id
+    /// order.
     pub backs: Vec<IEdgeId>,
 }
 
@@ -269,6 +286,14 @@ impl Icfg {
         let start = all.partition_point(|l| l.header < header);
         let len = all[start..].partition_point(|l| l.header == header);
         &all[start..start + len]
+    }
+
+    /// `true` when the task entry node is one of `inst`'s header nodes:
+    /// the virtual source that starts the task then enters `inst` once,
+    /// besides its entry edges. The entry node has the root context, so
+    /// its instance is the one of its block with no outer frames.
+    pub fn entered_at_start(&self, inst: &LoopInstance) -> bool {
+        inst.header == self.node(self.entry).block && inst.outer.is_empty()
     }
 
     /// Reverse-post-order index of a node (entry = 0), from a depth-first
@@ -500,6 +525,14 @@ impl<'c> Builder<'c> {
                 Some(r) => r,
                 None => continue,
             };
+            // A call whose fall-through edge is a back edge closes its
+            // loop through these return edges.
+            let ret_block = self.nodes[ret_node.index()].block;
+            let back = self
+                .cfg
+                .preds(ret_block)
+                .find(|(_, e)| e.kind == EdgeKind::CallFall)
+                .and_then(|(eid, _)| self.back_of.get(&eid).copied());
             let inner_ctx = self.ctxs.get(inst.inner).clone();
             for &rb in &self.cfg.func(inst.callee).returns.clone() {
                 let candidates: Vec<NodeId> = self
@@ -511,7 +544,8 @@ impl<'c> Builder<'c> {
                     .map(|nd| nd.id)
                     .collect();
                 for c in candidates {
-                    self.add_edge(c, ret_node, IEdgeKind::Return { site: inst.site });
+                    let kind = IEdgeKind::Return { site: inst.site, back_edge_of: back };
+                    self.add_edge(c, ret_node, kind);
                 }
             }
         }
@@ -610,8 +644,7 @@ impl<'c> Builder<'c> {
         }
         for e in &self.edges {
             let Some(inst) = instances.get_mut(instance_of[e.to.index()]) else { continue };
-            if matches!(e.kind, IEdgeKind::Intra { back_edge_of: Some(h), .. } if h == inst.header)
-            {
+            if e.kind.back_edge_of() == Some(inst.header) {
                 inst.backs.push(e.id);
             } else {
                 inst.entries.push(e.id);
@@ -662,9 +695,10 @@ impl stamp_codec::Codec for IEdgeKind {
                 e.u8(1);
                 e.u32(*site);
             }
-            IEdgeKind::Return { site } => {
+            IEdgeKind::Return { site, back_edge_of } => {
                 e.u8(2);
                 e.u32(*site);
+                back_edge_of.enc(e);
             }
         }
     }
@@ -675,7 +709,7 @@ impl stamp_codec::Codec for IEdgeKind {
                 back_edge_of: Option::dec(d)?,
             }),
             1 => Ok(IEdgeKind::Call { site: d.u32()? }),
-            2 => Ok(IEdgeKind::Return { site: d.u32()? }),
+            2 => Ok(IEdgeKind::Return { site: d.u32()?, back_edge_of: Option::dec(d)? }),
             _ => Err(stamp_codec::CodecError::Invalid("iedge kind")),
         }
     }

@@ -163,8 +163,6 @@ impl ClassStats {
 /// classifications for fetches and data accesses.
 pub struct CacheAnalysis {
     pub(crate) classes: HashMap<(u32, CtxId), AccessClass>,
-    pub(crate) icache: Option<CacheConfig>,
-    pub(crate) dcache: Option<CacheConfig>,
     /// Distinct I-cache lines behind persistent fetches: each can miss
     /// at most once over the whole task.
     pub(crate) ps_fetch_lines: BTreeSet<u32>,
@@ -380,8 +378,6 @@ impl CacheAnalysis {
 
         CacheAnalysis {
             classes: transfer.classes,
-            icache: hw.icache,
-            dcache: hw.dcache,
             ps_fetch_lines,
             ps_data_lines,
             evaluations: fixpoint.evaluations,
@@ -420,16 +416,6 @@ impl CacheAnalysis {
     pub fn data_stats(&self) -> ClassStats {
         ClassStats::of(self.classes.values().filter_map(|c| c.data))
     }
-
-    /// The I-cache geometry, if configured.
-    pub fn icache(&self) -> Option<CacheConfig> {
-        self.icache
-    }
-
-    /// The D-cache geometry, if configured.
-    pub fn dcache(&self) -> Option<CacheConfig> {
-        self.dcache
-    }
 }
 
 impl stamp_codec::Codec for Classification {
@@ -465,8 +451,6 @@ impl stamp_codec::Codec for AccessClass {
 impl stamp_codec::Codec for CacheAnalysis {
     fn enc(&self, e: &mut stamp_codec::Enc) {
         self.classes.enc(e);
-        self.icache.enc(e);
-        self.dcache.enc(e);
         self.ps_fetch_lines.enc(e);
         self.ps_data_lines.enc(e);
         e.u64(self.evaluations);
@@ -474,8 +458,6 @@ impl stamp_codec::Codec for CacheAnalysis {
     fn dec(d: &mut stamp_codec::Dec) -> Result<CacheAnalysis, stamp_codec::CodecError> {
         Ok(CacheAnalysis {
             classes: HashMap::dec(d)?,
-            icache: Option::dec(d)?,
-            dcache: Option::dec(d)?,
             ps_fetch_lines: stamp_codec::Codec::dec(d)?,
             ps_data_lines: stamp_codec::Codec::dec(d)?,
             evaluations: d.u64()?,

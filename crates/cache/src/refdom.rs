@@ -583,14 +583,7 @@ pub(crate) fn run_reference(
         }
     }
 
-    CacheAnalysis {
-        classes,
-        icache: hw.icache,
-        dcache: hw.dcache,
-        ps_fetch_lines,
-        ps_data_lines,
-        evaluations: fixpoint.evaluations,
-    }
+    CacheAnalysis { classes, ps_fetch_lines, ps_data_lines, evaluations: fixpoint.evaluations }
 }
 
 #[cfg(test)]

@@ -12,7 +12,8 @@
 //! locally, cache nothing) — there is exactly one driver. Its CFG →
 //! context → value prefix is `phase::value_prefix`, shared with the
 //! stack tool, and every request goes through the `phase::PhaseRun`
-//! runner.
+//! runner. [`WcetAnalysis::run_verdict`] runs that prefix once and
+//! reads both bounds of a task from it.
 
 use std::sync::Arc;
 
@@ -31,6 +32,7 @@ use crate::artifact::{ArtifactClaim, ArtifactStore};
 use crate::error::AnalysisError;
 use crate::phase::{self, PhaseId, PhaseRun, Prefix, WcetKeys};
 use crate::report::WcetReport;
+use crate::stack_tool::{self, StackReport};
 
 /// Configuration of the analyzer pipeline.
 #[derive(Clone, Debug)]
@@ -166,10 +168,11 @@ pub struct PhaseArtifacts {
 /// [`WcetAnalysis::run_with`] to share phase artifacts across jobs).
 ///
 /// See the crate documentation for an end-to-end example.
+#[derive(Clone)]
 pub struct WcetAnalysis<'p> {
-    program: &'p Program,
-    config: AnalysisConfig,
-    annotations: Annotations,
+    pub(crate) program: &'p Program,
+    pub(crate) config: AnalysisConfig,
+    pub(crate) annotations: Annotations,
 }
 
 impl<'p> WcetAnalysis<'p> {
@@ -234,7 +237,7 @@ impl<'p> WcetAnalysis<'p> {
     /// Runs all phases through a shared [`ArtifactStore`], reusing any
     /// phase artifact another job already produced under the same input
     /// fingerprint. The report is byte-identical to [`WcetAnalysis::run`];
-    /// only [`PhaseStats::reused`] and wall times differ.
+    /// only [`crate::PhaseStats::reused`] and wall times differ.
     ///
     /// # Errors
     ///
@@ -259,13 +262,42 @@ impl<'p> WcetAnalysis<'p> {
         &self,
         store: &ArtifactStore,
     ) -> Result<(WcetReport, PhaseArtifacts), AnalysisError> {
-        let (program, config) = (self.program, &self.config);
         let mut run = PhaseRun::new(store);
-        let Prefix { keys, cfg, valued } =
-            phase::value_prefix(&mut run, program, &self.annotations, config)?;
-        let (icfg, va) = valued?;
+        let prefix = phase::value_prefix(&mut run, self.program, &self.annotations, &self.config)?;
+        self.tail(&mut run, &prefix)
+    }
+
+    /// Runs the CFG → context → value prefix once, then the stack phase
+    /// on it and, when `wcet` is set, the WCET phases: both bounds of
+    /// the task from one value analysis. A prefix error is the error of
+    /// both. Each report's `phases` lists this run's requests up to its
+    /// own last one.
+    pub fn run_verdict(&self, store: &ArtifactStore, wcet: bool) -> Verdict {
+        self.verdict(&mut PhaseRun::new(store), wcet)
+    }
+
+    /// [`WcetAnalysis::run_verdict`] on a caller's runner.
+    pub(crate) fn verdict(&self, run: &mut PhaseRun<'_>, wcet: bool) -> Verdict {
+        let prefix = match phase::value_prefix(run, self.program, &self.annotations, &self.config) {
+            Ok(prefix) => prefix,
+            Err(e) => return Verdict { stack: Err(e.clone()), wcet: wcet.then_some(Err(e)) },
+        };
+        let stack = stack_tool::stack_tail(run, self, &prefix);
+        Verdict { stack, wcet: wcet.then(|| self.tail(run, &prefix)) }
+    }
+
+    /// The WCET phases after the prefix: loop bounds, cache, pipeline
+    /// and path, all reading the prefix's value analysis.
+    fn tail(
+        &self,
+        run: &mut PhaseRun<'_>,
+        prefix: &Prefix,
+    ) -> Result<(WcetReport, PhaseArtifacts), AnalysisError> {
+        let (program, config) = (self.program, &self.config);
+        let cfg = prefix.cfg.clone();
+        let (icfg, va) = prefix.valued.clone()?;
         let lb_opts = self.annotations.loop_bound_options(program);
-        let tail = WcetKeys::new(keys.value, &lb_opts, config);
+        let tail = WcetKeys::new(prefix.keys.value, &lb_opts, config);
         let lb = run.run(PhaseId::LoopBound, tail.loopbound, || {
             Ok(LoopBoundAnalysis::run(program, &cfg, &icfg, &va, &lb_opts))
         })?;
@@ -275,7 +307,7 @@ impl<'p> WcetAnalysis<'p> {
         let pa = run.run(PhaseId::Pipeline, tail.pipeline, || {
             Ok(PipelineAnalysis::run(&config.hw, &cfg, &icfg, &ca, &va))
         })?;
-        let memo = StoreSummaryMemo::new(store);
+        let memo = StoreSummaryMemo::new(run.store);
         let path_opts =
             PathOptions { use_infeasible: config.use_infeasible, summaries: config.summaries };
         let result = run.run(PhaseId::Path, tail.path, || {
@@ -285,9 +317,20 @@ impl<'p> WcetAnalysis<'p> {
         // Zero/zero when the whole path artifact was reused (or the
         // program offered no decomposition).
         let summaries = (memo.computed.get(), memo.reused.get());
+        let phases = run.phases.clone();
         let report = WcetReport::assemble(
-            program, &cfg, &icfg, &va, &lb, &ca, &pa, &result, run.phases, summaries,
+            program, &cfg, &icfg, &va, &lb, &ca, &pa, &result, phases, summaries,
         );
         Ok((report, PhaseArtifacts { cfg, icfg, va, lb, ca, pa, path: result }))
     }
+}
+
+/// Both bounds of one task, read from one value analysis (see
+/// [`WcetAnalysis::run_verdict`]).
+pub struct Verdict {
+    /// The stack bound.
+    pub stack: Result<StackReport, AnalysisError>,
+    /// The WCET report and the artifacts behind it; `None` when the
+    /// WCET was not asked for.
+    pub wcet: Option<Result<(WcetReport, PhaseArtifacts), AnalysisError>>,
 }

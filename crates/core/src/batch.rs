@@ -34,8 +34,6 @@ use crate::artifact::{ArtifactStats, ArtifactStore};
 use crate::error::AnalysisError;
 use crate::json::Json;
 use crate::phase::{self, PhaseId, PhaseRun};
-use crate::report::PhaseStats;
-use crate::stack_tool::StackAnalysis;
 
 /// One unit of work: a target program under one configuration variant.
 #[derive(Clone, Debug)]
@@ -215,12 +213,9 @@ pub struct JobResult {
     /// (`true` = reused from the shared store). Which job of a
     /// fingerprint group computes is a scheduling accident, so this is
     /// excluded from the deterministic rendering, like `wall_ms`.
-    /// Covers the assemble request (including a cached assembly error)
-    /// and every request of each analysis chain that ran to completion
-    /// (a recursive task's failed context expansion before the stack
-    /// tool's call-graph fallback included); a chain that errored
-    /// partway contributes nothing here — its requests still count in
-    /// the store-wide [`BatchReport::artifacts`] statistics.
+    /// Records every request the job made once, failed ones included:
+    /// assemble, the one CFG → context → value prefix, stack, the WCET
+    /// phases, then one `summary` entry per path segment summary.
     pub provenance: Vec<(PhaseId, bool)>,
 }
 
@@ -265,21 +260,12 @@ impl JobResult {
     /// if this job computed the artifact on any request, `"reused"`
     /// otherwise.
     fn provenance_json(&self) -> Json {
-        let mut by_phase: std::collections::BTreeMap<String, Json> = Default::default();
+        let mut computed: std::collections::BTreeMap<String, bool> = Default::default();
         for &(phase, reused) in &self.provenance {
-            let entry = by_phase.entry(phase.name().to_string());
-            match entry {
-                std::collections::btree_map::Entry::Occupied(mut e) => {
-                    if !reused {
-                        e.insert(Json::str("computed"));
-                    }
-                }
-                std::collections::btree_map::Entry::Vacant(e) => {
-                    e.insert(Json::str(if reused { "reused" } else { "computed" }));
-                }
-            }
+            *computed.entry(phase.name().to_string()).or_default() |= !reused;
         }
-        Json::Obj(by_phase)
+        let label = |c| Json::str(if c { "computed" } else { "reused" });
+        Json::Obj(computed.into_iter().map(|(phase, c)| (phase, label(c))).collect())
     }
 
     /// The deterministic JSON rendering (no wall time). Public so the
@@ -432,69 +418,55 @@ fn run_job(job: &BatchJob, store: &ArtifactStore) -> JobResult {
     let t = Instant::now();
     let mut result = JobResult::empty(job);
     let mut errors: Vec<String> = Vec::new();
-    let note = |phases: &[PhaseStats], result: &mut JobResult| {
-        result.provenance.extend(phases.iter().map(|p| (p.phase, p.reused)));
-    };
+    let mut summaries = (0, 0);
 
     let mut run = PhaseRun::new(store);
     let assembled = run.run(PhaseId::Assemble, phase::source_fingerprint(&job.source), || {
         stamp_isa::asm::assemble(&job.source).map_err(AnalysisError::from)
     });
-    note(&run.phases, &mut result);
     match assembled {
         Err(e) => errors.push(format!("assemble: {e}")),
         Ok(program) => {
-            match StackAnalysis::new(&program)
-                .hw(job.config.hw)
+            let verdict = WcetAnalysis::new(&program)
+                .config(job.config.clone())
                 .annotations(job.annotations.clone())
-                .run_with(store)
-            {
-                Ok(stack) => {
-                    result.stack = Some(stack.bound);
-                    note(&stack.phases, &mut result);
-                }
+                .verdict(&mut run, job.wcet);
+            match verdict.stack {
+                Ok(stack) => result.stack = Some(stack.bound),
                 Err(e) => errors.push(format!("stack: {e}")),
             }
-            if job.wcet {
-                match WcetAnalysis::new(&program)
-                    .config(job.config.clone())
-                    .annotations(job.annotations.clone())
-                    .run_full(store)
-                {
-                    Ok((report, artifacts)) => {
-                        result.wcet = Some(report.wcet);
-                        result.evaluations = report.evaluations;
-                        let (f, d) = (report.fetch_stats, report.data_stats);
-                        result.fetch = [f.hit, f.miss, f.persistent, f.unclassified];
-                        result.data = [d.hit, d.miss, d.persistent, d.unclassified];
-                        note(&report.phases, &mut result);
-                        // Segment-summary provenance, one entry per
-                        // summary this job touched — timing layer only,
-                        // mirroring the per-phase entries above.
-                        for _ in 0..report.summaries_computed {
-                            result.provenance.push((PhaseId::Summary, false));
-                        }
-                        for _ in 0..report.summaries_reused {
-                            result.provenance.push((PhaseId::Summary, true));
-                        }
-                        // Sampling rides on the finished phase DAG: no
-                        // phase is recomputed, only walked.
-                        if let Some(params) = &job.sampling {
-                            result.sampling = Some(stamp_sample::sample_paths(
-                                &artifacts.cfg,
-                                &artifacts.icfg,
-                                &artifacts.va,
-                                &artifacts.lb,
-                                &artifacts.pa,
-                                &params.options(&job.config),
-                            ));
-                        }
+            match verdict.wcet {
+                Some(Ok((report, artifacts))) => {
+                    result.wcet = Some(report.wcet);
+                    result.evaluations = report.evaluations;
+                    let (f, d) = (report.fetch_stats, report.data_stats);
+                    result.fetch = [f.hit, f.miss, f.persistent, f.unclassified];
+                    result.data = [d.hit, d.miss, d.persistent, d.unclassified];
+                    summaries = (report.summaries_computed, report.summaries_reused);
+                    // Sampling rides on the finished phase DAG: no
+                    // phase is recomputed, only walked.
+                    if let Some(params) = &job.sampling {
+                        result.sampling = Some(stamp_sample::sample_paths(
+                            &artifacts.cfg,
+                            &artifacts.icfg,
+                            &artifacts.va,
+                            &artifacts.lb,
+                            &artifacts.pa,
+                            &params.options(&job.config),
+                        ));
                     }
-                    Err(e) => errors.push(format!("wcet: {e}")),
                 }
+                Some(Err(e)) => errors.push(format!("wcet: {e}")),
+                None => {}
             }
         }
     }
+    result.provenance = run.phases.iter().map(|p| (p.phase, p.reused)).collect();
+    // Segment-summary provenance, one entry per summary this job
+    // touched — timing layer only, like the per-phase entries.
+    let (computed, reused) = summaries;
+    result.provenance.extend((0..computed).map(|_| (PhaseId::Summary, false)));
+    result.provenance.extend((0..reused).map(|_| (PhaseId::Summary, true)));
 
     if !errors.is_empty() {
         result.error = Some(errors.join("; "));

@@ -55,7 +55,7 @@ mod report;
 mod stack_tool;
 mod store_disk;
 
-pub use analyzer::{AnalysisConfig, PhaseArtifacts, WcetAnalysis};
+pub use analyzer::{AnalysisConfig, PhaseArtifacts, Verdict, WcetAnalysis};
 pub use annot::Annotations;
 pub use artifact::{ArtifactStats, ArtifactStore, PhaseStat};
 pub use batch::{

@@ -24,7 +24,7 @@
 //! | `cache`    | `value` + I/D cache geometries |
 //! | `pipeline` | `cache` + the whole `HwConfig` (timing and caches) |
 //! | `path`     | `pipeline` + `loopbound` + `use_infeasible` + `summaries` |
-//! | `stack`    | `value` (default-VIVU chain) + resolved recursion depths |
+//! | `stack`    | `value` + resolved recursion depths |
 //! | `summary`  | the canonical byte form of one supergraph segment's ILP |
 //!
 //! Notably *absent* dependencies are what make cross-variant sharing
@@ -57,7 +57,6 @@ use crate::batch::BatchJob;
 use crate::error::AnalysisError;
 use crate::fingerprint::{Fingerprint, Fp};
 use crate::report::PhaseStats;
-use crate::stack_tool;
 
 /// One node of the phase graph.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -79,7 +78,7 @@ pub enum PhaseId {
     Pipeline,
     /// Everything → worst-case path (IPET/ILP).
     Path,
-    /// Value analysis (default-VIVU prefix) → stack bound.
+    /// Value analysis → stack bound.
     Stack,
     /// One canonical supergraph segment → its solved ILP summary
     /// (sub-artifacts of the path phase, shared across call sites,
@@ -333,8 +332,9 @@ pub fn summary_fingerprint(canonical: &[u8]) -> Fingerprint {
     fp.finish()
 }
 
-/// `stack` (precise supergraph mode): the default-VIVU value chain plus
-/// resolved recursion depths (which feed the per-function breakdown).
+/// `stack` (precise supergraph mode): the value analysis the job's
+/// WCET phases read too, plus resolved recursion depths (which feed the
+/// per-function breakdown).
 pub fn stack_fingerprint(value: Fingerprint, recursion: &BTreeMap<u32, u32>) -> Fingerprint {
     let mut fp = Fp::new("stamp/stack/1");
     fp.fp(value);
@@ -440,7 +440,7 @@ impl WcetKeys {
 /// [`PhaseStats`] row — on the error path too, so a replayed cached
 /// error is reported as reused.
 pub(crate) struct PhaseRun<'s> {
-    store: &'s ArtifactStore,
+    pub(crate) store: &'s ArtifactStore,
     /// One row per request, in request order.
     pub(crate) phases: Vec<PhaseStats>,
 }
@@ -544,7 +544,7 @@ pub(crate) fn value_prefix(
 /// Statically predicts the artifact requests a job will make, in
 /// request order, *without running any analysis* (`stamp batch
 /// --dry-run`). The prediction assembles the program (cheap) and then
-/// takes its keys from [`PrefixKeys`] and [`WcetKeys`], the chain the
+/// takes its keys from `PrefixKeys` and `WcetKeys`, the chain the
 /// drivers key their requests with.
 ///
 /// Two approximations (both resolve only by running the analysis):
@@ -552,7 +552,7 @@ pub(crate) fn value_prefix(
 /// predicted at iteration 0 (annotation-supplied targets only), so
 /// programs with resolvable jump tables request a few more
 /// `cfg`/`context`/`value` artifacts at run time than predicted; and
-/// recursive tasks are predicted on the precise-mode stack chain,
+/// recursive tasks are predicted with a precise-mode stack request,
 /// while at run time their context expansion fails and the stack tool
 /// takes the call-graph fallback (no `value` request, a
 /// differently-keyed `stack` request).
@@ -570,16 +570,14 @@ pub fn plan_job(job: &BatchJob) -> Result<Vec<PhaseRequest>, String> {
     let program_fp = program_fingerprint(&program);
     let indirects = job.annotations.resolved_indirects(&program);
 
-    // The stack analysis runs first in a batch job, on its own prefix.
-    let stack = PrefixKeys::new(program_fp, &indirects, &stack_tool::prefix_config(job.config.hw));
-    requests.extend(stack.requests());
+    // One prefix; the stack phase reads it first, then the WCET phases.
+    let prefix = PrefixKeys::new(program_fp, &indirects, &job.config);
+    requests.extend(prefix.requests());
     requests.push(PhaseRequest {
         phase: PhaseId::Stack,
-        fingerprint: stack_fingerprint(stack.value, &job.annotations.resolved_recursion(&program)),
+        fingerprint: stack_fingerprint(prefix.value, &job.annotations.resolved_recursion(&program)),
     });
     if job.wcet {
-        let prefix = PrefixKeys::new(program_fp, &indirects, &job.config);
-        requests.extend(prefix.requests());
         let loop_bounds = job.annotations.loop_bound_options(&program);
         requests.extend(WcetKeys::new(prefix.value, &loop_bounds, &job.config).requests());
     }
@@ -656,13 +654,17 @@ mod tests {
             plan.iter().find(|r| r.phase == p).unwrap()
         }
         assert_eq!(one(&base, PhaseId::Cfg).fingerprint, one(&peeled, PhaseId::Cfg).fingerprint);
-        // The stack chain uses default VIVU, so only the *second*
-        // (WCET-chain) context request differs.
+        // One context request per job, and the stack bound reads the
+        // value analysis keyed by it.
         let ctxs = |plan: &[PhaseRequest]| -> Vec<Fingerprint> {
             plan.iter().filter(|r| r.phase == PhaseId::Context).map(|r| r.fingerprint).collect()
         };
-        assert_eq!(ctxs(&base)[0], ctxs(&peeled)[0]);
-        assert_ne!(ctxs(&base)[1], ctxs(&peeled)[1]);
+        assert_eq!((ctxs(&base).len(), ctxs(&peeled).len()), (1, 1));
+        assert_ne!(ctxs(&base), ctxs(&peeled));
+        assert_ne!(
+            one(&base, PhaseId::Stack).fingerprint,
+            one(&peeled, PhaseId::Stack).fingerprint
+        );
     }
 
     #[test]

@@ -1,15 +1,16 @@
 //! The StackAnalyzer product: per-task worst-case stack bounds.
 //!
 //! The stack tool rides the same phase graph as the WCET analyzer: its
-//! CFG / context / value prefix is the analyzer's own
-//! (`phase::value_prefix`, always at default VIVU and value options —
-//! stack bounds do not depend on unrolling contexts), including the
-//! CFG ↔ value iteration that resolves jump tables, so cases reached
-//! only through a computed jump count toward the bound. The prefix goes
-//! through the shared [`ArtifactStore`], so in a batch a target's stack
-//! analysis and its WCET analysis share one value fixpoint, and a
-//! hardware sweep shares the stack bound itself across variants (only
-//! the memory map reaches the stack fingerprint).
+//! bound is the stack extent of the analyzer's own value analysis
+//! (`phase::value_prefix`), including the CFG ↔ value iteration that
+//! resolves jump tables, so cases reached only through a computed jump
+//! count toward the bound. A job runs that prefix once under its own
+//! configuration and reads the stack phase and the WCET phases from it
+//! ([`WcetAnalysis::run_verdict`]); [`StackAnalysis`] is that run
+//! without the WCET phases, at default VIVU and value options. Through
+//! the shared [`ArtifactStore`] a hardware sweep shares the stack bound
+//! itself across variants (only the memory map reaches the value
+//! fingerprint).
 //!
 //! Recursive tasks fail context expansion and take the compositional
 //! call-graph fallback. Without a value analysis nothing resolves their
@@ -24,7 +25,7 @@ use stamp_hw::HwConfig;
 use stamp_isa::Program;
 use stamp_stack::{FunctionStack, StackOptions};
 
-use crate::analyzer::AnalysisConfig;
+use crate::analyzer::WcetAnalysis;
 use crate::annot::Annotations;
 use crate::artifact::ArtifactStore;
 use crate::error::AnalysisError;
@@ -117,116 +118,105 @@ impl stamp_codec::Codec for StackReport {
 /// # Ok(())
 /// # }
 /// ```
-pub struct StackAnalysis<'p> {
-    program: &'p Program,
-    hw: HwConfig,
-    annotations: Annotations,
-}
+pub struct StackAnalysis<'p>(WcetAnalysis<'p>);
 
 impl<'p> StackAnalysis<'p> {
     /// Creates a stack analyzer with the default hardware model.
     pub fn new(program: &'p Program) -> StackAnalysis<'p> {
-        StackAnalysis { program, hw: HwConfig::default(), annotations: Annotations::new() }
+        StackAnalysis(WcetAnalysis::new(program))
     }
 
     /// Sets the hardware model (memory map / stack top).
-    pub fn hw(mut self, hw: HwConfig) -> Self {
-        self.hw = hw;
-        self
+    pub fn hw(self, hw: HwConfig) -> Self {
+        StackAnalysis(self.0.hw(hw))
     }
 
     /// Attaches annotations (recursion depths, indirect targets).
-    pub fn annotations(mut self, annotations: Annotations) -> Self {
-        self.annotations = annotations;
-        self
+    pub fn annotations(self, annotations: Annotations) -> Self {
+        StackAnalysis(self.0.annotations(annotations))
     }
 
     /// Analyzes the task at the program's entry point.
     pub fn run(&self) -> Result<StackReport, AnalysisError> {
-        self.run_program(self.program, &ArtifactStore::disabled())
+        self.run_with(&ArtifactStore::disabled())
     }
 
     /// Like [`StackAnalysis::run`], but sharing phase artifacts through
     /// `store` (see the module docs). The report is identical except
     /// for timing and provenance.
     pub fn run_with(&self, store: &ArtifactStore) -> Result<StackReport, AnalysisError> {
-        self.run_program(self.program, store)
+        self.0.run_verdict(store, false).stack
     }
 
     /// Analyzes the task whose entry is the given symbol (for multi-task
     /// images, one task per OSEK task entry).
     pub fn run_task(&self, entry_symbol: &str) -> Result<StackReport, AnalysisError> {
         let addr = self
+            .0
             .program
             .symbols
             .addr_of(entry_symbol)
             .ok_or_else(|| AnalysisError::UnknownSymbol { name: entry_symbol.to_string() })?;
-        let mut program = self.program.clone();
+        let mut program = self.0.program.clone();
         program.entry = addr;
         // The entry point is part of the program fingerprint, so
         // per-task artifacts of a multi-task image never collide.
-        self.run_program(&program, &ArtifactStore::disabled())
-    }
-
-    fn run_program(
-        &self,
-        program: &Program,
-        store: &ArtifactStore,
-    ) -> Result<StackReport, AnalysisError> {
-        let mut run = PhaseRun::new(store);
-        let options =
-            StackOptions { recursion_depths: self.annotations.resolved_recursion(program) };
-        let recursion = &options.recursion_depths;
-        let Prefix { keys, cfg, valued } =
-            phase::value_prefix(&mut run, program, &self.annotations, &prefix_config(self.hw))?;
-        let report = match valued {
-            Ok((_, va)) => {
-                run.run(PhaseId::Stack, phase::stack_fingerprint(keys.value, recursion), || {
-                    let precise = stamp_stack::analyze_icfg(&self.hw, &va)?;
-                    // The callgraph mode also provides the per-function
-                    // table.
-                    let breakdown = stamp_stack::analyze_callgraph(program, &cfg, &options)
-                        .map(|r| r.per_function)
-                        .unwrap_or_default();
-                    Ok(StackReport {
-                        bound: precise.total,
-                        mode: "precise",
-                        per_function: breakdown,
-                        phases: Vec::new(),
-                    })
-                })?
-            }
-            // Recursion: fall back to the compositional mode (the cached
-            // context error carries the variant, so sharing jobs take
-            // the same branch). Without a value analysis nothing resolves
-            // computed jumps, and a partial call graph is no bound.
-            Err(AnalysisError::Icfg(
-                IcfgError::CallDepthExceeded { .. } | IcfgError::ContextExplosion { .. },
-            )) => {
-                if !cfg.unresolved_indirects().is_empty() {
-                    let addrs = cfg.unresolved_indirects().to_vec();
-                    return Err(AnalysisError::UnresolvedIndirects { addrs });
-                }
-                let fp = phase::stack_callgraph_fingerprint(keys.cfg, &self.hw.mem, recursion);
-                run.run(PhaseId::Stack, fp, || {
-                    let r = stamp_stack::analyze_callgraph(program, &cfg, &options)?;
-                    Ok(StackReport {
-                        bound: r.total,
-                        mode: "callgraph",
-                        per_function: r.per_function,
-                        phases: Vec::new(),
-                    })
-                })?
-            }
-            Err(e) => return Err(e),
-        };
-        Ok(StackReport { phases: run.phases, ..(*report).clone() })
+        StackAnalysis(WcetAnalysis { program: &program, ..self.0.clone() }).run()
     }
 }
 
-/// The analyzer configuration of the stack tool's CFG → context → value
-/// prefix: default VIVU and value options (stack bounds do not depend
-/// on unrolling contexts) on the task's hardware model.
-pub(crate) fn prefix_config(hw: HwConfig) -> AnalysisConfig {
-    AnalysisConfig { hw, ..AnalysisConfig::default() }
+/// The stack phase after the prefix: the value analysis's stack extent,
+/// or the call-graph fallback when context expansion failed on
+/// recursion.
+pub(crate) fn stack_tail(
+    run: &mut PhaseRun<'_>,
+    analysis: &WcetAnalysis<'_>,
+    prefix: &Prefix,
+) -> Result<StackReport, AnalysisError> {
+    let (program, hw) = (analysis.program, &analysis.config.hw);
+    let options =
+        StackOptions { recursion_depths: analysis.annotations.resolved_recursion(program) };
+    let recursion = &options.recursion_depths;
+    let Prefix { keys, cfg, valued } = prefix;
+    let report = match valued {
+        Ok((_, va)) => {
+            run.run(PhaseId::Stack, phase::stack_fingerprint(keys.value, recursion), || {
+                let precise = stamp_stack::analyze_icfg(hw, va)?;
+                // The callgraph mode also provides the per-function table.
+                let breakdown = stamp_stack::analyze_callgraph(program, cfg, &options)
+                    .map(|r| r.per_function)
+                    .unwrap_or_default();
+                Ok(StackReport {
+                    bound: precise.total,
+                    mode: "precise",
+                    per_function: breakdown,
+                    phases: Vec::new(),
+                })
+            })?
+        }
+        // Recursion: fall back to the compositional mode (the cached
+        // context error carries the variant, so sharing jobs take the
+        // same branch). Without a value analysis nothing resolves
+        // computed jumps, and a partial call graph is no bound.
+        Err(AnalysisError::Icfg(
+            IcfgError::CallDepthExceeded { .. } | IcfgError::ContextExplosion { .. },
+        )) => {
+            if !cfg.unresolved_indirects().is_empty() {
+                let addrs = cfg.unresolved_indirects().to_vec();
+                return Err(AnalysisError::UnresolvedIndirects { addrs });
+            }
+            let fp = phase::stack_callgraph_fingerprint(keys.cfg, &hw.mem, recursion);
+            run.run(PhaseId::Stack, fp, || {
+                let r = stamp_stack::analyze_callgraph(program, cfg, &options)?;
+                Ok(StackReport {
+                    bound: r.total,
+                    mode: "callgraph",
+                    per_function: r.per_function,
+                    phases: Vec::new(),
+                })
+            })?
+        }
+        Err(e) => return Err(e.clone()),
+    };
+    Ok(StackReport { phases: run.phases.clone(), ..(*report).clone() })
 }

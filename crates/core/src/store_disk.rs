@@ -37,7 +37,7 @@ const FORMAT_VERSION: u32 = 1;
 /// incompatible change to a `Codec` impl reachable from a phase
 /// artifact; old logs are then discarded wholesale instead of being
 /// misdecoded.
-const ARTIFACT_CODEC_VERSION: u32 = 4;
+const ARTIFACT_CODEC_VERSION: u32 = 5;
 
 /// Name of the log file inside a store directory.
 const LOG_NAME: &str = "artifacts.log";

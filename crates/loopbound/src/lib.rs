@@ -239,11 +239,15 @@ impl InductionPattern {
         inst: &LoopInstance,
     ) -> Option<u64> {
         // Initial value of the induction register and of every invariant
-        // rhs: joined over the instance's entry edges.
+        // rhs: joined over the instance's entry edges and, when the task
+        // starts in the loop, the entry node's input state (which covers
+        // the task-entry state).
         let mut init: Option<SInt> = None;
         let mut rhs_vals: BTreeMap<Reg, SInt> = BTreeMap::new();
-        for &e in &inst.entries {
-            let src_state = va.exit_state(icfg.edge(e).from)?;
+        let start = icfg.entered_at_start(inst).then(|| va.entry_state(icfg.entry()));
+        let edges = inst.entries.iter().map(|&e| va.exit_state(icfg.edge(e).from));
+        for src_state in start.into_iter().chain(edges) {
+            let src_state = src_state?;
             let v = src_state.reg(self.reg);
             init = Some(match init {
                 None => v,
@@ -309,7 +313,9 @@ impl InductionPattern {
         limit_reg: Reg,
         inc_before: bool,
     ) -> Option<u64> {
-        if !matches!(cont, Cond::Lt | Cond::Ltu) || self.step <= 0 {
+        // The gap is read off the entry edges' source blocks; the task
+        // start has none.
+        if !matches!(cont, Cond::Lt | Cond::Ltu) || self.step <= 0 || icfg.entered_at_start(inst) {
             return None;
         }
         // Gap at loop entry, joined over all entry edges of the instance.
@@ -584,5 +590,18 @@ mod tests {
         // Two inlined instances with different bounds.
         assert!(values.contains(&7), "{values:?}");
         assert!(values.contains(&3), "{values:?}");
+    }
+
+    #[test]
+    fn loop_the_task_starts_in_is_bounded_from_the_entry_state() {
+        // The entry block heads the loop: the task start is its only
+        // entry. `r1` is unknown there, so only the unsigned compare
+        // bounds it: 51 headers when `r1` starts at −1.
+        let unsigned = ".text\nmain: addi r1, r1, 1\nsltui r5, r1, 50\nbnez r5, main\nhalt\n";
+        let lb = bounds_of(unsigned, &LoopBoundOptions::default());
+        assert_eq!(lb.unbounded().len(), 0);
+        assert_eq!(lb.bounds().values().copied().collect::<Vec<_>>(), [51]);
+        let signed = ".text\nmain: addi r1, r1, 1\nslti r5, r1, 50\nbnez r5, main\nhalt\n";
+        assert_eq!(bounds_of(signed, &LoopBoundOptions::default()).unbounded().len(), 1);
     }
 }

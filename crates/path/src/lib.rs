@@ -180,6 +180,8 @@ enum InstanceRule {
 struct Instance<'a> {
     instance: &'a LoopInstance,
     rule: InstanceRule,
+    /// The virtual source is one more entry ([`Icfg::entered_at_start`]).
+    at_start: bool,
 }
 
 impl Instance<'_> {
@@ -358,6 +360,7 @@ fn prepare<'a>(
         if inst.backs.is_empty() {
             continue;
         }
+        let at_start = icfg.entered_at_start(inst);
         let rule = match lb.bound(inst.header, &inst.outer) {
             Some(bound) => {
                 // Σ backs − (bound−1) · Σ entries ≤ 0.
@@ -369,6 +372,9 @@ fn prepare<'a>(
                 for en in &inst.entries {
                     terms.push((evar[en.index()], -k));
                 }
+                if at_start {
+                    terms.push((source, -k));
+                }
                 lp.add_constraint(terms, CmpOp::Le, 0);
                 InstanceRule::Bound(bound)
             }
@@ -377,9 +383,10 @@ fn prepare<'a>(
                 // never entered: pin its flow to zero instead. (This is
                 // a genuine reachability fact, so it applies even when
                 // infeasible-path *path constraints* are ablated.)
-                let unreachable = inst.entries.iter().all(|e| {
-                    infeasible_set.contains(e) || va.entry_state(icfg.edge(*e).from).is_none()
-                });
+                let unreachable = !at_start
+                    && inst.entries.iter().all(|e| {
+                        infeasible_set.contains(e) || va.entry_state(icfg.edge(*e).from).is_none()
+                    });
                 if !unreachable {
                     return Err(PathError::MissingLoopBound {
                         header_addr: cfg.block(inst.header).start,
@@ -391,7 +398,7 @@ fn prepare<'a>(
                 InstanceRule::PinUnreachable
             }
         };
-        recorded.push(Instance { instance: inst, rule });
+        recorded.push(Instance { instance: inst, rule, at_start });
     }
 
     // Infeasible edges.
@@ -715,5 +722,29 @@ mod tests {
         assert_eq!(path.first(), Some(&icfg.entry()));
         // Path visits: entry, loop×2, halt = 4 nodes.
         assert_eq!(path.len(), 4);
+    }
+
+    #[test]
+    fn loops_closed_by_the_task_start_or_a_return_are_bounded() {
+        // The entry block heads a loop, alone and followed by a
+        // decomposable tail; and a loop whose back edge is a call's
+        // fall-through. Both solves agree and stay above a
+        // simulated run.
+        let programs = [
+            ".text\nmain: addi r1, r1, 1\nsltui r5, r1, 50\nbnez r5, main\nhalt\n",
+            ".text\nmain: addi r1, r1, 1\nsltui r5, r1, 50\nbnez r5, main\ncall f\ncall f\nhalt\nf: div r1, r2, r3\nret\n",
+            ".text\nmain: li r1, 5\nj head\nbody: addi r1, r1, -1\ncall f\nhead: bnez r1, body\nhalt\nf: ret\n",
+        ];
+        for src in programs {
+            for hw in [HwConfig::ideal(), HwConfig::default()] {
+                let (p, cfg, icfg, va, lb, pa) = phases_of(src, &hw);
+                let on = analyze(&cfg, &icfg, &va, &lb, &pa, &PathOptions::default()).unwrap();
+                let mono = PathOptions { summaries: false, ..PathOptions::default() };
+                let off = analyze(&cfg, &icfg, &va, &lb, &pa, &mono).unwrap();
+                assert_eq!(on.wcet, off.wcet, "src {src:?} hw {hw:?}");
+                let cycles = Simulator::new(&p, &hw).run(10_000).unwrap().cycles;
+                assert!(on.wcet >= cycles, "src {src:?} hw {hw:?}: {} < {cycles}", on.wcet);
+            }
+        }
     }
 }

@@ -589,6 +589,11 @@ fn build_segment(
                 for &en in &inst.instance.entries {
                     terms.push((evar(en), -mul));
                 }
+                // The task starts in the loop: the entry node heads it,
+                // so it is owned by segment 0, whose source is the task's.
+                if inst.at_start {
+                    terms.push((source, -mul));
+                }
                 push(&mut cons, terms, CmpOp::Le, 0);
             }
             InstanceRule::PinUnreachable => {

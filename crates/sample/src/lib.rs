@@ -144,6 +144,8 @@ pub fn sample_paths(
     let instances = icfg.loop_instances();
     let bounds: Vec<Option<u64>> =
         instances.iter().map(|inst| lb.bound(inst.header, &inst.outer)).collect();
+    // The instance the task starts in: the walk's start is one entry.
+    let at_start = instances.iter().position(|inst| icfg.entered_at_start(inst));
     let mut edge_loop: Vec<Option<(usize, bool)>> = vec![None; n_edges];
     for (idx, inst) in instances.iter().enumerate() {
         for &e in &inst.entries {
@@ -191,6 +193,9 @@ pub fn sample_paths(
 
     for _ in 0..options.samples {
         counters.iter_mut().for_each(|c| *c = (0, 0));
+        if let Some(inst) = at_start {
+            counters[inst].0 = 1;
+        }
         let mut cur = icfg.entry();
         let mut cost = entry_time;
         let mut steps = 0usize;
@@ -458,5 +463,15 @@ mod tests {
         assert_eq!(percentile(&ten, 90), Some(9));
         assert_eq!(percentile(&ten, 99), Some(10));
         assert_eq!(percentile(&ten, 1), Some(1));
+    }
+
+    #[test]
+    fn the_task_start_enters_the_loop_its_entry_block_heads() {
+        // Without the start counted as an entry the back edge has no
+        // budget and every walk leaves after one iteration.
+        let src = ".text\nmain: addi r1, r1, 1\nsltui r5, r1, 50\nbnez r5, main\nhalt\n";
+        let (wcet, s) = wcet_and_samples(src, &HwConfig::ideal(), &SampleOptions::default());
+        assert_distribution_under(wcet, &s);
+        assert_eq!(s.observed_max, Some(wcet), "the longest walk is the worst case");
     }
 }

@@ -31,6 +31,10 @@
 //! `"interval"`, `"strided"`), `widen_delay`, `small_set` (value
 //! analysis), `use_infeasible` (bool, ILP), `sampling` (probabilistic
 //! path sampling: `{}` for the defaults or `{"samples": N, "seed": N}`).
+//! A job runs one value analysis under its variant and reads both its
+//! stack bound and its WCET from it, so every key that reaches the
+//! value analysis (`hw`'s memory map, the VIVU and value-analysis keys)
+//! reaches both bounds.
 //!
 //! Unknown keys are rejected everywhere: a misspelled knob must fail
 //! the parse, not silently run the default configuration. Solver

@@ -35,9 +35,7 @@
 //! (the fuzzing equivalent of mutation testing).
 
 use rand::Rng;
-use stamp_core::{
-    AnalysisConfig, Annotations, ArtifactStore, PhaseArtifacts, StackAnalysis, WcetAnalysis,
-};
+use stamp_core::{AnalysisConfig, Annotations, ArtifactStore, PhaseArtifacts, WcetAnalysis};
 use stamp_hw::HwConfig;
 use stamp_isa::{Program, Reg};
 use stamp_sim::{RunStatus, Simulator};
@@ -301,29 +299,20 @@ pub fn check(
         }
     }
 
-    // ---- The static side: bounds plus the full phase artifacts.
-    let (wcet_bound, artifacts): (Option<u64>, Option<PhaseArtifacts>) = if cfg.wcet {
-        let run = WcetAnalysis::new(program)
-            .config(AnalysisConfig {
-                hw: cfg.hw,
-                value: cfg.value.clone(),
-                ..AnalysisConfig::default()
-            })
-            .annotations(annotations.clone())
-            .run_full(&ArtifactStore::disabled());
-        match run {
-            Ok((report, artifacts)) => (Some(report.wcet), Some(artifacts)),
-            Err(e) => {
-                return Err(Box::new(Violation::Analysis { stage: "wcet", message: e.to_string() }))
-            }
-        }
-    } else {
-        (None, None)
-    };
-    let stack_bound = StackAnalysis::new(program)
-        .hw(cfg.hw)
+    // ---- The static side: both bounds from one value analysis, plus
+    // the full phase artifacts.
+    let verdict = WcetAnalysis::new(program)
+        .config(AnalysisConfig { hw: cfg.hw, value: cfg.value.clone(), ..Default::default() })
         .annotations(annotations.clone())
-        .run()
+        .run_verdict(&ArtifactStore::disabled(), cfg.wcet);
+    let (wcet_bound, artifacts) = verdict
+        .wcet
+        .transpose()
+        .map_err(|e| Violation::Analysis { stage: "wcet", message: e.to_string() })?
+        .map(|(report, artifacts)| (report.wcet, artifacts))
+        .unzip();
+    let stack_bound = verdict
+        .stack
         .map_err(|e| Violation::Analysis { stage: "stack", message: e.to_string() })?
         .bound;
 

@@ -192,27 +192,15 @@ mod tests {
         // Assemble: one request per job, one unique source per target.
         assert_eq!(row(PhaseId::Assemble).requests, 3 * targets);
         assert_eq!(row(PhaseId::Assemble).unique, targets);
-        // Value: shared across the whole hardware sweep (stack and
-        // default-variant WCET chains coincide at default VIVU).
-        assert_eq!(row(PhaseId::Value).unique, targets);
+        // The prefix and the stack bound: one request per job, one
+        // artifact per target, shared across the whole hardware sweep
+        // (value reads the memory map only).
+        for p in [PhaseId::Cfg, PhaseId::Context, PhaseId::Value, PhaseId::Stack] {
+            assert_eq!((row(p).requests, row(p).unique), (3 * targets, targets), "{p:?}");
+        }
         // Pipeline: nothing shared — timing differs everywhere.
         assert_eq!(row(PhaseId::Pipeline).unique, row(PhaseId::Pipeline).requests);
-        // Overall, the matrix should predict a majority of hits.
-        assert!(
-            plan.expected_hit_rate() > 0.5,
-            "expected >50% reuse, got {:.2}",
-            plan.expected_hit_rate()
-        );
-    }
-
-    #[test]
-    fn single_variant_corpus_still_shares_the_stack_prefix() {
-        let request = corpus_matrix(&[BatchVariant::default()]);
-        let plan = plan(&request);
-        // WCET-enabled targets request cfg/context/value twice (stack
-        // chain + WCET chain) under identical fingerprints.
-        let row = |p: PhaseId| plan.phases.iter().find(|r| r.phase == p).copied().unwrap();
-        assert!(row(PhaseId::Value).requests > row(PhaseId::Value).unique);
+        assert!(plan.expected_hit_rate() > 0.45, "got {:.2}", plan.expected_hit_rate());
     }
 
     #[test]

@@ -49,11 +49,6 @@ impl AMem {
         AMem { words }
     }
 
-    /// Number of words with non-⊤ knowledge.
-    pub fn known_words(&self) -> usize {
-        self.words.len()
-    }
-
     /// Reads an access of `width` at the *constant* word-aligned-or-not
     /// address `addr`. Returns ⊤ when nothing is known.
     pub fn read(&self, addr: u32, width: MemWidth) -> SInt {
@@ -76,12 +71,6 @@ impl AMem {
                 None => SInt::top(),
             },
         }
-    }
-
-    /// Reads a range of possible addresses: the join over all members.
-    /// Falls back to ⊤ when the set is large.
-    pub fn read_range(&self, addrs: &SInt, width: MemWidth) -> SInt {
-        join_reads(addrs, |a| self.read(a, width))
     }
 
     /// Stores `value` of `width` at the constant address `addr`
@@ -268,7 +257,6 @@ mod tests {
     fn starts_unknown() {
         let m = AMem::unknown();
         assert!(m.read(0x1000_0000, MemWidth::W).is_top());
-        assert_eq!(m.known_words(), 0);
     }
 
     #[test]
@@ -317,11 +305,12 @@ mod tests {
         let mut m = AMem::unknown();
         m.write(0x1000_0000, MemWidth::W, &SInt::cst(10));
         m.write(0x1000_0004, MemWidth::W, &SInt::cst(20));
-        let v = m.read_range(&SInt::strided(0x1000_0000, 0x1000_0004, 4), MemWidth::W);
+        let read = |addrs: &SInt| join_reads(addrs, |a| m.read(a, MemWidth::W));
+        let v = read(&SInt::strided(0x1000_0000, 0x1000_0004, 4));
         assert!(v.contains(10) && v.contains(20));
         assert_eq!(v.count(), 2);
         // Huge ranges degrade to ⊤.
-        assert!(m.read_range(&SInt::range(0x1000_0000, 0x100f_0000), MemWidth::W).is_top());
+        assert!(read(&SInt::range(0x1000_0000, 0x100f_0000)).is_top());
     }
 
     #[test]

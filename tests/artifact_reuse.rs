@@ -55,7 +55,7 @@ fn hardware_sweep_computes_one_value_fixpoint_per_target() {
     let report = run_batch_with(&request, 2, &store).unwrap();
     let stats = report.artifacts;
     // 2 WCET targets (fibcall, crc): one value artifact each, shared by
-    // the stack chain and all three hardware variants. fac is recursive
+    // the stack bound and all three hardware variants. fac is recursive
     // — its context phase fails (cached once) and no value artifact
     // exists for it.
     assert_eq!(stats.phase("value").unwrap().misses, 2, "{stats:?}");
@@ -196,8 +196,8 @@ fn recursive_stack_fallback_shares_through_the_store() {
     assert_eq!((context.misses, context.hits), (1, 1), "the context error is cached too");
 }
 
-/// Collapses back-to-back repeats of the `cfg → context → value` pass —
-/// the extra passes of the CFG ↔ value feedback loop.
+/// Collapses back-to-back repeats of the job's one `cfg → context →
+/// value` pass — the extra passes of the CFG ↔ value feedback loop.
 fn collapse_feedback_passes(phases: &[Phase]) -> Vec<Phase> {
     let pass = [Phase::Cfg, Phase::Context, Phase::Value];
     let mut out: Vec<Phase> = Vec::new();
@@ -220,6 +220,8 @@ fn plan_job_predicts_the_phase_sequence_each_corpus_job_runs() {
         let planned: Vec<Phase> = plan_job(job).unwrap().iter().map(|r| r.phase).collect();
         let ran: Vec<Phase> =
             result.provenance.iter().map(|&(p, _)| p).filter(|&p| p != Phase::Summary).collect();
+        // One prefix chain: assemble, the prefix, stack, the WCET tail.
+        assert_eq!(planned.iter().filter(|&&p| p == Phase::Value).count(), 1, "{}", job.name());
         if job.source.contains("jalr") {
             // Documented: the feedback loop runs more prefix passes than
             // the iteration-0 prediction.
@@ -238,4 +240,67 @@ fn plan_job_predicts_the_phase_sequence_each_corpus_job_runs() {
         }
     }
     assert_eq!((jump_tables, recursive), (1, 1), "switchcase and fac");
+}
+
+/// How often `phase` occurs in a phase sequence.
+fn count(phases: impl IntoIterator<Item = Phase>, phase: Phase) -> usize {
+    phases.into_iter().filter(|&p| p == phase).count()
+}
+
+#[test]
+fn variant_jobs_make_one_value_request_per_feedback_pass() {
+    // `peel` and `widen_delay` reach the value fingerprint, so the
+    // stack bound and the WCET phases share the job's one prefix only
+    // if the stack reads the job's own value analysis.
+    let manifest = r#"{
+      "targets": [{"benchmark": "fibcall"}, {"benchmark": "crc"}, {"benchmark": "switchcase"}],
+      "variants": [{"name": "peel0", "peel": 0}, {"name": "widen0", "widen_delay": 0}]
+    }"#;
+    let request = parse_manifest(manifest, Path::new(".")).unwrap();
+    for store in [ArtifactStore::new(), ArtifactStore::disabled()] {
+        let report = run_batch_with(&request, 1, &store).unwrap();
+        assert_eq!(report.errors(), 0);
+        for r in &report.results {
+            let ran = || r.provenance.iter().map(|&(p, _)| p);
+            let passes = count(ran(), Phase::Cfg);
+            assert_eq!(count(ran(), Phase::Value), passes, "{}", r.name);
+            assert_eq!(count(ran(), Phase::Stack), 1, "{}", r.name);
+            // The jump table resolves on the second pass.
+            assert_eq!(passes, if r.target == "switchcase" { 2 } else { 1 }, "{}", r.name);
+        }
+    }
+    // The oracle's entry: one pass per prefix iteration as well.
+    let b = stamp::suite::benchmarks().into_iter().find(|b| b.name == "switchcase").unwrap();
+    let mut config = stamp::AnalysisConfig::default();
+    config.vivu.peel = 0;
+    let program = b.program();
+    let verdict = WcetAnalysis::new(&program)
+        .config(config)
+        .annotations(b.annotations())
+        .run_verdict(&ArtifactStore::disabled(), true);
+    let (report, _) = verdict.wcet.expect("asked for").expect("bounded");
+    let ran = || report.phases.iter().map(|p| p.phase);
+    assert_eq!((count(ran(), Phase::Cfg), count(ran(), Phase::Value)), (2, 2));
+    assert_eq!(count(ran(), Phase::Stack), 1);
+    assert_eq!(verdict.stack.expect("bounded").bound, 0);
+}
+
+#[test]
+fn a_prefix_that_cannot_close_the_cfg_fails_both_bounds() {
+    // Under the constant domain the jump table's index stays unknown:
+    // the job's own value analysis cannot close switchcase's CFG, so
+    // its stack bound fails with its WCET.
+    let manifest = r#"{"targets": [{"benchmark": "switchcase"}],
+      "variants": [{"name": "const", "domain": "const"}]}"#;
+    let request = parse_manifest(manifest, Path::new(".")).unwrap();
+    let unresolved = "unresolved indirect jumps at 0x00000030; add indirect-target annotations";
+    for store in [ArtifactStore::new(), ArtifactStore::disabled()] {
+        let report = run_batch_with(&request, 1, &store).unwrap();
+        let r = &report.results[0];
+        assert_eq!((r.stack, r.wcet), (None, None));
+        assert_eq!(
+            r.error.as_deref(),
+            Some(format!("stack: {unresolved}; wcet: {unresolved}").as_str())
+        );
+    }
 }

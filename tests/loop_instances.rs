@@ -7,7 +7,8 @@
 //!
 //! * the per-edge grouping the path ILP used to build for itself
 //!   (every edge into a loop-header node, keyed by the target context
-//!   with the loop's own trailing frame stripped, back edges apart);
+//!   with the loop's own trailing frame stripped, back edges — intra
+//!   or return edges labelled with the header — apart);
 //! * the per-node enumeration loop-bound analysis used to key its
 //!   bounds (every header node's stripped context, edges or not);
 //!
@@ -59,7 +60,9 @@ fn per_edge_reference(cfg: &Cfg, icfg: &Icfg) -> Vec<LoopInstance> {
             continue;
         }
         let group = groups.entry((header, stripped(icfg, header, to.ctx))).or_default();
-        if matches!(e.kind, IEdgeKind::Intra { back_edge_of: Some(h), .. } if h == header) {
+        if matches!(e.kind, IEdgeKind::Intra { back_edge_of: Some(h), .. }
+            | IEdgeKind::Return { back_edge_of: Some(h), .. } if h == header)
+        {
             group.1.push(e.id);
         } else {
             group.0.push(e.id);
@@ -154,6 +157,36 @@ fn entry_block_heading_a_loop_is_an_instance_without_entries() {
         assert!(inst.outer.is_empty());
         assert!(inst.entries.is_empty(), "nothing enters the task entry");
         assert_eq!(inst.backs.len(), 1);
+        assert!(icfg.entered_at_start(inst), "the task start enters it");
+    }
+}
+
+#[test]
+fn return_edges_closing_a_loop_are_back_edges() {
+    let src = "\
+        .text
+        main: li   r1, 5
+              j    head
+        body: addi r1, r1, -1
+              call f
+        head: bnez r1, body
+              halt
+        f:    ret
+    ";
+    for peel in 0..=2u8 {
+        let (program, cfg, icfg) = check_source(src, peel, &format!("call latch peel {peel}"));
+        let header = block(&program, &cfg, "head");
+        for inst in icfg.loop_instances_of(header) {
+            assert!(!icfg.entered_at_start(inst));
+            for &b in &inst.backs {
+                assert!(matches!(icfg.edge(b).kind, IEdgeKind::Return { .. }), "peel {peel}");
+            }
+            for &e in &inst.entries {
+                assert!(matches!(icfg.edge(e).kind, IEdgeKind::Intra { .. }), "peel {peel}");
+            }
+        }
+        let backs: usize = icfg.loop_instances_of(header).iter().map(|i| i.backs.len()).sum();
+        assert!(backs > 0, "peel {peel}");
     }
 }
 
