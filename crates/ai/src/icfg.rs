@@ -190,7 +190,6 @@ pub struct Icfg {
     edges: Vec<IEdge>,
     succs: Vec<Vec<IEdgeId>>,
     preds: Vec<Vec<IEdgeId>>,
-    node_ids: HashMap<(BlockId, CtxId), NodeId>,
     nodes_by_block: HashMap<BlockId, Vec<NodeId>>,
     ctxs: CtxTable,
     entry: NodeId,
@@ -256,11 +255,6 @@ impl Icfg {
     /// The context table.
     pub fn ctxs(&self) -> &CtxTable {
         &self.ctxs
-    }
-
-    /// The node for `(block, ctx)` if it exists.
-    pub fn node_of(&self, block: BlockId, ctx: CtxId) -> Option<NodeId> {
-        self.node_ids.get(&(block, ctx)).copied()
     }
 
     /// All context instances of one basic block.
@@ -599,7 +593,6 @@ impl<'c> Builder<'c> {
             edges: self.edges,
             succs: self.succs,
             preds: self.preds,
-            node_ids: self.node_ids,
             nodes_by_block,
             ctxs: self.ctxs,
             entry,
@@ -767,9 +760,9 @@ impl stamp_codec::Codec for LoopInstance {
 }
 
 impl stamp_codec::Codec for Icfg {
-    /// The two lookup maps (`node_ids`, `nodes_by_block`) are derived
-    /// from `nodes` and rebuilt on decode; everything else is persisted
-    /// positionally for an exact round-trip.
+    /// The lookup map `nodes_by_block` is derived from `nodes` and
+    /// rebuilt on decode; everything else is persisted positionally for
+    /// an exact round-trip.
     fn enc(&self, e: &mut stamp_codec::Enc) {
         self.nodes.enc(e);
         self.edges.enc(e);
@@ -818,13 +811,11 @@ impl stamp_codec::Codec for Icfg {
         if !in_range {
             return Err(stamp_codec::CodecError::Invalid("icfg id out of range"));
         }
-        let mut node_ids = HashMap::new();
         let mut nodes_by_block: HashMap<BlockId, Vec<NodeId>> = HashMap::new();
         for (i, nd) in nodes.iter().enumerate() {
             if nd.id.index() != i {
                 return Err(stamp_codec::CodecError::Invalid("icfg node ids"));
             }
-            node_ids.insert((nd.block, nd.ctx), nd.id);
             nodes_by_block.entry(nd.block).or_default().push(nd.id);
         }
         Ok(Icfg {
@@ -832,7 +823,6 @@ impl stamp_codec::Codec for Icfg {
             edges,
             succs,
             preds,
-            node_ids,
             nodes_by_block,
             ctxs,
             entry,
@@ -973,9 +963,9 @@ mod tests {
         assert_eq!(back.edges(), icfg.edges());
         assert_eq!(back.loop_instances(), icfg.loop_instances());
         assert_eq!(back.ctxs().len(), icfg.ctxs().len());
-        // Rebuilt lookup maps answer identically.
+        // The rebuilt lookup map and the RPO answer identically.
         for nd in icfg.nodes() {
-            assert_eq!(back.node_of(nd.block, nd.ctx), Some(nd.id));
+            assert_eq!(back.nodes_of_block(nd.block), icfg.nodes_of_block(nd.block));
             assert_eq!(back.rpo_index(nd.id), icfg.rpo_index(nd.id));
         }
         assert!(stamp_codec::decode_value::<Icfg>(&bytes[..bytes.len() - 2]).is_err());

@@ -81,40 +81,6 @@ impl<S> Fixpoint<S> {
     pub fn output(&self, n: NodeId) -> Option<&S> {
         self.outs[n.index()].as_ref()
     }
-
-    /// The raw per-node `(entry, exit)` state slices, indexed by node.
-    /// Used to encode a fixpoint into a stored artifact.
-    pub fn states(&self) -> (&[Option<S>], &[Option<S>]) {
-        (&self.ins, &self.outs)
-    }
-
-    /// Reassembles a fixpoint from per-node states (the inverse of
-    /// [`Fixpoint::states`] plus the public bookkeeping fields).
-    pub fn from_parts(
-        ins: Vec<Option<S>>,
-        outs: Vec<Option<S>>,
-        infeasible_edges: Vec<crate::icfg::IEdgeId>,
-        evaluations: u64,
-    ) -> Fixpoint<S> {
-        Fixpoint { ins, outs, infeasible_edges, evaluations }
-    }
-}
-
-impl<S: Domain> Fixpoint<S> {
-    /// Structural equivalence of two fixpoints (mutual `⊑` per node plus
-    /// identical bookkeeping) — the oracle of the differential tests.
-    pub fn equivalent(&self, other: &Fixpoint<S>) -> bool {
-        let same_state = |a: &Option<S>, b: &Option<S>| match (a, b) {
-            (None, None) => true,
-            (Some(x), Some(y)) => x.le(y) && y.le(x),
-            _ => false,
-        };
-        self.evaluations == other.evaluations
-            && self.infeasible_edges == other.infeasible_edges
-            && self.ins.len() == other.ins.len()
-            && self.ins.iter().zip(&other.ins).all(|(a, b)| same_state(a, b))
-            && self.outs.iter().zip(&other.outs).all(|(a, b)| same_state(a, b))
-    }
 }
 
 /// The widening points of a graph: targets of back edges (and of any

@@ -18,8 +18,9 @@ fn build(src: &str, vivu: &VivuConfig) -> (stamp_cfg::Cfg, Icfg) {
 /// Structural invariants that must hold for every expansion.
 fn check_invariants(cfg: &stamp_cfg::Cfg, icfg: &Icfg) {
     // Every node's (block, ctx) is unique and indexed.
+    let mut seen = std::collections::HashSet::new();
     for nd in icfg.nodes() {
-        assert_eq!(icfg.node_of(nd.block, nd.ctx), Some(nd.id));
+        assert!(seen.insert((nd.block, nd.ctx)), "{:?} repeats a (block, ctx)", nd.id);
         assert!(icfg.nodes_of_block(nd.block).contains(&nd.id));
     }
     // Edges connect existing nodes, and intra edges stay inside one

@@ -151,7 +151,7 @@ pub struct PhaseArtifacts {
     pub cfg: Arc<Cfg>,
     /// The interprocedural supergraph.
     pub icfg: Arc<Icfg>,
-    /// The value-analysis fixpoint over `icfg`.
+    /// The value analysis over `icfg`: its facts and its kept states.
     pub va: Arc<ValueAnalysis>,
     /// The loop-bound analysis (per-instance iteration bounds).
     pub lb: Arc<LoopBoundAnalysis>,
@@ -196,12 +196,6 @@ impl<'p> WcetAnalysis<'p> {
     /// Sets the VIVU context configuration.
     pub fn vivu(mut self, vivu: VivuConfig) -> Self {
         self.config.vivu = vivu;
-        self
-    }
-
-    /// Sets the value-analysis options.
-    pub fn value_options(mut self, value: ValueOptions) -> Self {
-        self.config.value = value;
         self
     }
 

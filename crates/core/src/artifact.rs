@@ -179,7 +179,7 @@ impl ArtifactStore {
         }
     }
 
-    /// A disabled store: every claim answers [`ArtifactClaim::Disabled`]
+    /// A disabled store: every claim answers that the store is disabled,
     /// and nothing is retained — the zero-overhead path of
     /// `--no-artifact-cache` and of one-shot [`crate::WcetAnalysis::run`].
     pub fn disabled() -> ArtifactStore {
@@ -694,21 +694,41 @@ mod tests {
         assert_eq!(store.stats().phase("value").unwrap().hits, 1);
     }
 
-    /// `bytes`, an encoded value analysis, with its first state's
-    /// word-map index pointed one past the end of the word-map pool.
-    fn with_dangling_word_map(bytes: &[u8]) -> Vec<u8> {
+    /// The offset of the first kept node's id in `bytes`, an encoded
+    /// value analysis, the node count and the word-map pool's length.
+    fn first_kept_node(bytes: &[u8]) -> (usize, u32, usize) {
         use stamp_codec::Codec;
         let mut d = stamp_codec::Dec::new(bytes);
         Vec::<u32>::dec(&mut d).unwrap();
         let pool = Vec::<std::collections::BTreeMap<u32, stamp_value::SInt>>::dec(&mut d).unwrap();
-        d.len_prefix(1).unwrap();
-        assert_eq!(d.u8().unwrap(), 1, "the entry node is reachable");
+        let nodes = d.u32().unwrap();
+        assert!(d.len_prefix(1).unwrap() > 0, "some node is kept");
+        (bytes.len() - d.remaining(), nodes, pool.len())
+    }
+
+    /// `bytes`, an encoded value analysis, with its first kept entry
+    /// state's word-map index pointed one past the end of the pool.
+    fn with_dangling_word_map(bytes: &[u8]) -> Vec<u8> {
+        use stamp_codec::Codec;
+        let (at, _, pool) = first_kept_node(bytes);
+        let mut d = stamp_codec::Dec::new(&bytes[at..]);
+        stamp_ai::NodeId::dec(&mut d).unwrap();
+        assert_eq!(d.u8().unwrap(), 1, "the first kept node is reachable");
         for _ in 0..stamp_isa::Reg::COUNT {
             stamp_value::SInt::dec(&mut d).unwrap();
         }
         let at = bytes.len() - d.remaining();
         let mut hostile = bytes.to_vec();
-        hostile[at..at + 8].copy_from_slice(&(pool.len() as u64).to_le_bytes());
+        hostile[at..at + 8].copy_from_slice(&(pool as u64).to_le_bytes());
+        hostile
+    }
+
+    /// `bytes`, an encoded value analysis, with its first kept node's id
+    /// one past the supergraph's last node.
+    fn with_kept_node_out_of_range(bytes: &[u8]) -> Vec<u8> {
+        let (at, nodes, _) = first_kept_node(bytes);
+        let mut hostile = bytes.to_vec();
+        hostile[at..at + 4].copy_from_slice(&nodes.to_le_bytes());
         hostile
     }
 
@@ -717,37 +737,42 @@ mod tests {
         let program = stamp_isa::asm::assemble(LOOP_TASK).unwrap();
         let (mut expect, cold) =
             crate::WcetAnalysis::new(&program).run_full(&ArtifactStore::disabled()).unwrap();
+        expect.phases.clear();
         let good = stamp_codec::encode_value(&*cold.va);
-        let hostile = with_dangling_word_map(&good);
-        assert!(matches!(
-            stamp_codec::decode_value::<stamp_value::ValueAnalysis>(&hostile),
-            Err(stamp_codec::CodecError::Invalid("word-map index"))
-        ));
-
-        // Plant the record, CRC-valid, under the job's value key.
         let config = crate::AnalysisConfig::default();
         let indirects = crate::Annotations::new().resolved_indirects(&program);
         let program_fp = crate::phase::program_fingerprint(&program);
         let key = crate::phase::PrefixKeys::new(program_fp, &indirects, &config).value;
-        let dir = tmp_dir("hostile");
-        DiskStore::open(&dir).unwrap().0.append(PhaseId::Value, key, &hostile);
 
-        let (store, warnings) = ArtifactStore::with_disk(&dir).unwrap();
-        assert!(warnings.is_empty(), "the record itself is intact: {warnings:?}");
-        let (mut got, warm) = crate::WcetAnalysis::new(&program).run_full(&store).unwrap();
-        let value = store.stats().phase("value").unwrap();
-        assert_eq!((value.hits_disk, value.misses), (0, 1), "evicted, then recomputed");
-        assert_eq!(stamp_codec::encode_value(&*warm.va), good);
-        expect.phases.clear();
-        got.phases.clear();
-        assert_eq!(got.to_json().to_string(), expect.to_json().to_string());
-        drop(store);
+        for (what, hostile) in [
+            ("word-map index", with_dangling_word_map(&good)),
+            ("kept node id", with_kept_node_out_of_range(&good)),
+        ] {
+            assert!(matches!(
+                stamp_codec::decode_value::<stamp_value::ValueAnalysis>(&hostile),
+                Err(stamp_codec::CodecError::Invalid(w)) if w == what
+            ));
 
-        // The recomputed artifact was written through and now answers
-        // a fresh process.
-        let (disk, _) = DiskStore::open(&dir).unwrap();
-        assert_eq!(disk.take(PhaseId::Value, key).unwrap(), good);
-        let _ = std::fs::remove_dir_all(&dir);
+            // Plant the record, CRC-valid, under the job's value key.
+            let dir = tmp_dir("hostile");
+            DiskStore::open(&dir).unwrap().0.append(PhaseId::Value, key, &hostile);
+
+            let (store, warnings) = ArtifactStore::with_disk(&dir).unwrap();
+            assert!(warnings.is_empty(), "the record itself is intact: {warnings:?}");
+            let (mut got, warm) = crate::WcetAnalysis::new(&program).run_full(&store).unwrap();
+            let value = store.stats().phase("value").unwrap();
+            assert_eq!((value.hits_disk, value.misses), (0, 1), "{what}: evicted, then recomputed");
+            assert_eq!(stamp_codec::encode_value(&*warm.va), good);
+            got.phases.clear();
+            assert_eq!(got.to_json().to_string(), expect.to_json().to_string());
+            drop(store);
+
+            // The recomputed artifact was written through and now answers
+            // a fresh process.
+            let (disk, _) = DiskStore::open(&dir).unwrap();
+            assert_eq!(disk.take(PhaseId::Value, key).unwrap(), good);
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 
     /// `bytes`, an encoded CFG, with its first edge's target block

@@ -68,7 +68,7 @@ pub enum PhaseId {
     Cfg,
     /// CFG → interprocedural supergraph (VIVU context expansion).
     Context,
-    /// Supergraph → value-analysis fixpoint.
+    /// Supergraph → value analysis.
     Value,
     /// Value analysis → loop iteration bounds.
     LoopBound,

@@ -4,9 +4,9 @@
 //! each job derives its own seed from the campaign seed, draws a
 //! program **shape** (legacy / deep-loops / call-chain / branchy /
 //! rich — the scenario space of [`GenConfig`]), generates a program,
-//! and runs the full differential [`oracle`](crate::oracle) under the
+//! and runs the full differential [`oracle`] under the
 //! job's (HwConfig × ValueOptions) variant. Violations are minimized
-//! by the [`shrink`](crate::shrink) delta debugger and persisted as
+//! by the [`shrink`] delta debugger and persisted as
 //! ready-to-commit reproducer files.
 //!
 //! # Determinism

@@ -449,7 +449,9 @@ pub fn check(
 
 /// The value-containment leg: every concrete register at the halt site
 /// must lie inside the abstract exit state of *some* VIVU context of
-/// the halt block.
+/// the halt block. The simulator stops only on `halt`, which ends its
+/// block, so these nodes are task exits, whose states the value
+/// analysis keeps.
 fn check_exit_values(
     sim: &mut Simulator,
     artifacts: &PhaseArtifacts,

@@ -105,12 +105,19 @@ impl NodeStack {
     }
 }
 
-/// Results of the value analysis over the supergraph.
+/// Results of the value analysis over the supergraph: the facts folded
+/// while the fixpoint ran, and the register states at the nodes
+/// [`ValueAnalysis::run`] keeps.
 ///
-/// See the crate documentation for the role each field plays in the
+/// See the crate documentation for the role each fact plays in the
 /// downstream analyses.
 pub struct ValueAnalysis {
-    fixpoint: Fixpoint<AState>,
+    /// Each kept node with its entry and exit states (`None`:
+    /// unreachable), in node order.
+    kept: Vec<(NodeId, Option<AState>, Option<AState>)>,
+    /// The supergraph's node count; a decoded kept node must be below it.
+    nodes: u32,
+    infeasible_edges: Vec<IEdgeId>,
     accesses: HashMap<(u32, CtxId), AccessInfo>,
     constant_branches: usize,
     indirect_targets: BTreeMap<u32, BTreeSet<u32>>,
@@ -139,7 +146,10 @@ impl PrecisionSummary {
 }
 
 impl ValueAnalysis {
-    /// Runs the value analysis.
+    /// Runs the value analysis. Register states are kept only where they
+    /// are read: at the task entry and the loop-entry edges' sources
+    /// (loop bounds, the path analysis) and at the task exits (the fuzz
+    /// oracle).
     pub fn run(
         program: &Program,
         hw: &HwConfig,
@@ -147,6 +157,19 @@ impl ValueAnalysis {
         icfg: &Icfg,
         options: &ValueOptions,
     ) -> ValueAnalysis {
+        ValueAnalysis::solve(program, hw, cfg, icfg, options).0
+    }
+
+    /// [`ValueAnalysis::run`], also returning the per-node fixpoint the
+    /// analysis was computed from, for checks that need every node's
+    /// state.
+    pub fn solve(
+        program: &Program,
+        hw: &HwConfig,
+        cfg: &Cfg,
+        icfg: &Icfg,
+        options: &ValueOptions,
+    ) -> (ValueAnalysis, Fixpoint<AState>) {
         let thresholds = Arc::new(collect_thresholds(program, hw));
         let mut transfer = ValueTransfer::new(program, hw, cfg, options.domain, thresholds);
         let fixpoint = solve(icfg, &mut transfer, options.widen_delay);
@@ -160,32 +183,54 @@ impl ValueAnalysis {
             }
         }
 
-        let evaluations = fixpoint.evaluations;
-        ValueAnalysis {
-            fixpoint,
+        let kept = icfg
+            .loop_instances()
+            .iter()
+            .flat_map(|inst| inst.entries.iter().map(|&e| icfg.edge(e).from))
+            .chain([icfg.entry()])
+            .chain(icfg.exits().iter().copied())
+            .collect::<BTreeSet<NodeId>>()
+            .into_iter()
+            .map(|n| (n, fixpoint.input(n).cloned(), fixpoint.output(n).cloned()))
+            .collect();
+        let va = ValueAnalysis {
+            kept,
+            nodes: icfg.nodes().len() as u32,
+            infeasible_edges: fixpoint.infeasible_edges.clone(),
             accesses: transfer.accesses,
             constant_branches: transfer.constant_branches.iter().filter(|&&c| c).count(),
             indirect_targets,
             stack: NodeStack::extent(&transfer.stack),
             options: options.clone(),
-            evaluations,
-        }
+            evaluations: fixpoint.evaluations,
+        };
+        (va, fixpoint)
     }
 
-    /// The abstract state at a node's entry (per block × context).
+    /// The kept record of `node`. Reading a node whose states were not
+    /// kept is a bug: its `None` would read as "unreachable".
+    fn kept(&self, node: NodeId) -> Option<&(NodeId, Option<AState>, Option<AState>)> {
+        let at = self.kept.binary_search_by_key(&node, |k| k.0);
+        debug_assert!(at.is_ok(), "the value analysis keeps no state at node {node:?}");
+        at.ok().map(|i| &self.kept[i])
+    }
+
+    /// The abstract state at a kept node's entry (per block × context);
+    /// `None` if the node is unreachable.
     pub fn entry_state(&self, node: NodeId) -> Option<&AState> {
-        self.fixpoint.input(node)
+        self.kept(node)?.1.as_ref()
     }
 
-    /// The abstract state after a node.
+    /// The abstract state after a kept node; `None` if the node is
+    /// unreachable.
     pub fn exit_state(&self, node: NodeId) -> Option<&AState> {
-        self.fixpoint.output(node)
+        self.kept(node)?.2.as_ref()
     }
 
     /// Supergraph edges the analysis proved infeasible ("certain paths
     /// … are never executed").
     pub fn infeasible_edges(&self) -> &[IEdgeId] {
-        &self.fixpoint.infeasible_edges
+        &self.infeasible_edges
     }
 
     /// Per-(instruction, context) memory-access address sets.
@@ -258,15 +303,16 @@ impl stamp_codec::Codec for AccessInfo {
 
 /// The stored form: the threshold ladder once, each distinct word map
 /// once (deduplicated by `Arc` identity, in first-use order over the
-/// entry then the exit states), every state as its registers plus a
-/// word-map index, then the derived facts (`accesses` in key order, the
-/// constant-branch count, the indirect targets) and the stack extent
-/// last. Decoding re-shares the word
-/// maps, so states that shared memory before encoding share it after.
+/// kept nodes' entry then exit states), the supergraph's node count,
+/// then each kept node's id and its two states as registers plus a
+/// word-map index, then the derived facts (the infeasible edges,
+/// `accesses` in key order, the constant-branch count, the indirect
+/// targets), the options, the evaluation count and the stack extent.
+/// Decoding re-shares the word maps, so states that shared memory
+/// before encoding share it after.
 impl stamp_codec::Codec for ValueAnalysis {
     fn enc(&self, e: &mut stamp_codec::Enc) {
-        let (ins, outs) = self.fixpoint.states();
-        let states = || ins.iter().chain(outs).flatten();
+        let states = || self.kept.iter().flat_map(|k| [&k.1, &k.2]).flatten();
         // Every state descends from the single entry state, so they all
         // share one ladder. Make the invariant loud if a future change
         // ever breaks it — a wrong ladder after decoding would diverge
@@ -294,9 +340,11 @@ impl stamp_codec::Codec for ValueAnalysis {
         for words in pool {
             words.enc(e);
         }
-        for half in [ins, outs] {
-            e.len_prefix(half.len());
-            for state in half {
+        e.u32(self.nodes);
+        e.len_prefix(self.kept.len());
+        for (node, entry, exit) in &self.kept {
+            node.enc(e);
+            for state in [entry, exit] {
                 match state {
                     None => e.u8(0),
                     Some(s) => {
@@ -310,7 +358,7 @@ impl stamp_codec::Codec for ValueAnalysis {
             }
         }
 
-        self.fixpoint.infeasible_edges.enc(e);
+        self.infeasible_edges.enc(e);
         self.accesses.enc(e);
         self.constant_branches.enc(e);
         self.indirect_targets.enc(e);
@@ -328,49 +376,49 @@ impl stamp_codec::Codec for ValueAnalysis {
         let thresholds = Arc::new(Vec::<u32>::dec(d)?);
         let pool: Vec<Arc<BTreeMap<u32, SInt>>> =
             Vec::<BTreeMap<u32, SInt>>::dec(d)?.into_iter().map(Arc::new).collect();
-        let dec_states = |d: &mut stamp_codec::Dec| -> Result<Vec<Option<AState>>, CodecError> {
-            let n = d.len_prefix(1)?;
-            let mut states = Vec::with_capacity(n);
-            for _ in 0..n {
-                states.push(match d.u8()? {
-                    0 => None,
-                    1 => {
-                        let mut regs = [SInt::top(); Reg::COUNT];
-                        for r in regs.iter_mut() {
-                            *r = SInt::dec(d)?;
-                        }
-                        // A corrupt index must be an error, not a panic.
-                        let words = pool
-                            .get(usize::dec(d)?)
-                            .ok_or(CodecError::Invalid("word-map index"))?;
-                        let mem = AMem::from_words(Arc::clone(words));
-                        Some(AState::from_parts(regs, mem, Arc::clone(&thresholds)))
+        let dec_state = |d: &mut stamp_codec::Dec| -> Result<Option<AState>, CodecError> {
+            match d.u8()? {
+                0 => Ok(None),
+                1 => {
+                    let mut regs = [SInt::top(); Reg::COUNT];
+                    for r in regs.iter_mut() {
+                        *r = SInt::dec(d)?;
                     }
-                    _ => return Err(CodecError::Invalid("option tag")),
-                });
+                    // A corrupt index must be an error, not a panic.
+                    let words =
+                        pool.get(usize::dec(d)?).ok_or(CodecError::Invalid("word-map index"))?;
+                    let mem = AMem::from_words(Arc::clone(words));
+                    Ok(Some(AState::from_parts(regs, mem, Arc::clone(&thresholds))))
+                }
+                _ => Err(CodecError::Invalid("option tag")),
             }
-            Ok(states)
         };
-        let (ins, outs) = (dec_states(d)?, dec_states(d)?);
-        let infeasible_edges = Vec::dec(d)?;
-        let accesses = HashMap::dec(d)?;
-        let constant_branches = usize::dec(d)?;
-        let indirect_targets = BTreeMap::dec(d)?;
-        let options = ValueOptions::dec(d)?;
-        let evaluations = d.u64()?;
-        let stack = match (d.u8()?, d.u32()?) {
-            (0, sp) => StackExtent::Lowest(sp),
-            (1, addr) => StackExtent::Escapes(addr),
-            _ => return Err(CodecError::Invalid("stack extent")),
-        };
+        let nodes = d.u32()?;
+        let n = d.len_prefix(6)?;
+        let mut kept: Vec<(NodeId, _, _)> = Vec::with_capacity(n);
+        for _ in 0..n {
+            let node = NodeId::dec(d)?;
+            // The accessors binary-search the ids, and every id names a
+            // node of the supergraph the analysis ran on.
+            if node.0 >= nodes || kept.last().is_some_and(|k| k.0 >= node) {
+                return Err(CodecError::Invalid("kept node id"));
+            }
+            kept.push((node, dec_state(d)?, dec_state(d)?));
+        }
         Ok(ValueAnalysis {
-            fixpoint: Fixpoint::from_parts(ins, outs, infeasible_edges, evaluations),
-            accesses,
-            constant_branches,
-            indirect_targets,
-            stack,
-            options,
-            evaluations,
+            kept,
+            nodes,
+            infeasible_edges: Vec::dec(d)?,
+            accesses: HashMap::dec(d)?,
+            constant_branches: usize::dec(d)?,
+            indirect_targets: BTreeMap::dec(d)?,
+            options: ValueOptions::dec(d)?,
+            evaluations: d.u64()?,
+            stack: match (d.u8()?, d.u32()?) {
+                (0, sp) => StackExtent::Lowest(sp),
+                (1, addr) => StackExtent::Escapes(addr),
+                _ => return Err(CodecError::Invalid("stack extent")),
+            },
         })
     }
 }
@@ -408,7 +456,7 @@ fn collect_thresholds(program: &Program, hw: &HwConfig) -> Vec<u32> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use stamp_ai::VivuConfig;
+    use stamp_ai::{Domain, VivuConfig};
     use stamp_cfg::CfgBuilder;
     use stamp_codec::Codec;
     use stamp_isa::asm::assemble;
@@ -483,12 +531,16 @@ mod tests {
             dead: mul r9, r9, r9
                   halt
         ";
-        let (_p, _cfg, icfg, va) = analyze(src);
+        let p = assemble(src).expect("assembles");
+        let cfg = CfgBuilder::new(&p).build().expect("builds");
+        let icfg = Icfg::build(&cfg, &VivuConfig::default()).expect("expands");
+        let (va, fixpoint) =
+            ValueAnalysis::solve(&p, &HwConfig::default(), &cfg, &icfg, &ValueOptions::default());
         assert_eq!(va.constant_branches(), 1);
         assert!(!va.infeasible_edges().is_empty());
         // The dead block is unreachable in the fixpoint.
         let dead_nodes: Vec<_> =
-            icfg.nodes().iter().filter(|n| va.entry_state(n.id).is_none()).collect();
+            icfg.nodes().iter().filter(|n| fixpoint.input(n.id).is_none()).collect();
         assert!(!dead_nodes.is_empty());
     }
 
@@ -586,27 +638,29 @@ mod tests {
 
     #[test]
     fn codec_round_trips_exactly() {
-        let (_p, _cfg, icfg, va) = analyze(MEMORY_LOOP);
+        let (_p, _cfg, _icfg, va) = analyze(MEMORY_LOOP);
         let back = round_trip(&va);
 
-        // The fixpoint: same reachability, registers, and memory words
-        // at every node entry and exit.
-        for n in icfg.nodes() {
-            for (a, b) in [
-                (va.entry_state(n.id), back.entry_state(n.id)),
-                (va.exit_state(n.id), back.exit_state(n.id)),
-            ] {
+        // The kept states: same nodes, reachability, registers, and
+        // memory words at every kept node's entry and exit.
+        assert_eq!(va.nodes, back.nodes);
+        let ids = |va: &ValueAnalysis| va.kept.iter().map(|k| k.0).collect::<Vec<_>>();
+        assert_eq!(ids(&va), ids(&back));
+        for n in ids(&va) {
+            for (a, b) in
+                [(va.entry_state(n), back.entry_state(n)), (va.exit_state(n), back.exit_state(n))]
+            {
                 match (a, b) {
                     (None, None) => {}
                     (Some(a), Some(b)) => {
                         for r in 0..Reg::COUNT {
                             let r = Reg::new(r as u8);
-                            assert_eq!(a.reg(r), b.reg(r), "reg {r:?} at node {:?}", n.id);
+                            assert_eq!(a.reg(r), b.reg(r), "reg {r:?} at node {n:?}");
                         }
-                        assert_eq!(a.mem, b.mem, "memory at node {:?}", n.id);
+                        assert_eq!(a.mem, b.mem, "memory at node {n:?}");
                         assert_eq!(a.thresholds(), b.thresholds());
                     }
-                    _ => panic!("reachability differs at node {:?}", n.id),
+                    _ => panic!("reachability differs at node {n:?}"),
                 }
             }
         }
@@ -640,12 +694,16 @@ mod tests {
     fn decode_preserves_structural_sharing() {
         // States that never touch memory all share one word map: decoding
         // must re-share it rather than clone it per state.
-        let (_p, _cfg, icfg, va) =
+        let (_p, _cfg, _icfg, va) =
             analyze(".text\nmain: li r1, 3\nloop: addi r1, r1, -1\nbnez r1, loop\nhalt\n");
         let back = round_trip(&va);
         let pairs = |va: &ValueAnalysis| -> Vec<(NodeId, NodeId, bool)> {
-            let live: Vec<(NodeId, &AState)> =
-                icfg.nodes().iter().filter_map(|n| Some((n.id, va.entry_state(n.id)?))).collect();
+            let live: Vec<(NodeId, &AState)> = va
+                .kept
+                .iter()
+                .flat_map(|(n, entry, exit)| [(*n, entry), (*n, exit)])
+                .filter_map(|(n, s)| Some((n, s.as_ref()?)))
+                .collect();
             let mut out = Vec::new();
             for (i, (a, sa)) in live.iter().enumerate() {
                 for (b, sb) in &live[i + 1..] {
@@ -661,14 +719,86 @@ mod tests {
         assert_eq!(before, after, "decoding keeps exactly the original sharing");
     }
 
-    /// The byte offset of the first entry state's word-map index in an
-    /// encoded analysis, and the length of the word-map pool.
+    #[test]
+    fn keeps_states_at_the_entry_the_exits_and_loop_entry_sources_only() {
+        // Nested loops in `main`, and a loop inside a callee called from
+        // the outer loop (so in several contexts).
+        let src = "\
+            .text
+            main:  li r1, 3
+            outer: li r2, 4
+            inner: addi r2, r2, -1
+                   bnez r2, inner
+                   call f
+                   addi r1, r1, -1
+                   bnez r1, outer
+                   halt
+            f:     li r3, 2
+            floop: addi r3, r3, -1
+                   bnez r3, floop
+                   ret
+        ";
+        let p = assemble(src).expect("assembles");
+        let cfg = CfgBuilder::new(&p).build().expect("builds");
+        let icfg = Icfg::build(&cfg, &VivuConfig::default()).expect("expands");
+        let (va, fixpoint) =
+            ValueAnalysis::solve(&p, &HwConfig::default(), &cfg, &icfg, &ValueOptions::default());
+
+        let floop = cfg.block_containing(p.symbols.addr_of("floop").unwrap()).unwrap();
+        let in_callee = icfg.loop_instances().iter().filter(|i| i.header == floop).count();
+        assert!(in_callee > 1, "the callee's loop has one instance per call context");
+        assert!(icfg.loop_instances().len() >= 4, "nested loops and the callee's loop");
+
+        let mut expect: BTreeSet<NodeId> = icfg.exits().iter().copied().collect();
+        expect.insert(icfg.entry());
+        for inst in icfg.loop_instances() {
+            expect.extend(inst.entries.iter().map(|&e| icfg.edge(e).from));
+        }
+        let kept: Vec<NodeId> = va.kept.iter().map(|k| k.0).collect();
+        assert_eq!(kept, expect.into_iter().collect::<Vec<_>>());
+        assert!(kept.len() < icfg.nodes().len(), "states of other nodes are dropped");
+        assert_eq!(va.nodes as usize, icfg.nodes().len());
+
+        // The kept states are the fixpoint's own.
+        for (n, entry, exit) in &va.kept {
+            for (kept, full) in [(entry, fixpoint.input(*n)), (exit, fixpoint.output(*n))] {
+                match (kept, full) {
+                    (None, None) => {}
+                    (Some(a), Some(b)) => assert!(a.le(b) && b.le(a), "node {n:?}"),
+                    _ => panic!("reachability differs at node {n:?}"),
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn kept_node_ids_out_of_range_or_out_of_order_are_invalid() {
+        let (_p, _cfg, _icfg, mut va) = analyze(MEMORY_LOOP);
+        assert!(va.kept.len() > 1, "the entry and the exit are kept");
+        va.kept.swap(0, 1);
+        let unsorted = stamp_codec::encode_value(&va);
+        va.kept.swap(0, 1);
+        let last = va.kept.len() - 1;
+        va.kept[last].0 = NodeId(va.nodes);
+        let out_of_range = stamp_codec::encode_value(&va);
+        for hostile in [unsorted, out_of_range] {
+            assert!(matches!(
+                stamp_codec::decode_value::<ValueAnalysis>(&hostile),
+                Err(stamp_codec::CodecError::Invalid("kept node id"))
+            ));
+        }
+    }
+
+    /// The byte offset of the first kept entry state's word-map index in
+    /// an encoded analysis, and the length of the word-map pool.
     fn first_word_index(bytes: &[u8]) -> (usize, usize) {
         let mut d = stamp_codec::Dec::new(bytes);
         Vec::<u32>::dec(&mut d).unwrap();
         let pool = Vec::<BTreeMap<u32, SInt>>::dec(&mut d).unwrap().len();
+        d.u32().unwrap(); // the node count
         d.len_prefix(1).unwrap();
-        assert_eq!(d.u8().unwrap(), 1, "the entry node is reachable");
+        NodeId::dec(&mut d).unwrap();
+        assert_eq!(d.u8().unwrap(), 1, "the first kept node is reachable");
         for _ in 0..Reg::COUNT {
             SInt::dec(&mut d).unwrap();
         }

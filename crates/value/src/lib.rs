@@ -9,8 +9,10 @@
 //!   hierarchy of §1),
 //! * **address ranges for instructions accessing memory** (input to the
 //!   data-cache analysis),
-//! * **loop-bound inputs** (register states at loop entries, consumed by
-//!   `stamp-loopbound`),
+//! * **loop-bound inputs** (register states at the task entry and at the
+//!   sources of loop-entry edges, consumed by `stamp-loopbound`; with
+//!   the states at the task exits, the only states [`ValueAnalysis`]
+//!   keeps),
 //! * **infeasible paths**: "certain conditions always evaluate to true or
 //!   always evaluate to false; as a consequence, certain paths controlled
 //!   by such conditions are never executed" — discovered here via branch

@@ -377,7 +377,7 @@ pub mod collection {
     use crate::test_runner::TestRunner;
     use std::ops::{Range, RangeInclusive};
 
-    /// Accepted size specifications for [`vec`].
+    /// Accepted size specifications for [`vec()`].
     #[derive(Clone, Debug)]
     pub struct SizeRange {
         lo: usize,

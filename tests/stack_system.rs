@@ -6,7 +6,7 @@ use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use stamp::ai::{CtxId, Icfg, VivuConfig};
+use stamp::ai::{CtxId, Fixpoint, Icfg, VivuConfig};
 use stamp::cfg::{Cfg, CfgBuilder};
 use stamp::isa::{Flow, Insn, MemWidth, Reg};
 use stamp::stack::StackError;
@@ -255,7 +255,7 @@ fn replayed_facts(
     hw: &HwConfig,
     cfg: &Cfg,
     icfg: &Icfg,
-    va: &ValueAnalysis,
+    fixpoint: &Fixpoint<AState>,
 ) -> ReplayedFacts {
     let stack_top = hw.mem.stack_top();
     let out_of_range = |s: &AState| {
@@ -272,7 +272,7 @@ fn replayed_facts(
     };
     let (mut steps_out, mut enters_out, mut worst) = (None, None, 0);
     for nd in icfg.nodes() {
-        let Some(entry) = va.entry_state(nd.id) else { continue };
+        let Some(entry) = fixpoint.input(nd.id) else { continue };
         let mut s = entry.clone();
         let mut was_out = out_of_range(&s);
         for (i, &(addr, insn)) in cfg.block(nd.block).insns.iter().enumerate() {
@@ -334,9 +334,10 @@ fn check_against_replay(
         }
         let cfg = builder.build().unwrap_or_else(|e| panic!("{what}: {e}"));
         let icfg = Icfg::build(&cfg, &VivuConfig::default()).ok()?;
-        let va = ValueAnalysis::run(program, hw, &cfg, &icfg, &ValueOptions::default());
+        let (va, fixpoint) =
+            ValueAnalysis::solve(program, hw, &cfg, &icfg, &ValueOptions::default());
         let recorded = recorded_facts(hw, &va);
-        assert_eq!(recorded, replayed_facts(program, hw, &cfg, &icfg, &va), "{what}");
+        assert_eq!(recorded, replayed_facts(program, hw, &cfg, &icfg, &fixpoint), "{what}");
         let mut progress = false;
         for (&addr, ts) in va.indirect_targets() {
             let known = targets.entry(addr).or_default();
