@@ -44,16 +44,6 @@ impl Ctx {
         &self.0
     }
 
-    /// The context with all trailing loop frames removed — the pure
-    /// call-site part, used to group loop instances and match returns.
-    pub fn call_part(&self) -> &[Frame] {
-        let mut end = self.0.len();
-        while end > 0 && matches!(self.0[end - 1], Frame::Loop { .. }) {
-            end -= 1;
-        }
-        &self.0[..end]
-    }
-
     /// Returns `true` if `self` equals `prefix` followed only by loop
     /// frames (i.e. `self` is somewhere inside the body of the call
     /// context `prefix`). Used to connect return edges.
@@ -244,20 +234,6 @@ mod tests {
 
     fn b(n: u32) -> BlockId {
         BlockId(n)
-    }
-
-    #[test]
-    fn call_part_strips_trailing_loops() {
-        let c = Ctx(vec![
-            Frame::Call { site: 8 },
-            Frame::Loop { header: b(3), iter: 0 },
-            Frame::Loop { header: b(5), iter: 1 },
-        ]);
-        assert_eq!(c.call_part(), &[Frame::Call { site: 8 }]);
-        assert_eq!(c.call_depth(), 1);
-        // Loop frames between calls are kept by call_part.
-        let c2 = Ctx(vec![Frame::Loop { header: b(1), iter: 1 }, Frame::Call { site: 8 }]);
-        assert_eq!(c2.call_part().len(), 2);
     }
 
     #[test]

@@ -30,7 +30,7 @@ use stamp_value::{ValueAnalysis, ValueOptions};
 use crate::annot::Annotations;
 use crate::artifact::{ArtifactClaim, ArtifactStore};
 use crate::error::AnalysisError;
-use crate::phase::{self, PhaseId, PhaseRun, Prefix, WcetKeys};
+use crate::phase::{self, PhaseRun, Prefix, WcetKeys};
 use crate::report::WcetReport;
 use crate::stack_tool::{self, StackReport};
 
@@ -115,17 +115,15 @@ impl stamp_path::SummaryMemo for StoreSummaryMemo<'_> {
             return Ok(hit.clone());
         }
         let fp = phase::summary_fingerprint(canonical);
-        let summary = match self.store.claim(PhaseId::Summary, fp) {
+        let summary = match self.store.claim(fp) {
             ArtifactClaim::Disabled => self.solve_counted(solve)?,
-            ArtifactClaim::Ready(stored) => match stored.ok().and_then(|any| any.downcast().ok()) {
-                Some(summary) => {
-                    self.reused.set(self.reused.get() + 1);
-                    summary
-                }
-                // A summary slot never holds an error or a foreign
-                // type; recover by solving locally if one ever does.
-                None => self.solve_counted(solve)?,
-            },
+            ArtifactClaim::Ready(Ok(summary)) => {
+                self.reused.set(self.reused.get() + 1);
+                summary
+            }
+            // Only the `Fill` arm below publishes to a summary slot, and
+            // only a solved summary.
+            ArtifactClaim::Ready(Err(e)) => unreachable!("summary slot holds an error: {e}"),
             ArtifactClaim::Fill(guard) => {
                 // On a solve error the guard is dropped unfulfilled,
                 // releasing the claim — segment errors are not cached
@@ -261,11 +259,11 @@ impl<'p> WcetAnalysis<'p> {
         self.tail(&mut run, &prefix)
     }
 
-    /// Runs the CFG → context → value prefix once, then the stack phase
-    /// on it and, when `wcet` is set, the WCET phases: both bounds of
-    /// the task from one value analysis. A prefix error is the error of
-    /// both. Each report's `phases` lists this run's requests up to its
-    /// own last one.
+    /// Runs the CFG → context → value prefix once, reads the stack bound
+    /// from it and, when `wcet` is set, runs the WCET phases on it: both
+    /// bounds of the task from one value analysis. A prefix error is the
+    /// error of both. The stack report's `phases` are the prefix's
+    /// requests, the WCET report's all of this run's.
     pub fn run_verdict(&self, store: &ArtifactStore, wcet: bool) -> Verdict {
         self.verdict(&mut PhaseRun::new(store), wcet)
     }
@@ -292,19 +290,16 @@ impl<'p> WcetAnalysis<'p> {
         let (icfg, va) = prefix.valued.clone()?;
         let lb_opts = self.annotations.loop_bound_options(program);
         let tail = WcetKeys::new(prefix.keys.value, &lb_opts, config);
-        let lb = run.run(PhaseId::LoopBound, tail.loopbound, || {
+        let lb = run.run(tail.loopbound, || {
             Ok(LoopBoundAnalysis::run(program, &cfg, &icfg, &va, &lb_opts))
         })?;
-        let ca = run.run(PhaseId::Cache, tail.cache, || {
-            Ok(CacheAnalysis::run(&config.hw, &cfg, &icfg, &va))
-        })?;
-        let pa = run.run(PhaseId::Pipeline, tail.pipeline, || {
-            Ok(PipelineAnalysis::run(&config.hw, &cfg, &icfg, &ca, &va))
-        })?;
+        let ca = run.run(tail.cache, || Ok(CacheAnalysis::run(&config.hw, &cfg, &icfg, &va)))?;
+        let pa = run
+            .run(tail.pipeline, || Ok(PipelineAnalysis::run(&config.hw, &cfg, &icfg, &ca, &va)))?;
         let memo = StoreSummaryMemo::new(run.store);
         let path_opts =
             PathOptions { use_infeasible: config.use_infeasible, summaries: config.summaries };
-        let result = run.run(PhaseId::Path, tail.path, || {
+        let result = run.run(tail.path, || {
             stamp_path::analyze_with_memo(&cfg, &icfg, &va, &lb, &pa, &path_opts, &memo)
                 .map_err(AnalysisError::from)
         })?;

@@ -31,20 +31,54 @@
 use std::any::Any;
 use std::collections::HashMap;
 use std::io;
+use std::marker::PhantomData;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
+use stamp_codec::{decode_value, encode_value, Codec};
 use stamp_exec::{Slot, SlotClaim, SlotFillGuard};
 
 use crate::error::AnalysisError;
 use crate::fingerprint::Fingerprint;
 use crate::json::Json;
 use crate::phase::PhaseId;
-use crate::store_disk::{self, DiskStore};
+use crate::store_disk::DiskStore;
 
-/// What a slot stores: the phase's artifact (type-erased, downcast by
-/// the phase driver) or the error the phase produced.
+/// A type the store keeps: the phase it names keys its slots and its
+/// disk records, and its codec is the records' bytes.
+pub(crate) trait Artifact: Codec + Send + Sync + 'static {
+    /// The phase that produces this type.
+    const PHASE: PhaseId;
+}
+
+/// The registry: one stored type per phase.
+macro_rules! artifacts {
+    ($($phase:ident => $ty:ty,)*) => {
+        $(impl Artifact for $ty {
+            const PHASE: PhaseId = PhaseId::$phase;
+        })*
+        /// Every registered phase, in registry order (for the test that
+        /// each phase has exactly one type).
+        #[cfg(test)]
+        const REGISTERED: &[PhaseId] = &[$(<$ty as Artifact>::PHASE),*];
+    };
+}
+
+artifacts! {
+    Assemble => stamp_isa::Program,
+    Cfg => stamp_cfg::Cfg,
+    Context => stamp_ai::Icfg,
+    Value => stamp_value::ValueAnalysis,
+    LoopBound => stamp_loopbound::LoopBoundAnalysis,
+    Cache => stamp_cache::CacheAnalysis,
+    Pipeline => stamp_pipeline::PipelineAnalysis,
+    Path => stamp_path::WcetResult,
+    Summary => stamp_path::SegmentSummary,
+}
+
+/// What a slot stores: the phase's artifact (type-erased; its phase
+/// names its type) or the error the phase produced.
 type Stored = Result<Arc<dyn Any + Send + Sync>, AnalysisError>;
 
 /// The slot map: one claim/wait slot per `(phase, fingerprint)` key.
@@ -79,40 +113,38 @@ impl Default for ArtifactStore {
 
 /// The outcome of claiming an artifact slot (crate-internal; phase
 /// drivers use it, public callers see only reports and stats).
-pub(crate) enum ArtifactClaim<'s> {
+pub(crate) enum ArtifactClaim<'s, T> {
     /// The store is disabled: compute locally, publish nothing.
     Disabled,
     /// Another job already produced this artifact (or its error) — or
     /// a durable backend held it from an earlier process.
-    Ready(Stored),
+    Ready(Result<Arc<T>, AnalysisError>),
     /// This job is the first claimant and must compute and publish.
-    Fill(FillGuard<'s>),
+    Fill(FillGuard<'s, T>),
 }
 
 /// Exclusive permission to publish one artifact. Dropping it without
 /// fulfilling (panic inside the computing phase) releases the claim to
 /// a waiting job.
-pub(crate) struct FillGuard<'s> {
+pub(crate) struct FillGuard<'s, T> {
     inner: SlotFillGuard<Stored>,
     /// Write-through target: set iff the store has a durable backend.
     disk: Option<&'s DiskStore>,
-    phase: PhaseId,
     fp: Fingerprint,
+    artifact: PhantomData<T>,
 }
 
-impl FillGuard<'_> {
+impl<T: Artifact> FillGuard<'_, T> {
     /// Publishes the computed artifact (or the phase error) and wakes
     /// every waiting job. Successful artifacts are written through to
     /// the durable log, if any; errors are never persisted (see
     /// `store_disk.rs`). A failed disk write degrades to in-memory-only
     /// operation — persistence is an optimization, never a failure.
-    pub(crate) fn fulfill(self, value: Stored) {
-        if let (Some(disk), Ok(any)) = (self.disk, &value) {
-            if let Some(bytes) = store_disk::encode_artifact(self.phase, any.as_ref()) {
-                disk.append(self.phase, self.fp, &bytes);
-            }
+    pub(crate) fn fulfill(self, value: Result<Arc<T>, AnalysisError>) {
+        if let (Some(disk), Ok(artifact)) = (self.disk, &value) {
+            disk.append(T::PHASE, self.fp, &encode_value(&**artifact));
         }
-        self.inner.fulfill(value);
+        self.inner.fulfill(value.map(|v| v as Arc<dyn Any + Send + Sync>));
     }
 }
 
@@ -157,12 +189,6 @@ impl ArtifactStore {
         self.disk.as_ref().map(DiskStore::path)
     }
 
-    /// Whether a mid-run write failure has degraded the durable backend
-    /// to in-memory-only operation (`false` without a backend).
-    pub fn disk_degraded(&self) -> bool {
-        self.disk.as_ref().is_some_and(DiskStore::is_degraded)
-    }
-
     /// The degradation warning, if a disk write has failed since the
     /// last call — delivered at most once, so callers (CLI, daemon) can
     /// print exactly one line instead of one per lost artifact.
@@ -191,12 +217,7 @@ impl ArtifactStore {
         self.enabled
     }
 
-    /// Number of distinct artifacts (and cached errors) in the store.
-    pub fn artifact_count(&self) -> usize {
-        self.slots.lock().unwrap().len()
-    }
-
-    /// Claims the artifact for `(phase, fp)` (see [`ArtifactClaim`]).
+    /// Claims the `T` artifact under `fp` (see [`ArtifactClaim`]).
     ///
     /// With a durable backend, a first claimant consults the on-disk
     /// log before computing: a decodable record is published to the
@@ -205,36 +226,43 @@ impl ArtifactStore {
     /// An undecodable record — version skew survived the schema check,
     /// or silent corruption passing CRC — is evicted and recomputed;
     /// never a crash.
-    pub(crate) fn claim(&self, phase: PhaseId, fp: Fingerprint) -> ArtifactClaim<'_> {
+    pub(crate) fn claim<T: Artifact>(&self, fp: Fingerprint) -> ArtifactClaim<'_, T> {
         if !self.enabled {
             return ArtifactClaim::Disabled;
         }
-        let slot = Arc::clone(self.slots.lock().unwrap().entry((phase, fp)).or_default());
-        let counters = &self.counters[phase.index()];
+        let slot = Arc::clone(self.slots.lock().unwrap().entry((T::PHASE, fp)).or_default());
+        let counters = &self.counters[T::PHASE.index()];
         match Slot::claim(&slot) {
             SlotClaim::Ready { value, waited } => {
                 counters.hits.fetch_add(1, Ordering::Relaxed);
                 if waited {
                     counters.waits.fetch_add(1, Ordering::Relaxed);
                 }
-                ArtifactClaim::Ready(value)
+                // The slot is keyed by `T::PHASE`, and each phase has
+                // one artifact type, so only a `T` was ever put there.
+                ArtifactClaim::Ready(value.map(|any| any.downcast().expect("one type per phase")))
             }
             SlotClaim::Fill(inner) => {
                 if let Some(disk) = &self.disk {
-                    if let Some(bytes) = disk.take(phase, fp) {
-                        match store_disk::decode_artifact(phase, &bytes) {
-                            Ok(any) => {
+                    if let Some(bytes) = disk.take(T::PHASE, fp) {
+                        match decode_value::<T>(&bytes) {
+                            Ok(artifact) => {
                                 counters.hits_disk.fetch_add(1, Ordering::Relaxed);
-                                let stored: Stored = Ok(any);
-                                inner.fulfill(stored.clone());
-                                return ArtifactClaim::Ready(stored);
+                                let artifact = Arc::new(artifact);
+                                inner.fulfill(Ok(artifact.clone()));
+                                return ArtifactClaim::Ready(Ok(artifact));
                             }
-                            Err(_) => disk.evict(phase, fp),
+                            Err(_) => disk.evict(T::PHASE, fp),
                         }
                     }
                 }
                 counters.misses.fetch_add(1, Ordering::Relaxed);
-                ArtifactClaim::Fill(FillGuard { inner, disk: self.disk.as_ref(), phase, fp })
+                ArtifactClaim::Fill(FillGuard {
+                    inner,
+                    disk: self.disk.as_ref(),
+                    fp,
+                    artifact: PhantomData,
+                })
             }
         }
     }
@@ -243,23 +271,17 @@ impl ArtifactStore {
     /// runner's, `phase::PhaseRun`): returns the shared artifact — or the
     /// phase error, cached exactly like a value — plus whether it was
     /// reused, on the error path too.
-    pub(crate) fn get_or_compute<T: Send + Sync + 'static>(
+    pub(crate) fn get_or_compute<T: Artifact>(
         &self,
-        phase: PhaseId,
         fp: Fingerprint,
         compute: impl FnOnce() -> Result<T, AnalysisError>,
     ) -> (Result<Arc<T>, AnalysisError>, bool) {
-        match self.claim(phase, fp) {
+        match self.claim(fp) {
             ArtifactClaim::Disabled => (compute().map(Arc::new), false),
-            ArtifactClaim::Ready(stored) => (
-                stored.map(|any| {
-                    any.downcast().expect("artifact store: phase keyed with two different types")
-                }),
-                true,
-            ),
+            ArtifactClaim::Ready(stored) => (stored, true),
             ArtifactClaim::Fill(guard) => {
                 let computed = compute().map(Arc::new);
-                guard.fulfill(computed.clone().map(|v| v as Arc<dyn Any + Send + Sync>));
+                guard.fulfill(computed.clone());
                 (computed, false)
             }
         }
@@ -426,29 +448,53 @@ mod tests {
         f.finish()
     }
 
+    /// A stand-in artifact of the phase at index `P`, for tests of the
+    /// store itself.
+    #[derive(Debug, PartialEq)]
+    struct Probe<const P: usize>(u32);
+
+    impl<const P: usize> Codec for Probe<P> {
+        fn enc(&self, e: &mut stamp_codec::Enc) {
+            e.u32(self.0);
+        }
+        fn dec(d: &mut stamp_codec::Dec) -> Result<Self, stamp_codec::CodecError> {
+            Ok(Probe(d.u32()?))
+        }
+    }
+
+    impl<const P: usize> Artifact for Probe<P> {
+        const PHASE: PhaseId = PhaseId::ALL[P];
+    }
+
+    const CFG: usize = PhaseId::Cfg as usize;
+    const VALUE: usize = PhaseId::Value as usize;
+    const CACHE: usize = PhaseId::Cache as usize;
+    const PATH: usize = PhaseId::Path as usize;
+
     /// [`ArtifactStore::get_or_compute`] as `Result<(artifact, reused)>`,
     /// for terse assertions.
-    fn get<T: Send + Sync + 'static>(
+    fn get<T: Artifact>(
         store: &ArtifactStore,
-        phase: PhaseId,
         fp: Fingerprint,
         compute: impl FnOnce() -> Result<T, AnalysisError>,
     ) -> Result<(Arc<T>, bool), AnalysisError> {
-        let (artifact, reused) = store.get_or_compute(phase, fp, compute);
+        let (artifact, reused) = store.get_or_compute(fp, compute);
         artifact.map(|a| (a, reused))
+    }
+
+    #[test]
+    fn each_phase_stores_exactly_one_type() {
+        assert_eq!(REGISTERED, PhaseId::ALL);
     }
 
     #[test]
     fn first_request_computes_second_reuses() {
         let store = ArtifactStore::new();
-        let (a, reused) =
-            get(&store, PhaseId::Cfg, fp(1), || Ok::<_, AnalysisError>(vec![1u32, 2, 3])).unwrap();
+        let (a, reused) = get(&store, fp(1), || Ok(Probe::<CFG>(7))).unwrap();
         assert!(!reused);
         let (b, reused) =
-            get(&store, PhaseId::Cfg, fp(1), || -> Result<Vec<u32>, AnalysisError> {
-                panic!("must not recompute")
-            })
-            .unwrap();
+            get(&store, fp(1), || -> Result<Probe<CFG>, _> { panic!("must not recompute") })
+                .unwrap();
         assert!(reused);
         assert!(Arc::ptr_eq(&a, &b), "the artifact is shared, not copied");
         let stats = store.stats();
@@ -457,17 +503,16 @@ mod tests {
             PhaseStat { phase: "cfg", hits: 1, hits_disk: 0, misses: 1, waits: 0 }
         );
         assert_eq!(stats.phase("no-such-phase"), None);
-        assert_eq!(store.artifact_count(), 1);
+        assert_eq!(stats.requests(), 2);
     }
 
     #[test]
     fn distinct_fingerprints_and_phases_do_not_collide() {
         let store = ArtifactStore::new();
-        let compute = |v: u32| move || Ok::<_, AnalysisError>(v);
-        let (a, _) = get(&store, PhaseId::Cfg, fp(1), compute(10)).unwrap();
-        let (b, _) = get(&store, PhaseId::Cfg, fp(2), compute(20)).unwrap();
-        let (c, _) = get(&store, PhaseId::Value, fp(1), compute(30)).unwrap();
-        assert_eq!((*a, *b, *c), (10, 20, 30));
+        let (a, _) = get(&store, fp(1), || Ok(Probe::<CFG>(10))).unwrap();
+        let (b, _) = get(&store, fp(2), || Ok(Probe::<CFG>(20))).unwrap();
+        let (c, _) = get(&store, fp(1), || Ok(Probe::<VALUE>(30))).unwrap();
+        assert_eq!((a.0, b.0, c.0), (10, 20, 30));
         assert_eq!(store.stats().misses(), 3);
         assert_eq!(store.stats().hits(), 0);
     }
@@ -475,14 +520,14 @@ mod tests {
     #[test]
     fn errors_are_cached_and_replayed() {
         let store = ArtifactStore::new();
-        let fail = || -> Result<u32, AnalysisError> {
+        let fail = || -> Result<Probe<PATH>, AnalysisError> {
             Err(AnalysisError::UnknownSymbol { name: "boom".into() })
         };
-        let (e1, reused1) = store.get_or_compute(PhaseId::Path, fp(9), fail);
+        let (e1, reused1) = store.get_or_compute(fp(9), fail);
         // The second request must *not* recompute: the closure panics if
         // called. The reuse flag survives the error path.
-        let (e2, reused2) =
-            store.get_or_compute(PhaseId::Path, fp(9), || -> Result<u32, AnalysisError> {
+        let (e2, reused2) = store
+            .get_or_compute(fp(9), || -> Result<Probe<PATH>, AnalysisError> {
                 panic!("errors are artifacts too")
             });
         assert_eq!((reused1, reused2), (false, true));
@@ -495,13 +540,12 @@ mod tests {
     fn disabled_store_always_computes_and_counts_nothing() {
         let store = ArtifactStore::disabled();
         for _ in 0..3 {
-            let (v, reused) =
-                get(&store, PhaseId::Value, fp(5), || Ok::<_, AnalysisError>(7u8)).unwrap();
-            assert_eq!(*v, 7);
+            let (v, reused) = get(&store, fp(5), || Ok(Probe::<VALUE>(7))).unwrap();
+            assert_eq!(v.0, 7);
             assert!(!reused);
         }
         assert_eq!(store.stats().requests(), 0);
-        assert_eq!(store.artifact_count(), 0);
+        assert!(store.slots.lock().unwrap().is_empty(), "nothing is retained");
         assert!(!store.enabled());
     }
 
@@ -512,15 +556,15 @@ mod tests {
         std::thread::scope(|scope| {
             for _ in 0..8 {
                 scope.spawn(|| {
-                    let (v, _) = get(&store, PhaseId::Value, fp(1), || {
+                    let (v, _) = get(&store, fp(1), || {
                         computed.fetch_add(1, Ordering::Relaxed);
                         // Widen the race window so other threads
                         // actually wait on the slot.
                         std::thread::sleep(std::time::Duration::from_millis(10));
-                        Ok::<_, AnalysisError>(123u64)
+                        Ok(Probe::<VALUE>(123))
                     })
                     .unwrap();
-                    assert_eq!(*v, 123);
+                    assert_eq!(v.0, 123);
                 });
             }
         });
@@ -533,9 +577,9 @@ mod tests {
     #[test]
     fn stats_delta_isolates_a_pass() {
         let store = ArtifactStore::new();
-        let _ = get(&store, PhaseId::Cfg, fp(1), || Ok::<_, AnalysisError>(1u8));
+        let _ = get(&store, fp(1), || Ok(Probe::<CFG>(1)));
         let before = store.stats();
-        let _ = get(&store, PhaseId::Cfg, fp(1), || Ok::<_, AnalysisError>(1u8));
+        let _ = get(&store, fp(1), || Ok(Probe::<CFG>(1)));
         let delta = store.stats().since(&before);
         assert_eq!(delta.hits(), 1);
         assert_eq!(delta.misses(), 0);
@@ -545,7 +589,7 @@ mod tests {
     #[test]
     fn stats_json_lands_active_phases_only() {
         let store = ArtifactStore::new();
-        let _ = get(&store, PhaseId::Cache, fp(1), || Ok::<_, AnalysisError>(0u8));
+        let _ = get(&store, fp(1), || Ok(Probe::<CACHE>(0)));
         let json = store.stats().to_json().to_string();
         assert!(json.contains("\"cache\""), "{json}");
         assert!(!json.contains("\"pipeline\""), "{json}");
@@ -559,24 +603,13 @@ mod tests {
         dir
     }
 
-    fn sample_report(bound: u32) -> crate::stack_tool::StackReport {
-        crate::stack_tool::StackReport {
-            bound,
-            mode: "precise",
-            per_function: std::collections::BTreeMap::new(),
-            phases: Vec::new(),
-        }
-    }
-
     #[test]
     fn disk_store_answers_a_fresh_process_from_the_log() {
         let dir = tmp_dir("warm");
         {
             let (store, warnings) = ArtifactStore::with_disk(&dir).unwrap();
             assert!(warnings.is_empty(), "{warnings:?}");
-            let (_, reused) =
-                get(&store, PhaseId::Stack, fp(1), || Ok::<_, AnalysisError>(sample_report(64)))
-                    .unwrap();
+            let (_, reused) = get(&store, fp(1), || Ok(Probe::<PATH>(64))).unwrap();
             assert!(!reused);
             assert_eq!(store.disk_artifact_count(), 1, "fulfill writes through");
         }
@@ -584,46 +617,22 @@ mod tests {
         // in-memory map starts empty, so the artifact must come from disk.
         let (store, warnings) = ArtifactStore::with_disk(&dir).unwrap();
         assert!(warnings.is_empty(), "{warnings:?}");
-        let (report, reused) = get(
-            &store,
-            PhaseId::Stack,
-            fp(1),
-            || -> Result<crate::stack_tool::StackReport, AnalysisError> {
-                panic!("must be served from disk")
-            },
-        )
-        .unwrap();
+        let (probe, reused) =
+            get(&store, fp(1), || -> Result<Probe<PATH>, _> { panic!("must be served from disk") })
+                .unwrap();
         assert!(reused);
-        assert_eq!(report.bound, 64);
+        assert_eq!(probe.0, 64);
         let stats = store.stats();
         assert_eq!(stats.hits_disk(), 1);
         assert_eq!(stats.hits(), 0);
         assert_eq!(stats.disk_hit_rate(), 1.0);
         // A repeat request in the same process is a plain memory hit.
-        let (_, reused) = get(
-            &store,
-            PhaseId::Stack,
-            fp(1),
-            || -> Result<crate::stack_tool::StackReport, AnalysisError> {
-                panic!("must be served from memory")
-            },
-        )
+        let (_, reused) = get(&store, fp(1), || -> Result<Probe<PATH>, _> {
+            panic!("must be served from memory")
+        })
         .unwrap();
         assert!(reused);
         assert_eq!(store.stats().hits(), 1);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn unencodable_artifacts_stay_memory_only() {
-        let dir = tmp_dir("alien");
-        let (store, _) = ArtifactStore::with_disk(&dir).unwrap();
-        // `Vec<u32>` is not one of the nine persistable artifact types,
-        // so the value is cached in memory but never written through.
-        let (v, _) =
-            get(&store, PhaseId::Cfg, fp(3), || Ok::<_, AnalysisError>(vec![1u32, 2])).unwrap();
-        assert_eq!(*v, vec![1, 2]);
-        assert_eq!(store.disk_artifact_count(), 0);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -641,22 +650,19 @@ mod tests {
 
         let dir = tmp_dir("degrade");
         let (store, _) = ArtifactStore::with_disk(&dir).unwrap();
-        let (_, reused) =
-            get(&store, PhaseId::Stack, fp(1), || Ok::<_, AnalysisError>(sample_report(8)))
-                .unwrap();
+        let disk = store.disk.as_ref().unwrap();
+        let (_, reused) = get(&store, fp(1), || Ok(Probe::<PATH>(8))).unwrap();
         assert!(!reused);
         assert_eq!(store.disk_artifact_count(), 1);
-        assert!(!store.disk_degraded());
+        assert!(!disk.is_degraded());
 
         // The disk goes away mid-run: computations keep succeeding,
         // write-through silently stops, one warning is queued.
-        store.disk.as_ref().unwrap().set_sink_for_tests(Box::new(FailingSink));
-        let (report, reused) =
-            get(&store, PhaseId::Stack, fp(2), || Ok::<_, AnalysisError>(sample_report(16)))
-                .unwrap();
+        disk.set_sink_for_tests(Box::new(FailingSink));
+        let (probe, reused) = get(&store, fp(2), || Ok(Probe::<PATH>(16))).unwrap();
         assert!(!reused);
-        assert_eq!(report.bound, 16, "the job's result is unaffected");
-        assert!(store.disk_degraded());
+        assert_eq!(probe.0, 16, "the job's result is unaffected");
+        assert!(disk.is_degraded());
         let warning = store.take_disk_warning().expect("degradation surfaces one warning");
         assert!(warning.contains("persistence disabled"), "{warning}");
         assert!(store.take_disk_warning().is_none());
@@ -665,17 +671,12 @@ mod tests {
         // artifacts: an artifact computed before the fault is still
         // served.
         for (key, bound) in [(fp(1), 8), (fp(2), 16)] {
-            let (r, reused) = get(
-                &store,
-                PhaseId::Stack,
-                key,
-                || -> Result<crate::stack_tool::StackReport, AnalysisError> {
-                    panic!("must be served from memory")
-                },
-            )
+            let (r, reused) = get(&store, key, || -> Result<Probe<PATH>, _> {
+                panic!("must be served from memory")
+            })
             .unwrap();
             assert!(reused);
-            assert_eq!(r.bound, bound);
+            assert_eq!(r.0, bound);
         }
         assert_eq!(store.disk_artifact_count(), 1, "only the pre-fault artifact is durable");
         store.flush_disk(); // the drain-time flush must not panic when degraded
@@ -697,7 +698,6 @@ mod tests {
     /// The offset of the first kept node's id in `bytes`, an encoded
     /// value analysis, the node count and the word-map pool's length.
     fn first_kept_node(bytes: &[u8]) -> (usize, u32, usize) {
-        use stamp_codec::Codec;
         let mut d = stamp_codec::Dec::new(bytes);
         Vec::<u32>::dec(&mut d).unwrap();
         let pool = Vec::<std::collections::BTreeMap<u32, stamp_value::SInt>>::dec(&mut d).unwrap();
@@ -709,7 +709,6 @@ mod tests {
     /// `bytes`, an encoded value analysis, with its first kept entry
     /// state's word-map index pointed one past the end of the pool.
     fn with_dangling_word_map(bytes: &[u8]) -> Vec<u8> {
-        use stamp_codec::Codec;
         let (at, _, pool) = first_kept_node(bytes);
         let mut d = stamp_codec::Dec::new(&bytes[at..]);
         stamp_ai::NodeId::dec(&mut d).unwrap();
@@ -778,7 +777,6 @@ mod tests {
     /// `bytes`, an encoded CFG, with its first edge's target block
     /// pointed one past the last block.
     fn with_dangling_edge(bytes: &[u8]) -> Vec<u8> {
-        use stamp_codec::Codec;
         let mut d = stamp_codec::Dec::new(bytes);
         let blocks = Vec::<stamp_cfg::BasicBlock>::dec(&mut d).unwrap();
         Vec::<stamp_cfg::Function>::dec(&mut d).unwrap();
@@ -832,10 +830,10 @@ mod tests {
     fn errors_are_never_written_to_disk() {
         let dir = tmp_dir("err");
         let (store, _) = ArtifactStore::with_disk(&dir).unwrap();
-        let fail = || -> Result<crate::stack_tool::StackReport, AnalysisError> {
+        let fail = || -> Result<Probe<PATH>, AnalysisError> {
             Err(AnalysisError::UnknownSymbol { name: "boom".into() })
         };
-        get(&store, PhaseId::Stack, fp(7), fail).unwrap_err();
+        get(&store, fp(7), fail).unwrap_err();
         assert_eq!(store.disk_artifact_count(), 0, "errors are per-run, not durable");
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -214,8 +214,10 @@ pub struct JobResult {
     /// fingerprint group computes is a scheduling accident, so this is
     /// excluded from the deterministic rendering, like `wall_ms`.
     /// Records every request the job made once, failed ones included:
-    /// assemble, the one CFG → context → value prefix, stack, the WCET
-    /// phases, then one `summary` entry per path segment summary.
+    /// assemble, the one CFG → context → value prefix (once per pass of
+    /// the indirect-jump feedback loop), the WCET phases, then one
+    /// `summary` entry per path segment summary. The stack bound is read
+    /// from the prefix and makes no request.
     pub provenance: Vec<(PhaseId, bool)>,
 }
 
@@ -242,18 +244,6 @@ impl JobResult {
     /// `true` when the job produced every result it was asked for.
     pub fn is_ok(&self) -> bool {
         self.error.is_none()
-    }
-
-    /// Number of phase artifacts this job reused from the store.
-    pub fn artifacts_reused(&self) -> usize {
-        self.provenance.iter().filter(|(_, reused)| *reused).count()
-    }
-
-    /// Number of phase artifacts this job computed itself (published
-    /// to the store when one is enabled; with a disabled store every
-    /// request counts here and nothing is retained).
-    pub fn artifacts_computed(&self) -> usize {
-        self.provenance.len() - self.artifacts_reused()
     }
 
     /// The provenance map for the timing layer: per phase, `"computed"`
@@ -421,7 +411,7 @@ fn run_job(job: &BatchJob, store: &ArtifactStore) -> JobResult {
     let mut summaries = (0, 0);
 
     let mut run = PhaseRun::new(store);
-    let assembled = run.run(PhaseId::Assemble, phase::source_fingerprint(&job.source), || {
+    let assembled = run.run(phase::source_fingerprint(&job.source), || {
         stamp_isa::asm::assemble(&job.source).map_err(AnalysisError::from)
     });
     match assembled {

@@ -24,7 +24,6 @@
 //! | `cache`    | `value` + I/D cache geometries |
 //! | `pipeline` | `cache` + the whole `HwConfig` (timing and caches) |
 //! | `path`     | `pipeline` + `loopbound` + `use_infeasible` + `summaries` |
-//! | `stack`    | `value` + resolved recursion depths |
 //! | `summary`  | the canonical byte form of one supergraph segment's ILP |
 //!
 //! Notably *absent* dependencies are what make cross-variant sharing
@@ -32,6 +31,10 @@
 //! analysis reads the memory map but not cache geometry or timing — so
 //! a `default` / `no-cache` / `ideal` hardware sweep shares one CFG,
 //! one context expansion and one value fixpoint per target.
+//!
+//! The stack bound is not a phase: it is read from the value analysis
+//! (its stack extent) and the CFG (the per-function table) that the
+//! job's prefix already holds, so nothing of it is keyed or stored.
 //!
 //! The module also holds what both tools share at run time: the key
 //! chain ([`PrefixKeys`], [`WcetKeys`]) that the drivers and
@@ -52,7 +55,7 @@ use stamp_value::{DomainKind, ValueAnalysis, ValueOptions};
 
 use crate::analyzer::AnalysisConfig;
 use crate::annot::Annotations;
-use crate::artifact::ArtifactStore;
+use crate::artifact::{Artifact, ArtifactStore};
 use crate::batch::BatchJob;
 use crate::error::AnalysisError;
 use crate::fingerprint::{Fingerprint, Fp};
@@ -78,18 +81,15 @@ pub enum PhaseId {
     Pipeline,
     /// Everything → worst-case path (IPET/ILP).
     Path,
-    /// Value analysis → stack bound.
-    Stack,
     /// One canonical supergraph segment → its solved ILP summary
     /// (sub-artifacts of the path phase, shared across call sites,
-    /// jobs and processes). Appended after `Stack` so the dense
-    /// indices of the earlier phases stay stable on disk.
+    /// jobs and processes).
     Summary,
 }
 
 impl PhaseId {
     /// Every phase, in pipeline order.
-    pub const ALL: [PhaseId; 10] = [
+    pub const ALL: [PhaseId; 9] = [
         PhaseId::Assemble,
         PhaseId::Cfg,
         PhaseId::Context,
@@ -98,7 +98,6 @@ impl PhaseId {
         PhaseId::Cache,
         PhaseId::Pipeline,
         PhaseId::Path,
-        PhaseId::Stack,
         PhaseId::Summary,
     ];
 
@@ -123,7 +122,6 @@ impl PhaseId {
             PhaseId::Cache => "cache",
             PhaseId::Pipeline => "pipeline",
             PhaseId::Path => "path",
-            PhaseId::Stack => "stack",
             PhaseId::Summary => "summary",
         }
     }
@@ -140,7 +138,6 @@ impl PhaseId {
             PhaseId::Cache => "cache analysis",
             PhaseId::Pipeline => "pipeline analysis",
             PhaseId::Path => "path analysis (ILP)",
-            PhaseId::Stack => "stack analysis",
             PhaseId::Summary => "procedure summaries",
         }
     }
@@ -239,7 +236,7 @@ pub fn value_fingerprint(
     mem: &MemoryMap,
     value: &ValueOptions,
 ) -> Fingerprint {
-    let ValueOptions { domain, widen_delay, small_set } = *value;
+    let ValueOptions { domain, widen_delay } = *value;
     let mut fp = Fp::new("stamp/value/1");
     fp.fp(context);
     mem_fields(&mut fp, mem);
@@ -249,7 +246,6 @@ pub fn value_fingerprint(
         DomainKind::Strided => 2,
     });
     fp.u32(widen_delay);
-    fp.u64(small_set);
     fp.finish()
 }
 
@@ -330,38 +326,6 @@ pub fn summary_fingerprint(canonical: &[u8]) -> Fingerprint {
     let mut fp = Fp::new("stamp/summary/1");
     fp.bytes(canonical);
     fp.finish()
-}
-
-/// `stack` (precise supergraph mode): the value analysis the job's
-/// WCET phases read too, plus resolved recursion depths (which feed the
-/// per-function breakdown).
-pub fn stack_fingerprint(value: Fingerprint, recursion: &BTreeMap<u32, u32>) -> Fingerprint {
-    let mut fp = Fp::new("stamp/stack/1");
-    fp.fp(value);
-    recursion_fields(&mut fp, recursion);
-    fp.finish()
-}
-
-/// `stack` (compositional call-graph fallback for recursive tasks): the
-/// CFG, the memory map, and resolved recursion depths.
-pub fn stack_callgraph_fingerprint(
-    cfg: Fingerprint,
-    mem: &MemoryMap,
-    recursion: &BTreeMap<u32, u32>,
-) -> Fingerprint {
-    let mut fp = Fp::new("stamp/stack-callgraph/1");
-    fp.fp(cfg);
-    mem_fields(&mut fp, mem);
-    recursion_fields(&mut fp, recursion);
-    fp.finish()
-}
-
-fn recursion_fields(fp: &mut Fp, recursion: &BTreeMap<u32, u32>) {
-    fp.u64(recursion.len() as u64);
-    for (addr, depth) in recursion {
-        fp.u32(*addr);
-        fp.u32(*depth);
-    }
 }
 
 /// One predicted artifact request of a job: which phase, under which
@@ -450,11 +414,10 @@ impl<'s> PhaseRun<'s> {
         PhaseRun { store, phases: Vec::new() }
     }
 
-    /// The artifact of `phase` under `fp`: shared from the store, or
-    /// computed (and published) by `compute`.
-    pub(crate) fn run<T: Send + Sync + 'static>(
+    /// The `T` artifact under `fp`: shared from the store, or computed
+    /// (and published) by `compute`.
+    pub(crate) fn run<T: Artifact>(
         &mut self,
-        phase: PhaseId,
         fp: Fingerprint,
         compute: impl FnOnce() -> Result<T, AnalysisError>,
     ) -> Result<Arc<T>, AnalysisError> {
@@ -464,8 +427,9 @@ impl<'s> PhaseRun<'s> {
         // so the unwind cannot poison anything.
         stamp_exec::cancel::checkpoint_now();
         let t = Instant::now();
-        let (out, reused) = self.store.get_or_compute(phase, fp, compute);
-        self.phases.push(PhaseStats { phase, seconds: t.elapsed().as_secs_f64(), reused });
+        let (out, reused) = self.store.get_or_compute(fp, compute);
+        let seconds = t.elapsed().as_secs_f64();
+        self.phases.push(PhaseStats { phase: T::PHASE, seconds, reused });
         out
     }
 }
@@ -504,20 +468,20 @@ pub(crate) fn value_prefix(
     loop {
         iteration += 1;
         let keys = PrefixKeys::new(program_fp, &extra, config);
-        let cfg = run.run(PhaseId::Cfg, keys.cfg, || {
+        let cfg = run.run(keys.cfg, || {
             let mut builder = CfgBuilder::new(program);
             for (a, ts) in &extra {
                 builder.indirect_targets(*a, ts.iter().copied());
             }
             builder.build().map_err(AnalysisError::from)
         })?;
-        let icfg = match run.run(PhaseId::Context, keys.context, || {
-            Icfg::build(&cfg, &config.vivu).map_err(AnalysisError::from)
-        }) {
+        let icfg = match run
+            .run(keys.context, || Icfg::build(&cfg, &config.vivu).map_err(AnalysisError::from))
+        {
             Ok(icfg) => icfg,
             Err(e) => return Ok(Prefix { keys, cfg, valued: Err(e) }),
         };
-        let va = run.run(PhaseId::Value, keys.value, || {
+        let va = run.run(keys.value, || {
             Ok(ValueAnalysis::run(program, &config.hw, &cfg, &icfg, &config.value))
         })?;
         if cfg.unresolved_indirects().is_empty() {
@@ -552,10 +516,8 @@ pub(crate) fn value_prefix(
 /// predicted at iteration 0 (annotation-supplied targets only), so
 /// programs with resolvable jump tables request a few more
 /// `cfg`/`context`/`value` artifacts at run time than predicted; and
-/// recursive tasks are predicted with a precise-mode stack request,
-/// while at run time their context expansion fails and the stack tool
-/// takes the call-graph fallback (no `value` request, a
-/// differently-keyed `stack` request).
+/// recursive tasks are predicted with a `value` request, while at run
+/// time their context expansion fails and the prefix stops there.
 ///
 /// # Errors
 ///
@@ -570,13 +532,10 @@ pub fn plan_job(job: &BatchJob) -> Result<Vec<PhaseRequest>, String> {
     let program_fp = program_fingerprint(&program);
     let indirects = job.annotations.resolved_indirects(&program);
 
-    // One prefix; the stack phase reads it first, then the WCET phases.
+    // One prefix; the stack bound reads it without a request of its
+    // own, the WCET phases key their requests by it.
     let prefix = PrefixKeys::new(program_fp, &indirects, &job.config);
     requests.extend(prefix.requests());
-    requests.push(PhaseRequest {
-        phase: PhaseId::Stack,
-        fingerprint: stack_fingerprint(prefix.value, &job.annotations.resolved_recursion(&program)),
-    });
     if job.wcet {
         let loop_bounds = job.annotations.loop_bound_options(&program);
         requests.extend(WcetKeys::new(prefix.value, &loop_bounds, &job.config).requests());
@@ -623,16 +582,11 @@ mod tests {
         let by_phase = |plan: &[PhaseRequest], p: PhaseId| -> Vec<Fingerprint> {
             plan.iter().filter(|r| r.phase == p).map(|r| r.fingerprint).collect()
         };
-        // Assemble/cfg/context/value/loopbound/stack: identical across
-        // all three hardware variants (value reads only the memory map).
-        for p in [
-            PhaseId::Assemble,
-            PhaseId::Cfg,
-            PhaseId::Context,
-            PhaseId::Value,
-            PhaseId::LoopBound,
-            PhaseId::Stack,
-        ] {
+        // Assemble/cfg/context/value/loopbound: identical across all
+        // three hardware variants (value reads only the memory map).
+        for p in
+            [PhaseId::Assemble, PhaseId::Cfg, PhaseId::Context, PhaseId::Value, PhaseId::LoopBound]
+        {
             assert_eq!(by_phase(&default, p), by_phase(&no_cache, p), "{p:?}");
             assert_eq!(by_phase(&default, p), by_phase(&ideal, p), "{p:?}");
         }
@@ -654,16 +608,16 @@ mod tests {
             plan.iter().find(|r| r.phase == p).unwrap()
         }
         assert_eq!(one(&base, PhaseId::Cfg).fingerprint, one(&peeled, PhaseId::Cfg).fingerprint);
-        // One context request per job, and the stack bound reads the
-        // value analysis keyed by it.
+        // One context request per job, and the value analysis both
+        // bounds read is keyed by it.
         let ctxs = |plan: &[PhaseRequest]| -> Vec<Fingerprint> {
             plan.iter().filter(|r| r.phase == PhaseId::Context).map(|r| r.fingerprint).collect()
         };
         assert_eq!((ctxs(&base).len(), ctxs(&peeled).len()), (1, 1));
         assert_ne!(ctxs(&base), ctxs(&peeled));
         assert_ne!(
-            one(&base, PhaseId::Stack).fingerprint,
-            one(&peeled, PhaseId::Stack).fingerprint
+            one(&base, PhaseId::Value).fingerprint,
+            one(&peeled, PhaseId::Value).fingerprint
         );
     }
 

@@ -2,6 +2,7 @@
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
+use std::sync::Arc;
 
 use stamp_ai::{Frame, Icfg};
 use stamp_cache::{CacheAnalysis, ClassStats};
@@ -83,14 +84,16 @@ pub struct WcetReport {
     pub worst_path: Vec<u32>,
     /// Total analysis node evaluations across fixpoints (E6).
     pub evaluations: u64,
-    cfg: Cfg,
+    /// The CFG the report annotates ([`WcetReport::to_dot`]), shared
+    /// with the run's phase artifacts.
+    cfg: Arc<Cfg>,
 }
 
 impl WcetReport {
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn assemble(
         program: &Program,
-        cfg: &Cfg,
+        cfg: &Arc<Cfg>,
         icfg: &Icfg,
         va: &ValueAnalysis,
         lb: &LoopBoundAnalysis,
@@ -167,7 +170,7 @@ impl WcetReport {
             block_profile,
             worst_path,
             evaluations: va.evaluations + ca.evaluations + pa.evaluations,
-            cfg: cfg.clone(),
+            cfg: Arc::clone(cfg),
         }
     }
 

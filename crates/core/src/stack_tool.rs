@@ -5,12 +5,13 @@
 //! (`phase::value_prefix`), including the CFG ↔ value iteration that
 //! resolves jump tables, so cases reached only through a computed jump
 //! count toward the bound. A job runs that prefix once under its own
-//! configuration and reads the stack phase and the WCET phases from it
+//! configuration and reads the stack bound and the WCET phases from it
 //! ([`WcetAnalysis::run_verdict`]); [`StackAnalysis`] is that run
-//! without the WCET phases, at default VIVU and value options. Through
-//! the shared [`ArtifactStore`] a hardware sweep shares the stack bound
-//! itself across variants (only the memory map reaches the value
-//! fingerprint).
+//! without the WCET phases, at default VIVU and value options. The bound
+//! itself is not stored: it is a walk over what the prefix holds.
+//! Through the shared [`ArtifactStore`] a hardware sweep shares the
+//! value analysis the bound is read from (only the memory map reaches
+//! the value fingerprint).
 //!
 //! Recursive tasks fail context expansion and take the compositional
 //! call-graph fallback. Without a value analysis nothing resolves their
@@ -30,7 +31,7 @@ use crate::annot::Annotations;
 use crate::artifact::ArtifactStore;
 use crate::error::AnalysisError;
 use crate::json::Json;
-use crate::phase::{self, PhaseId, PhaseRun, Prefix};
+use crate::phase::{PhaseRun, Prefix};
 use crate::report::PhaseStats;
 
 /// Result of a stack analysis.
@@ -74,30 +75,6 @@ impl StackReport {
                 ),
             ),
         ])
-    }
-}
-
-impl stamp_codec::Codec for StackReport {
-    /// Stored stack artifacts always carry an empty `phases` vector
-    /// (provenance is per-run, never shared), so the field is not
-    /// persisted and decodes as empty.
-    fn enc(&self, e: &mut stamp_codec::Enc) {
-        e.u32(self.bound);
-        e.u8(match self.mode {
-            "precise" => 0,
-            "callgraph" => 1,
-            other => unreachable!("unknown stack mode {other:?}"),
-        });
-        self.per_function.enc(e);
-    }
-    fn dec(d: &mut stamp_codec::Dec) -> Result<StackReport, stamp_codec::CodecError> {
-        let bound = d.u32()?;
-        let mode = match d.u8()? {
-            0 => "precise",
-            1 => "callgraph",
-            _ => return Err(stamp_codec::CodecError::Invalid("stack mode")),
-        };
-        Ok(StackReport { bound, mode, per_function: BTreeMap::dec(d)?, phases: Vec::new() })
     }
 }
 
@@ -165,34 +142,27 @@ impl<'p> StackAnalysis<'p> {
     }
 }
 
-/// The stack phase after the prefix: the value analysis's stack extent,
+/// The stack bound of the prefix: the value analysis's stack extent,
 /// or the call-graph fallback when context expansion failed on
-/// recursion.
+/// recursion. It reads only what the prefix holds, so it has no key and
+/// no store request of its own; its `phases` are the prefix's.
 pub(crate) fn stack_tail(
-    run: &mut PhaseRun<'_>,
+    run: &PhaseRun<'_>,
     analysis: &WcetAnalysis<'_>,
     prefix: &Prefix,
 ) -> Result<StackReport, AnalysisError> {
-    let (program, hw) = (analysis.program, &analysis.config.hw);
+    let program = analysis.program;
     let options =
         StackOptions { recursion_depths: analysis.annotations.resolved_recursion(program) };
-    let recursion = &options.recursion_depths;
-    let Prefix { keys, cfg, valued } = prefix;
-    let report = match valued {
+    let cfg = &prefix.cfg;
+    let (bound, mode, per_function) = match &prefix.valued {
         Ok((_, va)) => {
-            run.run(PhaseId::Stack, phase::stack_fingerprint(keys.value, recursion), || {
-                let precise = stamp_stack::analyze_icfg(hw, va)?;
-                // The callgraph mode also provides the per-function table.
-                let breakdown = stamp_stack::analyze_callgraph(program, cfg, &options)
-                    .map(|r| r.per_function)
-                    .unwrap_or_default();
-                Ok(StackReport {
-                    bound: precise.total,
-                    mode: "precise",
-                    per_function: breakdown,
-                    phases: Vec::new(),
-                })
-            })?
+            let precise = stamp_stack::analyze_icfg(&analysis.config.hw, va)?;
+            // The callgraph mode also provides the per-function table.
+            let table = stamp_stack::analyze_callgraph(program, cfg, &options)
+                .map(|r| r.per_function)
+                .unwrap_or_default();
+            (precise.total, "precise", table)
         }
         // Recursion: fall back to the compositional mode (the cached
         // context error carries the variant, so sharing jobs take the
@@ -205,18 +175,10 @@ pub(crate) fn stack_tail(
                 let addrs = cfg.unresolved_indirects().to_vec();
                 return Err(AnalysisError::UnresolvedIndirects { addrs });
             }
-            let fp = phase::stack_callgraph_fingerprint(keys.cfg, &hw.mem, recursion);
-            run.run(PhaseId::Stack, fp, || {
-                let r = stamp_stack::analyze_callgraph(program, cfg, &options)?;
-                Ok(StackReport {
-                    bound: r.total,
-                    mode: "callgraph",
-                    per_function: r.per_function,
-                    phases: Vec::new(),
-                })
-            })?
+            let r = stamp_stack::analyze_callgraph(program, cfg, &options)?;
+            (r.total, "callgraph", r.per_function)
         }
         Err(e) => return Err(e.clone()),
     };
-    Ok(StackReport { phases: run.phases.clone(), ..(*report).clone() })
+    Ok(StackReport { bound, mode, per_function, phases: run.phases.clone() })
 }

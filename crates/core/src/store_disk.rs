@@ -18,14 +18,13 @@
 //! persisted (unlike the in-memory store): an environment-dependent
 //! failure must not poison later runs.
 
-use std::any::Any;
 use std::collections::HashMap;
 use std::fs::{self, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
-use stamp_codec::{crc32, decode_value, encode_value, Codec, CodecError};
+use stamp_codec::crc32;
 
 use crate::fingerprint::{Fingerprint, Fp};
 use crate::phase::PhaseId;
@@ -37,7 +36,7 @@ const FORMAT_VERSION: u32 = 1;
 /// incompatible change to a `Codec` impl reachable from a phase
 /// artifact; old logs are then discarded wholesale instead of being
 /// misdecoded.
-const ARTIFACT_CODEC_VERSION: u32 = 6;
+const ARTIFACT_CODEC_VERSION: u32 = 7;
 
 /// Name of the log file inside a store directory.
 const LOG_NAME: &str = "artifacts.log";
@@ -227,6 +226,7 @@ impl DiskStore {
 
     /// Whether a write failure has switched the store to in-memory-only
     /// operation.
+    #[cfg(test)]
     pub(crate) fn is_degraded(&self) -> bool {
         self.inner.lock().unwrap().degraded
     }
@@ -275,53 +275,6 @@ fn parse_record(bytes: &[u8]) -> Option<((PhaseId, Fingerprint), &[u8], usize)> 
     let phase = PhaseId::from_index(payload[0] as usize)?;
     let fp = Fingerprint::from_bytes(payload[1..17].try_into().ok()?);
     Some(((phase, fp), &payload[PAYLOAD_KEY_LEN..], head + len))
-}
-
-/// Serializes a type-erased phase artifact into its on-disk form.
-/// Returns `None` only if the stored value is not the type this phase
-/// is known to produce (a programming error elsewhere; the caller then
-/// simply skips persistence).
-pub(crate) fn encode_artifact(phase: PhaseId, any: &(dyn Any + Send + Sync)) -> Option<Vec<u8>> {
-    fn enc<T: Codec + 'static>(any: &(dyn Any + Send + Sync)) -> Option<Vec<u8>> {
-        any.downcast_ref::<T>().map(encode_value)
-    }
-    match phase {
-        PhaseId::Assemble => enc::<stamp_isa::Program>(any),
-        PhaseId::Cfg => enc::<stamp_cfg::Cfg>(any),
-        PhaseId::Context => enc::<stamp_ai::Icfg>(any),
-        PhaseId::Value => enc::<stamp_value::ValueAnalysis>(any),
-        PhaseId::LoopBound => enc::<stamp_loopbound::LoopBoundAnalysis>(any),
-        PhaseId::Cache => enc::<stamp_cache::CacheAnalysis>(any),
-        PhaseId::Pipeline => enc::<stamp_pipeline::PipelineAnalysis>(any),
-        PhaseId::Path => enc::<stamp_path::WcetResult>(any),
-        PhaseId::Stack => enc::<crate::stack_tool::StackReport>(any),
-        PhaseId::Summary => enc::<stamp_path::SegmentSummary>(any),
-    }
-}
-
-/// Deserializes on-disk artifact bytes back into the type-erased form
-/// the in-memory store shares between jobs.
-pub(crate) fn decode_artifact(
-    phase: PhaseId,
-    bytes: &[u8],
-) -> Result<Arc<dyn Any + Send + Sync>, CodecError> {
-    fn dec<T: Codec + Send + Sync + 'static>(
-        bytes: &[u8],
-    ) -> Result<Arc<dyn Any + Send + Sync>, CodecError> {
-        decode_value::<T>(bytes).map(|v| Arc::new(v) as Arc<dyn Any + Send + Sync>)
-    }
-    match phase {
-        PhaseId::Assemble => dec::<stamp_isa::Program>(bytes),
-        PhaseId::Cfg => dec::<stamp_cfg::Cfg>(bytes),
-        PhaseId::Context => dec::<stamp_ai::Icfg>(bytes),
-        PhaseId::Value => dec::<stamp_value::ValueAnalysis>(bytes),
-        PhaseId::LoopBound => dec::<stamp_loopbound::LoopBoundAnalysis>(bytes),
-        PhaseId::Cache => dec::<stamp_cache::CacheAnalysis>(bytes),
-        PhaseId::Pipeline => dec::<stamp_pipeline::PipelineAnalysis>(bytes),
-        PhaseId::Path => dec::<stamp_path::WcetResult>(bytes),
-        PhaseId::Stack => dec::<crate::stack_tool::StackReport>(bytes),
-        PhaseId::Summary => dec::<stamp_path::SegmentSummary>(bytes),
-    }
 }
 
 #[cfg(test)]
@@ -476,7 +429,7 @@ mod tests {
 
         // Further appends are skipped silently — no error, no second
         // warning, no growth.
-        store.append(PhaseId::Stack, fp(3), b"also-lost");
+        store.append(PhaseId::Path, fp(3), b"also-lost");
         assert!(store.take_warning().is_none());
         assert_eq!(store.len(), 1);
         store.flush(); // drain-time flush is a no-op when degraded
@@ -493,9 +446,10 @@ mod tests {
     #[test]
     fn artifact_codecs_round_trip_through_the_log() {
         // End-to-end over a real artifact: assemble a program, persist
-        // it through the log, decode it back type-erased.
+        // it through the log, decode it back.
+        use stamp_codec::{decode_value, encode_value};
         let program = stamp_isa::asm::assemble(".text\nmain: li r1, 7\nhalt\n").unwrap();
-        let bytes = encode_artifact(PhaseId::Assemble, &program).unwrap();
+        let bytes = encode_value(&program);
         let dir = tmp_dir("e2e");
         {
             let (store, _) = DiskStore::open(&dir).unwrap();
@@ -503,12 +457,12 @@ mod tests {
         }
         let (store, _) = DiskStore::open(&dir).unwrap();
         let loaded = store.take(PhaseId::Assemble, fp(1)).unwrap();
-        let any = decode_artifact(PhaseId::Assemble, &loaded).unwrap();
-        let back = any.downcast_ref::<stamp_isa::Program>().unwrap();
+        let back = decode_value::<stamp_isa::Program>(&loaded).unwrap();
         assert_eq!(back.entry, program.entry);
-        assert_eq!(stamp_codec::encode_value(back), stamp_codec::encode_value(&program));
-        // Wrong phase for the same bytes must fail decoding, not panic.
-        assert!(decode_artifact(PhaseId::Path, &loaded).is_err());
+        assert_eq!(encode_value(&back), bytes);
+        // The same bytes read as another phase's type must fail
+        // decoding, not panic.
+        assert!(decode_value::<stamp_path::WcetResult>(&loaded).is_err());
         fs::remove_dir_all(&dir).unwrap();
     }
 }

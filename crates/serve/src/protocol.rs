@@ -18,7 +18,7 @@
 //! `source`+`name`, plus `loop_bounds`,
 //! `recursion`, `wcet`), and `variant` (a manifest *variant* object:
 //! `hw`, `peel`, `max_call_depth`, `max_contexts`, `domain`,
-//! `widen_delay`, `small_set`, `use_infeasible`, `sampling`; `name`
+//! `widen_delay`, `use_infeasible`, `sampling`; `name`
 //! defaults to `"default"`). The job vocabulary *is* the `stamp batch`
 //! manifest vocabulary — requests are parsed through the same
 //! `stamp_suite::manifest` code path, so unknown keys are rejected

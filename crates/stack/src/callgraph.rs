@@ -208,16 +208,6 @@ fn tarjan(n: usize, succs: &[Vec<FuncId>]) -> Vec<Vec<FuncId>> {
     st.out
 }
 
-impl stamp_codec::Codec for FunctionStack {
-    fn enc(&self, e: &mut stamp_codec::Enc) {
-        e.u32(self.local);
-        e.u32(self.usage);
-    }
-    fn dec(d: &mut stamp_codec::Dec) -> Result<FunctionStack, stamp_codec::CodecError> {
-        Ok(FunctionStack { local: d.u32()?, usage: d.u32()? })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -28,8 +28,8 @@
 //! Variant keys, all optional except `name`: `hw` (`"default"`,
 //! `"no-cache"`, `"ideal"` or `{"cache_bytes": N}`), `peel`,
 //! `max_call_depth`, `max_contexts` (VIVU), `domain` (`"const"`,
-//! `"interval"`, `"strided"`), `widen_delay`, `small_set` (value
-//! analysis), `use_infeasible` (bool, ILP), `sampling` (probabilistic
+//! `"interval"`, `"strided"`), `widen_delay` (value analysis),
+//! `use_infeasible` (bool, ILP), `sampling` (probabilistic
 //! path sampling: `{}` for the defaults or `{"samples": N, "seed": N}`).
 //! A job runs one value analysis under its variant and reads both its
 //! stack bound and its WCET from it, so every key that reaches the
@@ -249,7 +249,6 @@ fn parse_variant(v: &Json) -> Result<BatchVariant, ManifestError> {
             "max_contexts",
             "domain",
             "widen_delay",
-            "small_set",
             "use_infeasible",
             "sampling",
         ],
@@ -312,10 +311,6 @@ fn parse_variant(v: &Json) -> Result<BatchVariant, ManifestError> {
             .filter(|&w| w <= u32::MAX as u64)
             .ok_or(ManifestError("`widen_delay` must be an integer".into()))?
             as u32;
-    }
-    if let Some(s) = v.get("small_set") {
-        config.value.small_set =
-            s.as_u64().ok_or(ManifestError("`small_set` must be an integer".into()))?;
     }
     if let Some(u) = v.get("use_infeasible") {
         config.use_infeasible =

@@ -150,9 +150,6 @@ pub fn describe_config(config: &AnalysisConfig) -> String {
     if config.value.widen_delay != default.value.widen_delay {
         knobs.push(format!("widen_delay={}", config.value.widen_delay));
     }
-    if config.value.small_set != default.value.small_set {
-        knobs.push(format!("small_set={}", config.value.small_set));
-    }
     if config.use_infeasible != default.use_infeasible {
         knobs.push(format!("use_infeasible={}", config.use_infeasible));
     }
@@ -192,10 +189,10 @@ mod tests {
         // Assemble: one request per job, one unique source per target.
         assert_eq!(row(PhaseId::Assemble).requests, 3 * targets);
         assert_eq!(row(PhaseId::Assemble).unique, targets);
-        // The prefix and the stack bound: one request per job, one
-        // artifact per target, shared across the whole hardware sweep
-        // (value reads the memory map only).
-        for p in [PhaseId::Cfg, PhaseId::Context, PhaseId::Value, PhaseId::Stack] {
+        // The prefix: one request per job, one artifact per target,
+        // shared across the whole hardware sweep (value reads the memory
+        // map only).
+        for p in [PhaseId::Cfg, PhaseId::Context, PhaseId::Value] {
             assert_eq!((row(p).requests, row(p).unique), (3 * targets, targets), "{p:?}");
         }
         // Pipeline: nothing shared — timing differs everywhere.

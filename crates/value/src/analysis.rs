@@ -20,16 +20,11 @@ pub struct ValueOptions {
     pub domain: DomainKind,
     /// Number of joins at a widening point before widening kicks in.
     pub widen_delay: u32,
-    /// Address sets with at most this many members count as "determined"
-    /// in the precision statistics (paper: "only a few indirect accesses
-    /// cannot be determined exactly"). Indirect-jump target enumeration
-    /// uses a separate fixed limit of 64.
-    pub small_set: u64,
 }
 
 impl Default for ValueOptions {
     fn default() -> ValueOptions {
-        ValueOptions { domain: DomainKind::Strided, widen_delay: 2, small_set: 4096 }
+        ValueOptions { domain: DomainKind::Strided, widen_delay: 2 }
     }
 }
 
@@ -122,7 +117,6 @@ pub struct ValueAnalysis {
     constant_branches: usize,
     indirect_targets: BTreeMap<u32, BTreeSet<u32>>,
     stack: StackExtent,
-    options: ValueOptions,
     /// Solver node evaluations (scaling experiment).
     pub evaluations: u64,
 }
@@ -201,7 +195,6 @@ impl ValueAnalysis {
             constant_branches: transfer.constant_branches.iter().filter(|&&c| c).count(),
             indirect_targets,
             stack: NodeStack::extent(&transfer.stack),
-            options: options.clone(),
             evaluations: fixpoint.evaluations,
         };
         (va, fixpoint)
@@ -255,12 +248,15 @@ impl ValueAnalysis {
     }
 
     /// Classification of all data accesses by address precision (E3).
+    /// An address set of at most 4096 members counts as bounded (paper:
+    /// "only a few indirect accesses cannot be determined exactly").
     pub fn precision_summary(&self) -> PrecisionSummary {
+        const SMALL_SET: u64 = 4096;
         let mut s = PrecisionSummary::default();
         for info in self.accesses.values() {
             if info.addrs.is_const().is_some() {
                 s.exact += 1;
-            } else if info.addrs.count() <= self.options.small_set {
+            } else if info.addrs.count() <= SMALL_SET {
                 s.bounded += 1;
             } else {
                 s.unknown += 1;
@@ -272,17 +268,6 @@ impl ValueAnalysis {
     /// Count of branch instances decided to be constant (E4).
     pub fn constant_branches(&self) -> usize {
         self.constant_branches
-    }
-}
-
-impl stamp_codec::Codec for ValueOptions {
-    fn enc(&self, e: &mut stamp_codec::Enc) {
-        self.domain.enc(e);
-        e.u32(self.widen_delay);
-        e.u64(self.small_set);
-    }
-    fn dec(d: &mut stamp_codec::Dec) -> Result<ValueOptions, stamp_codec::CodecError> {
-        Ok(ValueOptions { domain: DomainKind::dec(d)?, widen_delay: d.u32()?, small_set: d.u64()? })
     }
 }
 
@@ -307,7 +292,7 @@ impl stamp_codec::Codec for AccessInfo {
 /// then each kept node's id and its two states as registers plus a
 /// word-map index, then the derived facts (the infeasible edges,
 /// `accesses` in key order, the constant-branch count, the indirect
-/// targets), the options, the evaluation count and the stack extent.
+/// targets), the evaluation count and the stack extent.
 /// Decoding re-shares the word maps, so states that shared memory
 /// before encoding share it after.
 impl stamp_codec::Codec for ValueAnalysis {
@@ -362,7 +347,6 @@ impl stamp_codec::Codec for ValueAnalysis {
         self.accesses.enc(e);
         self.constant_branches.enc(e);
         self.indirect_targets.enc(e);
-        self.options.enc(e);
         e.u64(self.evaluations);
         let (tag, v) = match self.stack {
             StackExtent::Lowest(sp) => (0, sp),
@@ -412,7 +396,6 @@ impl stamp_codec::Codec for ValueAnalysis {
             accesses: HashMap::dec(d)?,
             constant_branches: usize::dec(d)?,
             indirect_targets: BTreeMap::dec(d)?,
-            options: ValueOptions::dec(d)?,
             evaluations: d.u64()?,
             stack: match (d.u8()?, d.u32()?) {
                 (0, sp) => StackExtent::Lowest(sp),

@@ -628,24 +628,6 @@ impl fmt::Display for SInt {
     }
 }
 
-impl stamp_codec::Codec for DomainKind {
-    fn enc(&self, e: &mut stamp_codec::Enc) {
-        e.u8(match self {
-            DomainKind::Const => 0,
-            DomainKind::Interval => 1,
-            DomainKind::Strided => 2,
-        });
-    }
-    fn dec(d: &mut stamp_codec::Dec) -> Result<DomainKind, stamp_codec::CodecError> {
-        match d.u8()? {
-            0 => Ok(DomainKind::Const),
-            1 => Ok(DomainKind::Interval),
-            2 => Ok(DomainKind::Strided),
-            _ => Err(stamp_codec::CodecError::Invalid("domain kind")),
-        }
-    }
-}
-
 impl stamp_codec::Codec for SInt {
     fn enc(&self, e: &mut stamp_codec::Enc) {
         e.u32(self.lo);

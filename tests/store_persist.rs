@@ -224,7 +224,7 @@ fn changed_program_reuses_exactly_the_phases_whose_fingerprints_held() {
             .and_then(Json::as_str)
             .unwrap_or_else(|| panic!("phase {phase} missing from provenance {provenance:?}"))
     };
-    for held in ["assemble", "cfg", "context", "value", "cache", "pipeline", "stack"] {
+    for held in ["assemble", "cfg", "context", "value", "cache", "pipeline"] {
         assert_eq!(of(held), "reused", "{held} fingerprint held across the bound change");
     }
     for changed in ["loopbound", "path"] {
