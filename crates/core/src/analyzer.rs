@@ -3,15 +3,18 @@
 //!
 //! Each phase of the paper's pipeline — CFG building, VIVU context
 //! expansion, value analysis, loop bounds, cache, pipeline, path/ILP —
-//! is a node of the graph in `phase.rs`: it declares an input
-//! fingerprint over exactly what it reads and produces a typed
-//! artifact. [`WcetAnalysis::run_with`] drives the graph through a
-//! shared [`ArtifactStore`], so concurrent batch jobs whose phase
-//! inputs agree compute each artifact once and share it; [`WcetAnalysis::run`]
+//! is a node of the graph in `phase.rs`. The costly ones (the front
+//! end, context expansion, the value and cache fixpoints, and the path's
+//! segment summaries) declare an input fingerprint over exactly what
+//! they read and produce a typed artifact; loop bounds, pipeline times
+//! and the path ILP are recomputed on every run.
+//! [`WcetAnalysis::run_with`] drives the graph through a shared
+//! [`ArtifactStore`], so concurrent batch jobs whose phase inputs agree
+//! compute each stored artifact once and share it; [`WcetAnalysis::run`]
 //! drives the same graph through a disabled store (compute everything
 //! locally, cache nothing) — there is exactly one driver. Its CFG →
 //! context → value prefix is `phase::value_prefix`, shared with the
-//! stack tool, and every request goes through the `phase::PhaseRun`
+//! stack tool, and every phase goes through the `phase::PhaseRun`
 //! runner. [`WcetAnalysis::run_verdict`] runs that prefix once and
 //! reads both bounds of a task from it.
 
@@ -30,7 +33,7 @@ use stamp_value::{ValueAnalysis, ValueOptions};
 use crate::annot::Annotations;
 use crate::artifact::{ArtifactClaim, ArtifactStore};
 use crate::error::AnalysisError;
-use crate::phase::{self, PhaseRun, Prefix, WcetKeys};
+use crate::phase::{self, PhaseId, PhaseRun, Prefix};
 use crate::report::WcetReport;
 use crate::stack_tool::{self, StackReport};
 
@@ -127,7 +130,7 @@ impl stamp_path::SummaryMemo for StoreSummaryMemo<'_> {
             ArtifactClaim::Fill(guard) => {
                 // On a solve error the guard is dropped unfulfilled,
                 // releasing the claim — segment errors are not cached
-                // (the path phase itself caches the job-level error).
+                // (the path phase, recomputed per run, returns it).
                 let summary = self.solve_counted(solve)?;
                 guard.fulfill(Ok(summary.clone()));
                 summary
@@ -143,7 +146,7 @@ impl stamp_path::SummaryMemo for StoreSummaryMemo<'_> {
 /// downstream consumers — the probabilistic path sampler, the
 /// differential oracle — can run *on top of* a finished analysis
 /// without recomputing any phase: the loop bounds, pipeline times and
-/// ILP witness are shared `Arc`s straight out of the phase DAG.
+/// ILP witness are the very `Arc`s the report was assembled from.
 pub struct PhaseArtifacts {
     /// The control-flow graph (with resolved indirect targets).
     pub cfg: Arc<Cfg>,
@@ -279,7 +282,8 @@ impl<'p> WcetAnalysis<'p> {
     }
 
     /// The WCET phases after the prefix: loop bounds, cache, pipeline
-    /// and path, all reading the prefix's value analysis.
+    /// and path, all reading the prefix's value analysis. Only the cache
+    /// analysis is stored; the others are recomputed on every run.
     fn tail(
         &self,
         run: &mut PhaseRun<'_>,
@@ -288,23 +292,25 @@ impl<'p> WcetAnalysis<'p> {
         let (program, config) = (self.program, &self.config);
         let cfg = prefix.cfg.clone();
         let (icfg, va) = prefix.valued.clone()?;
-        let lb_opts = self.annotations.loop_bound_options(program);
-        let tail = WcetKeys::new(prefix.keys.value, &lb_opts, config);
-        let lb = run.run(tail.loopbound, || {
+        let lb = run.compute(PhaseId::LoopBound, || {
+            let lb_opts = self.annotations.loop_bound_options(program);
             Ok(LoopBoundAnalysis::run(program, &cfg, &icfg, &va, &lb_opts))
         })?;
-        let ca = run.run(tail.cache, || Ok(CacheAnalysis::run(&config.hw, &cfg, &icfg, &va)))?;
-        let pa = run
-            .run(tail.pipeline, || Ok(PipelineAnalysis::run(&config.hw, &cfg, &icfg, &ca, &va)))?;
+        let ca = run.run(phase::cache_fingerprint(prefix.keys.value, &config.hw), || {
+            Ok(CacheAnalysis::run(&config.hw, &cfg, &icfg, &va))
+        })?;
+        let pa = run.compute(PhaseId::Pipeline, || {
+            Ok(PipelineAnalysis::run(&config.hw, &cfg, &icfg, &ca, &va))
+        })?;
         let memo = StoreSummaryMemo::new(run.store);
         let path_opts =
             PathOptions { use_infeasible: config.use_infeasible, summaries: config.summaries };
-        let result = run.run(tail.path, || {
+        let result = run.compute(PhaseId::Path, || {
             stamp_path::analyze_with_memo(&cfg, &icfg, &va, &lb, &pa, &path_opts, &memo)
                 .map_err(AnalysisError::from)
         })?;
-        // Zero/zero when the whole path artifact was reused (or the
-        // program offered no decomposition).
+        // Zero/zero when the program offered no decomposition (or the
+        // monolithic solve was asked for).
         let summaries = (memo.computed.get(), memo.reused.get());
         let phases = run.phases.clone();
         let report = WcetReport::assemble(

@@ -52,16 +52,17 @@ pub(crate) trait Artifact: Codec + Send + Sync + 'static {
     const PHASE: PhaseId;
 }
 
-/// The registry: one stored type per phase.
+/// The registry: one stored type per stored phase. Loop bounds,
+/// pipeline times and the path ILP are phases without a type here:
+/// they are recomputed on every run (see `phase.rs`).
 macro_rules! artifacts {
     ($($phase:ident => $ty:ty,)*) => {
         $(impl Artifact for $ty {
             const PHASE: PhaseId = PhaseId::$phase;
         })*
-        /// Every registered phase, in registry order (for the test that
-        /// each phase has exactly one type).
-        #[cfg(test)]
-        const REGISTERED: &[PhaseId] = &[$(<$ty as Artifact>::PHASE),*];
+        /// Every stored phase, in registry order: the vocabulary of the
+        /// durable log.
+        pub(crate) const STORED: &[PhaseId] = &[$(<$ty as Artifact>::PHASE),*];
     };
 }
 
@@ -70,10 +71,7 @@ artifacts! {
     Cfg => stamp_cfg::Cfg,
     Context => stamp_ai::Icfg,
     Value => stamp_value::ValueAnalysis,
-    LoopBound => stamp_loopbound::LoopBoundAnalysis,
     Cache => stamp_cache::CacheAnalysis,
-    Pipeline => stamp_pipeline::PipelineAnalysis,
-    Path => stamp_path::WcetResult,
     Summary => stamp_path::SegmentSummary,
 }
 
@@ -469,7 +467,6 @@ mod tests {
     const CFG: usize = PhaseId::Cfg as usize;
     const VALUE: usize = PhaseId::Value as usize;
     const CACHE: usize = PhaseId::Cache as usize;
-    const PATH: usize = PhaseId::Path as usize;
 
     /// [`ArtifactStore::get_or_compute`] as `Result<(artifact, reused)>`,
     /// for terse assertions.
@@ -484,7 +481,8 @@ mod tests {
 
     #[test]
     fn each_phase_stores_exactly_one_type() {
-        assert_eq!(REGISTERED, PhaseId::ALL);
+        use PhaseId::*;
+        assert_eq!(STORED, [Assemble, Cfg, Context, Value, Cache, Summary]);
     }
 
     #[test]
@@ -520,19 +518,19 @@ mod tests {
     #[test]
     fn errors_are_cached_and_replayed() {
         let store = ArtifactStore::new();
-        let fail = || -> Result<Probe<PATH>, AnalysisError> {
+        let fail = || -> Result<Probe<CACHE>, AnalysisError> {
             Err(AnalysisError::UnknownSymbol { name: "boom".into() })
         };
         let (e1, reused1) = store.get_or_compute(fp(9), fail);
         // The second request must *not* recompute: the closure panics if
         // called. The reuse flag survives the error path.
         let (e2, reused2) = store
-            .get_or_compute(fp(9), || -> Result<Probe<PATH>, AnalysisError> {
+            .get_or_compute(fp(9), || -> Result<Probe<CACHE>, AnalysisError> {
                 panic!("errors are artifacts too")
             });
         assert_eq!((reused1, reused2), (false, true));
         assert_eq!(e1.unwrap_err().to_string(), e2.unwrap_err().to_string());
-        let s = store.stats().phase("path").unwrap();
+        let s = store.stats().phase("cache").unwrap();
         assert_eq!((s.hits, s.misses), (1, 1));
     }
 
@@ -609,7 +607,7 @@ mod tests {
         {
             let (store, warnings) = ArtifactStore::with_disk(&dir).unwrap();
             assert!(warnings.is_empty(), "{warnings:?}");
-            let (_, reused) = get(&store, fp(1), || Ok(Probe::<PATH>(64))).unwrap();
+            let (_, reused) = get(&store, fp(1), || Ok(Probe::<CACHE>(64))).unwrap();
             assert!(!reused);
             assert_eq!(store.disk_artifact_count(), 1, "fulfill writes through");
         }
@@ -617,9 +615,10 @@ mod tests {
         // in-memory map starts empty, so the artifact must come from disk.
         let (store, warnings) = ArtifactStore::with_disk(&dir).unwrap();
         assert!(warnings.is_empty(), "{warnings:?}");
-        let (probe, reused) =
-            get(&store, fp(1), || -> Result<Probe<PATH>, _> { panic!("must be served from disk") })
-                .unwrap();
+        let (probe, reused) = get(&store, fp(1), || -> Result<Probe<CACHE>, _> {
+            panic!("must be served from disk")
+        })
+        .unwrap();
         assert!(reused);
         assert_eq!(probe.0, 64);
         let stats = store.stats();
@@ -627,7 +626,7 @@ mod tests {
         assert_eq!(stats.hits(), 0);
         assert_eq!(stats.disk_hit_rate(), 1.0);
         // A repeat request in the same process is a plain memory hit.
-        let (_, reused) = get(&store, fp(1), || -> Result<Probe<PATH>, _> {
+        let (_, reused) = get(&store, fp(1), || -> Result<Probe<CACHE>, _> {
             panic!("must be served from memory")
         })
         .unwrap();
@@ -651,7 +650,7 @@ mod tests {
         let dir = tmp_dir("degrade");
         let (store, _) = ArtifactStore::with_disk(&dir).unwrap();
         let disk = store.disk.as_ref().unwrap();
-        let (_, reused) = get(&store, fp(1), || Ok(Probe::<PATH>(8))).unwrap();
+        let (_, reused) = get(&store, fp(1), || Ok(Probe::<CACHE>(8))).unwrap();
         assert!(!reused);
         assert_eq!(store.disk_artifact_count(), 1);
         assert!(!disk.is_degraded());
@@ -659,7 +658,7 @@ mod tests {
         // The disk goes away mid-run: computations keep succeeding,
         // write-through silently stops, one warning is queued.
         disk.set_sink_for_tests(Box::new(FailingSink));
-        let (probe, reused) = get(&store, fp(2), || Ok(Probe::<PATH>(16))).unwrap();
+        let (probe, reused) = get(&store, fp(2), || Ok(Probe::<CACHE>(16))).unwrap();
         assert!(!reused);
         assert_eq!(probe.0, 16, "the job's result is unaffected");
         assert!(disk.is_degraded());
@@ -671,7 +670,7 @@ mod tests {
         // artifacts: an artifact computed before the fault is still
         // served.
         for (key, bound) in [(fp(1), 8), (fp(2), 16)] {
-            let (r, reused) = get(&store, key, || -> Result<Probe<PATH>, _> {
+            let (r, reused) = get(&store, key, || -> Result<Probe<CACHE>, _> {
                 panic!("must be served from memory")
             })
             .unwrap();
@@ -830,7 +829,7 @@ mod tests {
     fn errors_are_never_written_to_disk() {
         let dir = tmp_dir("err");
         let (store, _) = ArtifactStore::with_disk(&dir).unwrap();
-        let fail = || -> Result<Probe<PATH>, AnalysisError> {
+        let fail = || -> Result<Probe<CACHE>, AnalysisError> {
             Err(AnalysisError::UnknownSymbol { name: "boom".into() })
         };
         get(&store, fp(7), fail).unwrap_err();

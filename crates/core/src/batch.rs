@@ -209,15 +209,16 @@ pub struct JobResult {
     /// Wall time of this job in milliseconds (excluded from the
     /// deterministic rendering).
     pub wall_ms: f64,
-    /// Per-phase artifact provenance of this job, in request order
+    /// Per-phase artifact provenance of this job, in run order
     /// (`true` = reused from the shared store). Which job of a
     /// fingerprint group computes is a scheduling accident, so this is
     /// excluded from the deterministic rendering, like `wall_ms`.
-    /// Records every request the job made once, failed ones included:
+    /// Records every phase the job ran once, failed ones included:
     /// assemble, the one CFG → context → value prefix (once per pass of
-    /// the indirect-jump feedback loop), the WCET phases, then one
-    /// `summary` entry per path segment summary. The stack bound is read
-    /// from the prefix and makes no request.
+    /// the indirect-jump feedback loop), the WCET phases (loop bounds,
+    /// pipeline and path always computed), then one `summary` entry per
+    /// path segment summary. The stack bound is read from the prefix and
+    /// makes no request.
     pub provenance: Vec<(PhaseId, bool)>,
 }
 

@@ -9,10 +9,11 @@
 //! phases' fingerprints plus its own knobs, so an artifact key
 //! transitively covers everything that could influence the artifact.
 //!
-//! Per-phase inputs (the tables in DESIGN.md are generated from this
-//! list; the `let … = *config;` destructurings below make the coverage
-//! compile-checked — adding a field to a config struct breaks the
-//! corresponding fingerprint function until it is accounted for):
+//! Per-phase inputs of the stored phases (the tables in DESIGN.md are
+//! generated from this list; the `let … = *config;` destructurings
+//! below make the coverage compile-checked — adding a field to a config
+//! struct breaks the corresponding fingerprint function until it is
+//! accounted for):
 //!
 //! | phase      | inputs |
 //! |------------|--------|
@@ -20,10 +21,7 @@
 //! | `cfg`      | program image (entry, sections, symbols) + indirect-target map |
 //! | `context`  | `cfg` + all of `VivuConfig` |
 //! | `value`    | `context` + `MemoryMap` + all of `ValueOptions` |
-//! | `loopbound`| `value` + resolved loop-bound annotations |
 //! | `cache`    | `value` + I/D cache geometries |
-//! | `pipeline` | `cache` + the whole `HwConfig` (timing and caches) |
-//! | `path`     | `pipeline` + `loopbound` + `use_infeasible` + `summaries` |
 //! | `summary`  | the canonical byte form of one supergraph segment's ILP |
 //!
 //! Notably *absent* dependencies are what make cross-variant sharing
@@ -32,15 +30,18 @@
 //! a `default` / `no-cache` / `ideal` hardware sweep shares one CFG,
 //! one context expansion and one value fixpoint per target.
 //!
-//! The stack bound is not a phase: it is read from the value analysis
-//! (its stack extent) and the CFG (the per-function table) that the
-//! job's prefix already holds, so nothing of it is keyed or stored.
+//! Loop bounds, pipeline times and the path ILP are phases without a
+//! key: each run recomputes them from the stored prefix and cache
+//! artifacts, because they cost less than a store round trip saves (the
+//! path's expensive part, its segment summaries, is stored). The stack
+//! bound is not a phase at all: it is read from the value analysis (its
+//! stack extent) and the CFG (the per-function table) that the job's
+//! prefix already holds.
 //!
-//! The module also holds what both tools share at run time: the key
-//! chain ([`PrefixKeys`], [`WcetKeys`]) that the drivers and
-//! [`plan_job`] compute requests from, the runner ([`PhaseRun`]) every
-//! artifact request goes through, and the iterated CFG → context →
-//! value prefix ([`value_prefix`]).
+//! The module also holds what both tools share at run time: the prefix
+//! keys ([`PrefixKeys`]) that the drivers and [`plan_job`] compute
+//! requests from, the runner ([`PhaseRun`]) every phase goes through,
+//! and the iterated CFG → context → value prefix ([`value_prefix`]).
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -48,9 +49,8 @@ use std::time::Instant;
 
 use stamp_ai::{Icfg, VivuConfig};
 use stamp_cfg::{Cfg, CfgBuilder};
-use stamp_hw::{CacheConfig, HwConfig, MemoryMap, Timing};
+use stamp_hw::{CacheConfig, HwConfig, MemoryMap};
 use stamp_isa::{Program, SectionKind};
-use stamp_loopbound::LoopBoundOptions;
 use stamp_value::{DomainKind, ValueAnalysis, ValueOptions};
 
 use crate::analyzer::AnalysisConfig;
@@ -249,20 +249,6 @@ pub fn value_fingerprint(
     fp.finish()
 }
 
-/// `loopbound`: the value analysis plus resolved loop-bound
-/// annotations.
-pub fn loopbound_fingerprint(value: Fingerprint, options: &LoopBoundOptions) -> Fingerprint {
-    let LoopBoundOptions { ref annotations } = *options;
-    let mut fp = Fp::new("stamp/loopbound/2");
-    fp.fp(value);
-    fp.u64(annotations.len() as u64);
-    for (addr, bound) in annotations {
-        fp.u32(*addr);
-        fp.u64(*bound);
-    }
-    fp.finish()
-}
-
 /// `cache`: the value analysis plus the I/D cache geometries (and
 /// nothing else — timing does not influence classifications).
 pub fn cache_fingerprint(value: Fingerprint, hw: &HwConfig) -> Fingerprint {
@@ -270,51 +256,6 @@ pub fn cache_fingerprint(value: Fingerprint, hw: &HwConfig) -> Fingerprint {
     fp.fp(value);
     cache_fields(&mut fp, hw.icache);
     cache_fields(&mut fp, hw.dcache);
-    fp.finish()
-}
-
-/// `pipeline`: the cache analysis plus the whole hardware model (the
-/// pipeline reads timing, both cache geometries and, transitively, the
-/// memory map).
-pub fn pipeline_fingerprint(cache: Fingerprint, hw: &HwConfig) -> Fingerprint {
-    let HwConfig { icache, dcache, ref mem, timing } = *hw;
-    let Timing {
-        i_miss_penalty,
-        d_miss_penalty,
-        branch_penalty,
-        mul_latency,
-        div_latency,
-        load_use_hazard,
-    } = timing;
-    let mut fp = Fp::new("stamp/pipeline/3");
-    fp.fp(cache);
-    cache_fields(&mut fp, icache);
-    cache_fields(&mut fp, dcache);
-    mem_fields(&mut fp, mem);
-    fp.u32(i_miss_penalty);
-    fp.u32(d_miss_penalty);
-    fp.u32(branch_penalty);
-    fp.u32(mul_latency);
-    fp.u32(div_latency);
-    fp.bool(load_use_hazard);
-    fp.finish()
-}
-
-/// `path`: pipeline times, loop bounds, the infeasible-path switch,
-/// and the summarized-solve switch. The two solve modes prove the same
-/// WCET but may pick different witness paths, so their artifacts must
-/// not mix.
-pub fn path_fingerprint(
-    pipeline: Fingerprint,
-    loopbound: Fingerprint,
-    use_infeasible: bool,
-    summaries: bool,
-) -> Fingerprint {
-    let mut fp = Fp::new("stamp/path/2");
-    fp.fp(pipeline);
-    fp.fp(loopbound);
-    fp.bool(use_infeasible);
-    fp.bool(summaries);
     fp.finish()
 }
 
@@ -365,47 +306,14 @@ impl PrefixKeys {
     }
 }
 
-/// The keys of the WCET phases after the prefix.
-#[derive(Clone, Copy)]
-pub(crate) struct WcetKeys {
-    pub(crate) loopbound: Fingerprint,
-    pub(crate) cache: Fingerprint,
-    pub(crate) pipeline: Fingerprint,
-    pub(crate) path: Fingerprint,
-}
-
-impl WcetKeys {
-    pub(crate) fn new(
-        value: Fingerprint,
-        loop_bounds: &LoopBoundOptions,
-        config: &AnalysisConfig,
-    ) -> WcetKeys {
-        let loopbound = loopbound_fingerprint(value, loop_bounds);
-        let cache = cache_fingerprint(value, &config.hw);
-        let pipeline = pipeline_fingerprint(cache, &config.hw);
-        let path = path_fingerprint(pipeline, loopbound, config.use_infeasible, config.summaries);
-        WcetKeys { loopbound, cache, pipeline, path }
-    }
-
-    fn requests(self) -> [PhaseRequest; 4] {
-        [
-            (PhaseId::LoopBound, self.loopbound),
-            (PhaseId::Cache, self.cache),
-            (PhaseId::Pipeline, self.pipeline),
-            (PhaseId::Path, self.path),
-        ]
-        .map(|(phase, fingerprint)| PhaseRequest { phase, fingerprint })
-    }
-}
-
-/// Runs one job's phases. Every artifact request goes through
-/// [`PhaseRun::run`], which makes the request a cancellation point,
-/// times it, looks it up in the shared store and records one
-/// [`PhaseStats`] row — on the error path too, so a replayed cached
-/// error is reported as reused.
+/// Runs one job's phases. Every phase goes through [`PhaseRun::run`]
+/// (stored phases: looked up in the shared store) or
+/// [`PhaseRun::compute`] (recomputed every run); both make the phase a
+/// cancellation point, time it and record one [`PhaseStats`] row — on
+/// the error path too, so a replayed cached error is reported as reused.
 pub(crate) struct PhaseRun<'s> {
     pub(crate) store: &'s ArtifactStore,
-    /// One row per request, in request order.
+    /// One row per phase, in run order.
     pub(crate) phases: Vec<PhaseStats>,
 }
 
@@ -421,15 +329,33 @@ impl<'s> PhaseRun<'s> {
         fp: Fingerprint,
         compute: impl FnOnce() -> Result<T, AnalysisError>,
     ) -> Result<Arc<T>, AnalysisError> {
+        let store = self.store;
+        self.timed(T::PHASE, || store.get_or_compute(fp, compute))
+    }
+
+    /// Phase `phase`'s result, computed by `compute` without the store.
+    pub(crate) fn compute<T>(
+        &mut self,
+        phase: PhaseId,
+        compute: impl FnOnce() -> Result<T, AnalysisError>,
+    ) -> Result<Arc<T>, AnalysisError> {
+        self.timed(phase, || (compute().map(Arc::new), false))
+    }
+
+    fn timed<T>(
+        &mut self,
+        phase: PhaseId,
+        request: impl FnOnce() -> (Result<T, AnalysisError>, bool),
+    ) -> Result<T, AnalysisError> {
         // Phase boundaries are cancellation points: a job running under
         // a deadline is cut between phases (and inside the solver's own
         // checkpoints), never mid-artifact. No store lock is held here,
         // so the unwind cannot poison anything.
         stamp_exec::cancel::checkpoint_now();
         let t = Instant::now();
-        let (out, reused) = self.store.get_or_compute(fp, compute);
+        let (out, reused) = request();
         let seconds = t.elapsed().as_secs_f64();
-        self.phases.push(PhaseStats { phase: T::PHASE, seconds, reused });
+        self.phases.push(PhaseStats { phase, seconds, reused });
         out
     }
 }
@@ -508,8 +434,8 @@ pub(crate) fn value_prefix(
 /// Statically predicts the artifact requests a job will make, in
 /// request order, *without running any analysis* (`stamp batch
 /// --dry-run`). The prediction assembles the program (cheap) and then
-/// takes its keys from `PrefixKeys` and `WcetKeys`, the chain the
-/// drivers key their requests with.
+/// takes its keys from `PrefixKeys` and `cache_fingerprint`, the keys
+/// the drivers make their requests with.
 ///
 /// Two approximations (both resolve only by running the analysis):
 /// the CFG ↔ value-analysis feedback loop for indirect jumps is
@@ -533,12 +459,14 @@ pub fn plan_job(job: &BatchJob) -> Result<Vec<PhaseRequest>, String> {
     let indirects = job.annotations.resolved_indirects(&program);
 
     // One prefix; the stack bound reads it without a request of its
-    // own, the WCET phases key their requests by it.
+    // own, the cache phase keys its request by it.
     let prefix = PrefixKeys::new(program_fp, &indirects, &job.config);
     requests.extend(prefix.requests());
     if job.wcet {
-        let loop_bounds = job.annotations.loop_bound_options(&program);
-        requests.extend(WcetKeys::new(prefix.value, &loop_bounds, &job.config).requests());
+        requests.push(PhaseRequest {
+            phase: PhaseId::Cache,
+            fingerprint: cache_fingerprint(prefix.value, &job.config.hw),
+        });
     }
     Ok(requests)
 }
@@ -582,20 +510,19 @@ mod tests {
         let by_phase = |plan: &[PhaseRequest], p: PhaseId| -> Vec<Fingerprint> {
             plan.iter().filter(|r| r.phase == p).map(|r| r.fingerprint).collect()
         };
-        // Assemble/cfg/context/value/loopbound: identical across all
-        // three hardware variants (value reads only the memory map).
-        for p in
-            [PhaseId::Assemble, PhaseId::Cfg, PhaseId::Context, PhaseId::Value, PhaseId::LoopBound]
-        {
+        // The plan names the stored phases only.
+        let phases: Vec<PhaseId> = default.iter().map(|r| r.phase).collect();
+        use PhaseId::*;
+        assert_eq!(phases, [Assemble, Cfg, Context, Value, Cache]);
+        // Assemble/cfg/context/value: identical across all three
+        // hardware variants (value reads only the memory map).
+        for p in [Assemble, Cfg, Context, Value] {
             assert_eq!(by_phase(&default, p), by_phase(&no_cache, p), "{p:?}");
             assert_eq!(by_phase(&default, p), by_phase(&ideal, p), "{p:?}");
         }
         // Cache: no-cache and ideal agree (both cacheless), default differs.
-        assert_eq!(by_phase(&no_cache, PhaseId::Cache), by_phase(&ideal, PhaseId::Cache));
-        assert_ne!(by_phase(&default, PhaseId::Cache), by_phase(&ideal, PhaseId::Cache));
-        // Pipeline and path: all distinct (timing differs).
-        assert_ne!(by_phase(&no_cache, PhaseId::Pipeline), by_phase(&ideal, PhaseId::Pipeline));
-        assert_ne!(by_phase(&no_cache, PhaseId::Path), by_phase(&ideal, PhaseId::Path));
+        assert_eq!(by_phase(&no_cache, Cache), by_phase(&ideal, Cache));
+        assert_ne!(by_phase(&default, Cache), by_phase(&ideal, Cache));
     }
 
     #[test]
@@ -623,25 +550,26 @@ mod tests {
 
     #[test]
     fn annotations_reach_loopbound_but_not_value() {
-        let base = plan_job(&job(AnalysisConfig::default())).unwrap();
+        let annotations = Annotations::new().loop_bound("loop", 2);
         let mut annotated = job(AnalysisConfig::default());
-        annotated.annotations = Annotations::new().loop_bound("loop", 9);
-        let annotated = plan_job(&annotated).unwrap();
-        fn one(plan: &[PhaseRequest], p: PhaseId) -> &PhaseRequest {
-            plan.iter().find(|r| r.phase == p).unwrap()
-        }
-        for p in [PhaseId::Cfg, PhaseId::Value] {
-            assert_eq!(one(&base, p).fingerprint, one(&annotated, p).fingerprint, "{p:?}");
-        }
-        assert_ne!(
-            one(&base, PhaseId::LoopBound).fingerprint,
-            one(&annotated, PhaseId::LoopBound).fingerprint
+        annotated.annotations = annotations.clone();
+        // The loop bounds are recomputed, never keyed: an annotation
+        // changes no stored phase's key.
+        let keys = |plan: Vec<PhaseRequest>| -> Vec<(PhaseId, Fingerprint)> {
+            plan.iter().map(|r| (r.phase, r.fingerprint)).collect()
+        };
+        assert_eq!(
+            keys(plan_job(&job(AnalysisConfig::default())).unwrap()),
+            keys(plan_job(&annotated).unwrap())
         );
-        assert_ne!(
-            one(&base, PhaseId::Path).fingerprint,
-            one(&annotated, PhaseId::Path).fingerprint,
-            "loop bounds chain into the path fingerprint"
-        );
+        // But it reaches the loop bounds (the analysis finds 4; the
+        // tighter annotation wins).
+        let program = stamp_isa::asm::assemble(TASK).unwrap();
+        let bound = |a: Annotations| {
+            let report = crate::WcetAnalysis::new(&program).annotations(a).run().unwrap();
+            report.loop_bounds.iter().map(|&(_, _, b)| b).collect::<Vec<_>>()
+        };
+        assert_eq!((bound(Annotations::new()), bound(annotations)), (vec![4], vec![2]));
     }
 
     #[test]

@@ -26,6 +26,7 @@ use std::sync::Mutex;
 
 use stamp_codec::crc32;
 
+use crate::artifact::STORED;
 use crate::fingerprint::{Fingerprint, Fp};
 use crate::phase::PhaseId;
 
@@ -36,7 +37,7 @@ const FORMAT_VERSION: u32 = 1;
 /// incompatible change to a `Codec` impl reachable from a phase
 /// artifact; old logs are then discarded wholesale instead of being
 /// misdecoded.
-const ARTIFACT_CODEC_VERSION: u32 = 7;
+const ARTIFACT_CODEC_VERSION: u32 = 8;
 
 /// Name of the log file inside a store directory.
 const LOG_NAME: &str = "artifacts.log";
@@ -48,11 +49,11 @@ const RECORD_HEADER_LEN: u64 = 4 + 4;
 const PAYLOAD_KEY_LEN: usize = 1 + 16;
 
 /// Fingerprint over everything that defines artifact-bytes
-/// compatibility: the codec version and the phase vocabulary.
+/// compatibility: the codec version and the stored-phase vocabulary.
 fn schema_fingerprint() -> Fingerprint {
     let mut fp = Fp::new("stamp/store-disk/schema");
     fp.u32(ARTIFACT_CODEC_VERSION);
-    for p in PhaseId::ALL {
+    for p in STORED {
         fp.str(p.name());
     }
     fp.finish()
@@ -256,7 +257,8 @@ impl DiskStore {
 
 /// Parses one record at the start of `bytes`. Returns the key, the
 /// artifact payload and the total bytes consumed — or `None` if the
-/// record is truncated, CRC-corrupt, or names an unknown phase.
+/// record is truncated, CRC-corrupt, or names a phase with no stored
+/// type (no claim could ever take its bytes).
 #[allow(clippy::type_complexity)]
 fn parse_record(bytes: &[u8]) -> Option<((PhaseId, Fingerprint), &[u8], usize)> {
     let head = RECORD_HEADER_LEN as usize;
@@ -272,7 +274,7 @@ fn parse_record(bytes: &[u8]) -> Option<((PhaseId, Fingerprint), &[u8], usize)> 
     if crc32(payload) != crc {
         return None;
     }
-    let phase = PhaseId::from_index(payload[0] as usize)?;
+    let phase = PhaseId::from_index(payload[0] as usize).filter(|p| STORED.contains(p))?;
     let fp = Fingerprint::from_bytes(payload[1..17].try_into().ok()?);
     Some(((phase, fp), &payload[PAYLOAD_KEY_LEN..], head + len))
 }
@@ -376,6 +378,31 @@ mod tests {
     }
 
     #[test]
+    fn record_of_an_unstored_phase_truncates() {
+        let dir = tmp_dir("unstored");
+        let path = {
+            let (store, _) = DiskStore::open(&dir).unwrap();
+            store.append(PhaseId::Cfg, fp(1), b"kept");
+            // CRC-valid, but no claim could ever take a loop-bound record.
+            store.append(PhaseId::LoopBound, fp(2), b"unclaimable");
+            store.append(PhaseId::Value, fp(3), b"after");
+            store.path().to_path_buf()
+        };
+        let kept_end = HEADER_LEN + RECORD_HEADER_LEN + (PAYLOAD_KEY_LEN + 4) as u64;
+        let (store, warnings) = DiskStore::open(&dir).unwrap();
+        assert_eq!(warnings.len(), 1, "{warnings:?}");
+        assert!(warnings[0].contains(&format!("record at byte {kept_end}")), "{warnings:?}");
+        assert_eq!(store.len(), 1, "the log ends before the unstored record");
+        assert_eq!(store.take(PhaseId::Cfg, fp(1)).unwrap(), b"kept");
+        assert!(store.take(PhaseId::Value, fp(3)).is_none());
+        assert_eq!(fs::metadata(&path).unwrap().len(), kept_end, "truncated in place");
+        drop(store);
+        let (_, warnings) = DiskStore::open(&dir).unwrap();
+        assert!(warnings.is_empty(), "{warnings:?}");
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
     fn alien_header_starts_fresh() {
         let dir = tmp_dir("alien");
         fs::create_dir_all(&dir).unwrap();
@@ -429,7 +456,7 @@ mod tests {
 
         // Further appends are skipped silently — no error, no second
         // warning, no growth.
-        store.append(PhaseId::Path, fp(3), b"also-lost");
+        store.append(PhaseId::Summary, fp(3), b"also-lost");
         assert!(store.take_warning().is_none());
         assert_eq!(store.len(), 1);
         store.flush(); // drain-time flush is a no-op when degraded
@@ -462,7 +489,7 @@ mod tests {
         assert_eq!(encode_value(&back), bytes);
         // The same bytes read as another phase's type must fail
         // decoding, not panic.
-        assert!(decode_value::<stamp_path::WcetResult>(&loaded).is_err());
+        assert!(decode_value::<stamp_cfg::Cfg>(&loaded).is_err());
         fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -85,16 +85,6 @@ pub enum DeadlineOutcome<T> {
     DeadlineExceeded,
 }
 
-impl<T> DeadlineOutcome<T> {
-    /// The completed value, if the job finished in time.
-    pub fn into_done(self) -> Option<T> {
-        match self {
-            DeadlineOutcome::Done(v) => Some(v),
-            DeadlineOutcome::DeadlineExceeded => None,
-        }
-    }
-}
-
 /// Renders a panic payload (the `Box<dyn Any>` from `catch_unwind`) as
 /// text: `&str` and `String` payloads verbatim, anything else opaquely.
 pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
@@ -421,6 +411,6 @@ mod tests {
                 },
             )
             .unwrap();
-        assert!(got.iter().all(|o| o.into_done().is_some()));
+        assert!(got.iter().all(|o| matches!(o, DeadlineOutcome::Done(_))));
     }
 }

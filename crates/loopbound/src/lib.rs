@@ -132,16 +132,6 @@ impl LoopBoundAnalysis {
     }
 }
 
-impl stamp_codec::Codec for LoopBoundAnalysis {
-    fn enc(&self, e: &mut stamp_codec::Enc) {
-        self.bounds.enc(e);
-        self.unbounded.enc(e);
-    }
-    fn dec(d: &mut stamp_codec::Dec) -> Result<LoopBoundAnalysis, stamp_codec::CodecError> {
-        Ok(LoopBoundAnalysis { bounds: BTreeMap::dec(d)?, unbounded: Vec::dec(d)? })
-    }
-}
-
 /// The detected shape of a simple counted loop.
 struct InductionPattern {
     /// The induction register.

@@ -28,7 +28,7 @@ use std::error::Error;
 use std::fmt;
 
 use stamp_ai::{IEdgeId, Icfg, LoopInstance, NodeId};
-use stamp_cfg::{BlockId, Cfg};
+use stamp_cfg::Cfg;
 use stamp_ilp::{CmpOp, IlpError, LpProblem, VarId};
 use stamp_loopbound::LoopBoundAnalysis;
 use stamp_pipeline::PipelineAnalysis;
@@ -36,7 +36,7 @@ use stamp_value::ValueAnalysis;
 
 mod summary;
 
-pub use summary::{LocalMemo, NoMemo, SegmentSummary, SummaryMemo};
+pub use summary::{LocalMemo, SegmentSummary, SummaryMemo};
 
 /// Errors from the path analysis.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -113,17 +113,6 @@ pub struct WcetResult {
 }
 
 impl WcetResult {
-    /// Worst-case execution counts aggregated per basic block (summed
-    /// over contexts) — comparable with the simulator's per-address
-    /// execution counts.
-    pub fn block_counts(&self, icfg: &Icfg) -> HashMap<BlockId, u64> {
-        let mut m = HashMap::new();
-        for (&n, &c) in &self.node_counts {
-            *m.entry(icfg.node(n).block).or_insert(0) += c;
-        }
-        m
-    }
-
     /// A concrete worst-case path (block/context sequence), reconstructed
     /// from the edge counts by an Euler-style walk. Intended for reports;
     /// truncated to `limit` nodes.
@@ -147,23 +136,6 @@ impl WcetResult {
             }
         }
         path
-    }
-}
-
-impl stamp_codec::Codec for WcetResult {
-    fn enc(&self, e: &mut stamp_codec::Enc) {
-        e.u64(self.wcet);
-        self.edge_counts.enc(e);
-        self.node_counts.enc(e);
-        self.ilp_size.enc(e);
-    }
-    fn dec(d: &mut stamp_codec::Dec) -> Result<WcetResult, stamp_codec::CodecError> {
-        Ok(WcetResult {
-            wcet: d.u64()?,
-            edge_counts: HashMap::dec(d)?,
-            node_counts: HashMap::dec(d)?,
-            ilp_size: stamp_codec::Codec::dec(d)?,
-        })
     }
 }
 
@@ -569,8 +541,12 @@ mod tests {
         let cfg = CfgBuilder::new(&p).build().unwrap();
         let icfg = Icfg::build(&cfg, &VivuConfig::default()).unwrap();
         let inner = cfg.block_at(p.symbols.addr_of("inner").unwrap()).unwrap();
-        let total: u64 =
-            res.block_counts(&icfg).iter().filter(|(&b, _)| b == inner).map(|(_, &c)| c).sum();
+        let total: u64 = res
+            .node_counts
+            .iter()
+            .filter(|(&n, _)| icfg.node(n).block == inner)
+            .map(|(_, &c)| c)
+            .sum();
         assert_eq!(total, 12);
     }
 

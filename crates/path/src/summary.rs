@@ -97,9 +97,9 @@ impl stamp_codec::Codec for SegmentSummary {
 ///
 /// `canonical` is the canonical byte form of the segment ILP (stable
 /// across isomorphic segments); `solve` produces the summary when the
-/// memo has no entry. Implementations decide the sharing scope: none
-/// ([`NoMemo`]), per-analysis ([`LocalMemo`]), or cross-job/process
-/// (the artifact-store broker in `stamp-core`).
+/// memo has no entry. Implementations decide the sharing scope:
+/// per-analysis ([`LocalMemo`]) or cross-job/process (the
+/// artifact-store broker in `stamp-core`).
 pub trait SummaryMemo {
     /// Returns the summary for `canonical`, solving via `solve` on a
     /// miss. Solve errors must not be cached.
@@ -108,19 +108,6 @@ pub trait SummaryMemo {
         canonical: &[u8],
         solve: &mut dyn FnMut() -> Result<SegmentSummary, PathError>,
     ) -> Result<Arc<SegmentSummary>, PathError>;
-}
-
-/// A memo that never remembers: every segment is solved fresh.
-pub struct NoMemo;
-
-impl SummaryMemo for NoMemo {
-    fn summarize(
-        &self,
-        _canonical: &[u8],
-        solve: &mut dyn FnMut() -> Result<SegmentSummary, PathError>,
-    ) -> Result<Arc<SegmentSummary>, PathError> {
-        solve().map(Arc::new)
-    }
 }
 
 /// An in-memory memo scoped to one analysis: repeated procedure bodies

@@ -202,23 +202,6 @@ impl PipelineAnalysis {
     }
 }
 
-impl stamp_codec::Codec for PipelineAnalysis {
-    fn enc(&self, e: &mut stamp_codec::Enc) {
-        self.times.enc(e);
-        e.u64(self.branch_penalty);
-        e.u64(self.ps_extra);
-        e.u64(self.evaluations);
-    }
-    fn dec(d: &mut stamp_codec::Dec) -> Result<PipelineAnalysis, stamp_codec::CodecError> {
-        Ok(PipelineAnalysis {
-            times: HashMap::dec(d)?,
-            branch_penalty: d.u64()?,
-            ps_extra: d.u64()?,
-            evaluations: d.u64()?,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -2,8 +2,8 @@
 //! in the deterministic batch results (byte-identical with the store
 //! enabled, disabled, cold, warm, serial or parallel), while the timing
 //! layer records real sharing — a hardware sweep computes one value
-//! fixpoint per target, a warm pass computes nothing at all, and a
-//! cached phase *error* replays exactly.
+//! fixpoint per target, a warm pass computes no stored phase, and a
+//! phase *error* replays exactly, cached or recomputed.
 
 use std::collections::BTreeSet;
 use std::path::Path;
@@ -30,6 +30,9 @@ const MANIFEST: &str = r#"{
 fn request() -> BatchRequest {
     parse_manifest(MANIFEST, Path::new(".")).unwrap()
 }
+
+/// The phases every run recomputes: they make no store request.
+const RECOMPUTED: [Phase; 3] = [Phase::LoopBound, Phase::Pipeline, Phase::Path];
 
 #[test]
 fn cached_uncached_serial_and_parallel_results_are_byte_identical() {
@@ -65,13 +68,11 @@ fn hardware_sweep_computes_one_value_fixpoint_per_target() {
     // Cache analysis: per WCET target, one artifact for `default` and
     // one shared by `no-cache`/`ideal` (both cacheless).
     assert_eq!(stats.phase("cache").unwrap().misses, 4);
-    // Pipeline and path never share across variants (timing differs).
-    assert_eq!(stats.phase("pipeline").unwrap().misses, 6);
-    assert_eq!(stats.phase("pipeline").unwrap().hits, 0);
-    // Overall the cold matrix answers 28 of its 57 requests from the
-    // store; the stack bounds read the shared value analyses and make
-    // no requests.
-    assert_eq!((stats.hits(), stats.misses()), (28, 29), "{stats:?}");
+    // Overall the cold matrix answers 24 of its 39 requests from the
+    // store: 6 WCET jobs × 5 stored phases plus 3 × 3 for fac. The
+    // stack bounds read the shared value analyses, and loop bounds,
+    // pipeline and path are recomputed; none of them make requests.
+    assert_eq!((stats.hits(), stats.misses()), (24, 15), "{stats:?}");
 }
 
 #[test]
@@ -85,8 +86,11 @@ fn warm_pass_reuses_everything_and_stays_identical() {
     assert!(warm.artifacts.hits() > 0);
     assert_eq!(warm.artifacts.hit_rate(), 1.0);
     assert!(
-        warm.results.iter().all(|r| r.provenance.iter().all(|&(_, reused)| reused)),
-        "no job of the warm pass computes anything"
+        warm.results.iter().all(|r| r
+            .provenance
+            .iter()
+            .all(|&(phase, reused)| reused != RECOMPUTED.contains(&phase))),
+        "no job of the warm pass computes a stored phase"
     );
 }
 
@@ -114,10 +118,10 @@ fn provenance_lives_in_the_timing_layer_only() {
 }
 
 #[test]
-fn phase_errors_are_cached_and_replay_identically() {
-    // Two targets with the *same* unboundable source: the path phase
-    // fails once, and the second job reuses the cached error. The
-    // rendered error strings must match exactly.
+fn path_errors_are_recomputed_and_replay_identically() {
+    // Two targets with the *same* unboundable source: the second job
+    // reuses the first one's prefix, and its path phase fails again.
+    // The rendered error strings must match exactly.
     let manifest = r#"{
       "targets": [
         {"name": "u1", "source": ".text\nmain: la r1, v\nlw r1, 0(r1)\nloop: srli r1, r1, 1\nbnez r1, loop\nhalt\n.data\nv: .space 4\n"},
@@ -129,12 +133,17 @@ fn phase_errors_are_cached_and_replay_identically() {
     let report = run_batch_with(&request, 1, &store).unwrap();
     assert_eq!(report.errors(), 2);
     let (a, b) = (&report.results[0], &report.results[1]);
-    assert_eq!(a.error, b.error, "cached error must replay verbatim");
+    assert_eq!(a.error, b.error, "a recomputed error must replay verbatim");
     assert!(a.error.as_deref().unwrap().contains("wcet"), "{:?}", a.error);
-    // The failing phase computed once, hit once.
+    // The failing phase computed twice; the prefix computed once, hit
+    // once.
+    for r in [a, b] {
+        assert_eq!(r.provenance.last(), Some(&(Phase::Path, false)), "{}", r.name);
+    }
     let stats = report.artifacts;
-    let failing = stats.phase("path").unwrap();
-    assert_eq!((failing.misses, failing.hits), (1, 1), "{stats:?}");
+    let value = stats.phase("value").unwrap();
+    assert_eq!((value.misses, value.hits), (1, 1), "{stats:?}");
+    assert_eq!(stats.phase("path").unwrap().misses, 0, "{stats:?}");
     // And the uncached run renders the same errors byte-for-byte.
     let uncached = run_batch_with(&request, 1, &ArtifactStore::disabled()).unwrap();
     assert_eq!(report.results_json().to_string(), uncached.results_json().to_string());
@@ -178,7 +187,10 @@ fn single_run_report_matches_between_run_and_run_with() {
         assert_eq!(report.precision, plain.precision);
     }
     assert!(first.phases.iter().all(|p| !p.reused), "cold store: everything computed");
-    assert!(second.phases.iter().all(|p| p.reused), "second run: everything reused");
+    assert!(
+        second.phases.iter().all(|p| p.reused != RECOMPUTED.contains(&p.phase)),
+        "second run: every stored phase reused, the rest recomputed"
+    );
     assert!(plain.phases.iter().all(|p| !p.reused), "disabled store never reuses");
 }
 
@@ -204,6 +216,25 @@ fn recursive_stack_fallback_shares_through_the_store() {
     assert_eq!((context.misses, context.hits), (1, 1), "the context error is cached too");
 }
 
+#[test]
+fn recomputed_phases_make_no_store_requests_but_keep_their_rows() {
+    let b = stamp::suite::benchmarks().into_iter().find(|b| b.name == "crc").unwrap();
+    let program = b.program();
+    let store = ArtifactStore::new();
+    for pass in 0..2 {
+        let report =
+            WcetAnalysis::new(&program).annotations(b.annotations()).run_with(&store).unwrap();
+        for phase in RECOMPUTED {
+            let stat = store.stats().phase(phase.name()).unwrap();
+            assert_eq!((stat.hits, stat.hits_disk, stat.misses), (0, 0, 0), "{phase:?}");
+            let rows: Vec<_> = report.phases.iter().filter(|p| p.phase == phase).collect();
+            assert_eq!(rows.len(), 1, "pass {pass}: {phase:?}");
+            assert!(!rows[0].reused, "pass {pass}: {phase:?}");
+        }
+    }
+    assert!(store.stats().phase("cache").unwrap().hits > 0, "the stored phases are shared");
+}
+
 /// Collapses back-to-back repeats of the job's one `cfg → context →
 /// value` pass — the extra passes of the CFG ↔ value feedback loop.
 fn collapse_feedback_passes(phases: &[Phase]) -> Vec<Phase> {
@@ -226,9 +257,15 @@ fn plan_job_predicts_the_phase_sequence_each_corpus_job_runs() {
     let (mut jump_tables, mut recursive) = (0, 0);
     for (job, result) in request.jobs.iter().zip(&report.results) {
         let planned: Vec<Phase> = plan_job(job).unwrap().iter().map(|r| r.phase).collect();
-        let ran: Vec<Phase> =
-            result.provenance.iter().map(|&(p, _)| p).filter(|&p| p != Phase::Summary).collect();
-        // One prefix chain: assemble, the prefix, the WCET tail.
+        // The job's store requests: its provenance less the recomputed
+        // phases and the path's segment summaries.
+        let ran: Vec<Phase> = result
+            .provenance
+            .iter()
+            .map(|&(p, _)| p)
+            .filter(|&p| p != Phase::Summary && !RECOMPUTED.contains(&p))
+            .collect();
+        // One prefix chain: assemble, the prefix, the cache phase.
         assert_eq!(planned.iter().filter(|&&p| p == Phase::Value).count(), 1, "{}", job.name());
         if job.source.contains("jalr") {
             // Documented: the feedback loop runs more prefix passes than

@@ -129,10 +129,10 @@ const CALLS: &str = "\
 ";
 
 /// Summaries persist through the durable store and are recalled by a
-/// later *process* (a fresh in-memory store over the primed log) even
-/// when the path artifact itself cannot be reused — here the second
-/// run flips `use_infeasible`, which re-keys the path phase but leaves
-/// every segment's canonical form (and so its summary) unchanged.
+/// later *process* (a fresh in-memory store over the primed log), the
+/// path phase itself being recomputed on every run — here the second
+/// run flips `use_infeasible`, which leaves every segment's canonical
+/// form (and so its summary) unchanged.
 #[test]
 fn warm_store_serves_summaries_across_processes() {
     let dir = std::env::temp_dir().join(format!("stamp-summary-disk-{}", std::process::id()));
