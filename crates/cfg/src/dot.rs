@@ -9,14 +9,12 @@ use std::fmt::Write as _;
 
 use crate::graph::{BlockId, Cfg, EdgeKind};
 
-/// Extra per-block and per-edge label lines (e.g. WCET contributions,
-/// cache classifications) merged into the rendering.
+/// Extra per-block label lines (e.g. WCET contributions, cache
+/// classifications) merged into the rendering.
 #[derive(Clone, Debug, Default)]
 pub struct Annotations {
     /// Extra lines appended to a block's label.
     pub block_notes: BTreeMap<BlockId, Vec<String>>,
-    /// Extra label applied to edges, keyed by `(from, to)`.
-    pub edge_notes: BTreeMap<(BlockId, BlockId), String>,
     /// Blocks to highlight (e.g. the worst-case execution path).
     pub highlight: Vec<BlockId>,
 }
@@ -30,11 +28,6 @@ impl Annotations {
     /// Appends a note line to a block.
     pub fn note_block(&mut self, b: BlockId, line: impl Into<String>) {
         self.block_notes.entry(b).or_default().push(line.into());
-    }
-
-    /// Sets the label of an edge.
-    pub fn note_edge(&mut self, from: BlockId, to: BlockId, label: impl Into<String>) {
-        self.edge_notes.insert((from, to), label.into());
     }
 }
 
@@ -85,11 +78,7 @@ pub fn render(cfg: &Cfg, ann: &Annotations) -> String {
             EdgeKind::Taken => " color=blue",
             EdgeKind::CallFall => " style=dashed",
         };
-        let label = match ann.edge_notes.get(&(e.from, e.to)) {
-            Some(l) => format!(" label=\"{}\"", escape(l)),
-            None => String::new(),
-        };
-        let _ = writeln!(out, "  {} -> {} [{}{}];", e.from, e.to, style.trim_start(), label);
+        let _ = writeln!(out, "  {} -> {} [{}];", e.from, e.to, style.trim_start());
     }
     // Call edges between clusters (dotted).
     for cs in cfg.call_sites() {

@@ -326,6 +326,25 @@ impl BatchReport {
         self.results.iter().filter(|r| !r.is_ok()).count()
     }
 
+    /// One line per sampled job whose observed maximum exceeds its WCET
+    /// bound. Every sampled path is a feasible point of the job's ILP,
+    /// so each line is a soundness counterexample (the CLI's exit 3).
+    pub fn sampling_violations(&self) -> Vec<String> {
+        self.results
+            .iter()
+            .filter_map(|r| {
+                let observed = r.sampling.as_ref()?.observed_max?;
+                let bound = r.wcet?;
+                (observed > bound).then(|| {
+                    format!(
+                        "{}: sampled path of {observed} cycles exceeds the WCET bound {bound}",
+                        r.name
+                    )
+                })
+            })
+            .collect()
+    }
+
     /// Aggregate throughput in jobs per second.
     pub fn throughput(&self) -> f64 {
         if self.wall_ms > 0.0 {
@@ -645,6 +664,51 @@ loop:   addi r1, r1, -1
         assert!(serial.results[0].wcet.is_some());
         assert_eq!(serial.results[0].stack, Some(32));
         assert_eq!(serial.errors(), 0);
+    }
+
+    #[test]
+    fn sampling_violations_list_only_sampled_jobs_above_their_bound() {
+        let summary = |observed_max| stamp_sample::SampleSummary {
+            samples: 1,
+            seed: 0,
+            completed: 1,
+            dead_ends: 0,
+            observed_max: Some(observed_max),
+            observed_min: Some(observed_max),
+            mean: Some(observed_max),
+            p50: Some(observed_max),
+            p90: Some(observed_max),
+            p99: Some(observed_max),
+            total_cycles: observed_max,
+        };
+        let req = BatchRequest::matrix(
+            [target("unsound", LOOP_TASK), target("sound", LOOP_TASK), target("plain", LOOP_TASK)],
+            &[BatchVariant::default()],
+        );
+        let mut results: Vec<JobResult> = req.jobs.iter().map(JobResult::empty).collect();
+        for r in &mut results {
+            r.wcet = Some(100);
+            r.stack = Some(32);
+        }
+        results[0].sampling = Some(summary(101));
+        results[1].sampling = Some(summary(100));
+        // A stack-only job has no bound to exceed.
+        let mut stack_only = results[2].clone();
+        stack_only.name = "stack-only".to_string();
+        stack_only.wcet = None;
+        stack_only.sampling = Some(summary(101));
+        results.push(stack_only);
+        let report = BatchReport {
+            results,
+            workers: 1,
+            cores: 1,
+            wall_ms: 0.0,
+            artifacts: ArtifactStore::disabled().stats(),
+        };
+        assert_eq!(
+            report.sampling_violations(),
+            ["unsound: sampled path of 101 cycles exceeds the WCET bound 100"]
+        );
     }
 
     #[test]

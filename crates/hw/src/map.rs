@@ -66,16 +66,6 @@ impl MemoryMap {
     pub fn stack_top(&self) -> u32 {
         self.ram_base + self.ram_size
     }
-
-    /// End of RAM (exclusive).
-    pub fn ram_end(&self) -> u32 {
-        self.ram_base + self.ram_size
-    }
-
-    /// End of ROM (exclusive).
-    pub fn rom_end(&self) -> u32 {
-        self.rom_base + self.rom_size
-    }
 }
 
 #[cfg(test)]
@@ -107,6 +97,6 @@ mod tests {
     fn stack_top_at_ram_end() {
         let m = MemoryMap::default();
         assert_eq!(m.stack_top(), 0x1010_0000);
-        assert_eq!(m.stack_top(), m.ram_end());
+        assert_eq!(m.stack_top(), m.ram_base + m.ram_size);
     }
 }

@@ -64,11 +64,6 @@ impl Rat {
         self.num
     }
 
-    /// The denominator (positive).
-    pub fn denom(self) -> i128 {
-        self.den
-    }
-
     /// Returns `true` for whole numbers.
     pub fn is_integer(self) -> bool {
         self.den == 1
@@ -84,11 +79,6 @@ impl Rat {
         -((-self.num).div_euclid(self.den))
     }
 
-    /// Returns `true` if negative.
-    pub fn is_negative(self) -> bool {
-        self.num < 0
-    }
-
     /// Returns `true` if strictly positive.
     pub fn is_positive(self) -> bool {
         self.num > 0
@@ -97,11 +87,6 @@ impl Rat {
     /// Returns `true` if zero.
     pub fn is_zero(self) -> bool {
         self.num == 0
-    }
-
-    /// Approximate `f64` value (for reports only; never used in pivots).
-    pub fn to_f64(self) -> f64 {
-        self.num as f64 / self.den as f64
     }
 }
 

@@ -397,19 +397,6 @@ impl Insn {
         matches!(self, Insn::Load { .. })
     }
 
-    /// Returns `true` if this is a memory store.
-    pub fn is_store(&self) -> bool {
-        matches!(self, Insn::Store { .. })
-    }
-
-    /// Returns the width of the memory access, if this is a load or store.
-    pub fn mem_width(&self) -> Option<MemWidth> {
-        match *self {
-            Insn::Load { width, .. } | Insn::Store { width, .. } => Some(width),
-            _ => None,
-        }
-    }
-
     /// Returns `true` if the instruction ends a basic block.
     pub fn is_terminator(&self) -> bool {
         !matches!(self.flow(0), Flow::Seq | Flow::Call { .. } | Flow::IndirectCall)
@@ -440,15 +427,6 @@ impl Insn {
             }
             Insn::Halt => Flow::Halt,
             _ => Flow::Seq,
-        }
-    }
-
-    /// Returns the branch/jump/call target for direct control transfers at
-    /// address `pc`.
-    pub fn direct_target(&self, pc: u32) -> Option<u32> {
-        match self.flow(pc) {
-            Flow::Branch { target } | Flow::Jump { target } | Flow::Call { target } => Some(target),
-            _ => None,
         }
     }
 

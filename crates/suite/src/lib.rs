@@ -6,7 +6,7 @@
 //! a scenario-rich random-program generator ([`generate`]), the shared
 //! soundness [`oracle`], the [`fuzz`] campaign driver behind
 //! `stamp fuzz`, and the [`shrink`] delta-debugging counterexample
-//! minimizer.
+//! minimizer. The corpus's analysis results are pinned in [`pins`].
 //!
 //! Every [`Benchmark`] carries the annotations it needs (bounds for
 //! data-dependent loops, recursion depths) and an optional input region
@@ -30,6 +30,7 @@ pub mod fuzz;
 mod gen;
 pub mod manifest;
 pub mod oracle;
+pub mod pins;
 pub mod plan;
 mod programs;
 pub mod shrink;

@@ -69,7 +69,7 @@ fn err<T>(msg: impl Into<String>) -> Result<T, ManifestError> {
 
 /// The batch request covering the whole built-in EVA32 corpus under the
 /// default configuration — the workload of `stamp batch --corpus`,
-/// whose job results are pinned in `stamp_bench::pins`.
+/// whose job results are pinned in [`crate::pins`].
 pub fn corpus_request() -> BatchRequest {
     corpus_matrix(&[BatchVariant::default()])
 }

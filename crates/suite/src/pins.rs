@@ -10,14 +10,16 @@
 //!
 //! Checked by the `corpus_pins` regression test and by `stamp batch
 //! --corpus --check-pins` (the CI `batch-smoke` job). On drift, `cargo
-//! test -p stamp_bench --test corpus_pins` prints the measured values
+//! test -p stamp_suite --test corpus_pins` prints the measured values
 //! in the table format below; paste them in — but only after convincing
 //! yourself the drift is an intended precision change, not an accident.
+
+use stamp_core::JobResult;
 
 /// Pinned per-benchmark analysis invariants.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CorpusPin {
-    /// Benchmark name (`stamp_suite::benchmarks`).
+    /// Benchmark name ([`crate::benchmarks`]).
     pub name: &'static str,
     /// WCET bound in cycles; `None` for stack-only (recursive) tasks.
     pub wcet: Option<u64>,
@@ -69,53 +71,73 @@ pub const SCALING_EVALS: &[(usize, u64)] = &[
     (640, 10418),
 ];
 
-/// One task's measured invariants, in pin-comparable form. `stack` is
-/// an `Option` because a failed stack analysis measures as "absent"
-/// (and must therefore drift against any pin).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct MeasuredTask {
-    /// Task name (matched against [`CorpusPin::name`]).
-    pub name: String,
-    /// Measured WCET bound.
-    pub wcet: Option<u64>,
-    /// Measured stack bound.
-    pub stack: Option<u32>,
-    /// Measured solver evaluations.
-    pub evaluations: u64,
-    /// Measured I-cache classifications.
-    pub fetch: [usize; 4],
-    /// Measured D-cache classifications.
-    pub data: [usize; 4],
+/// Whether a batch job's result reproduces `pin` exactly. A failed
+/// stack analysis measures as `None` and so drifts against any pin.
+fn matches(r: &JobResult, pin: &CorpusPin) -> bool {
+    r.wcet == pin.wcet
+        && r.stack == Some(pin.stack)
+        && r.evaluations == pin.evaluations
+        && r.fetch == pin.fetch
+        && r.data == pin.data
 }
 
-impl MeasuredTask {
-    fn matches(&self, pin: &CorpusPin) -> bool {
-        self.wcet == pin.wcet
-            && self.stack == Some(pin.stack)
-            && self.evaluations == pin.evaluations
-            && self.fetch == pin.fetch
-            && self.data == pin.data
-    }
-}
-
-/// Compares measured corpus results against [`CORPUS`], returning one
+/// Compares corpus batch results against [`CORPUS`], returning one
 /// human-readable drift line per divergence (empty means green). The
 /// comparison behind `stamp batch --check-pins`.
-pub fn check_corpus(measured: &[MeasuredTask]) -> Vec<String> {
+pub fn check_corpus(results: &[JobResult]) -> Vec<String> {
     let mut drift = Vec::new();
     for pin in CORPUS {
-        match measured.iter().find(|m| m.name == pin.name) {
+        match results.iter().find(|r| r.name == pin.name) {
             None => drift.push(format!("{}: pinned but not measured", pin.name)),
-            Some(m) if !m.matches(pin) => {
-                drift.push(format!("{}: pinned {pin:?} != measured {m:?}", pin.name))
-            }
+            Some(r) if !matches(r, pin) => drift.push(format!(
+                "{}: pinned {pin:?} != measured {{ wcet: {:?}, stack: {:?}, evaluations: {}, \
+                 fetch: {:?}, data: {:?} }}",
+                pin.name, r.wcet, r.stack, r.evaluations, r.fetch, r.data
+            )),
             _ => {}
         }
     }
-    for m in measured {
-        if !CORPUS.iter().any(|p| p.name == m.name) {
-            drift.push(format!("{}: no pin recorded", m.name));
+    for r in results {
+        if !CORPUS.iter().any(|p| p.name == r.name) {
+            drift.push(format!("{}: no pin recorded", r.name));
         }
     }
     drift
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn measured(pin: &CorpusPin) -> JobResult {
+        JobResult {
+            name: pin.name.to_string(),
+            target: pin.name.to_string(),
+            variant: "default".to_string(),
+            wcet: pin.wcet,
+            stack: Some(pin.stack),
+            evaluations: pin.evaluations,
+            fetch: pin.fetch,
+            data: pin.data,
+            sampling: None,
+            error: None,
+            wall_ms: 0.0,
+            provenance: Vec::new(),
+        }
+    }
+
+    #[test]
+    fn check_corpus_names_each_drifted_benchmark() {
+        let mut results: Vec<JobResult> = CORPUS.iter().map(measured).collect();
+        assert!(check_corpus(&results).is_empty());
+        results[1].wcet = results[1].wcet.map(|w| w + 1);
+        results.retain(|r| r.name != "fac");
+        results.push(JobResult { name: "extra".to_string(), ..measured(&CORPUS[0]) });
+        let drift = check_corpus(&results);
+        assert_eq!(drift.len(), 3, "{drift:?}");
+        assert!(drift[0].starts_with("insertsort: pinned CorpusPin"), "{}", drift[0]);
+        assert!(drift[0].contains("measured { wcet: Some(1091)"), "{}", drift[0]);
+        assert_eq!(drift[1], "fac: pinned but not measured");
+        assert_eq!(drift[2], "extra: no pin recorded");
+    }
 }

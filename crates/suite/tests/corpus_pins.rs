@@ -6,10 +6,10 @@
 //!
 //! On drift, each test prints the measured values as the source of its
 //! pin table, so an intended change is fixed by pasting them into
-//! `crates/bench/src/pins.rs`.
+//! `crates/suite/src/pins.rs`.
 
-use stamp_bench::pins::{CorpusPin, CORPUS, SCALING_EVALS};
 use stamp_core::{AnalysisConfig, StackAnalysis, WcetAnalysis};
+use stamp_suite::pins::{CorpusPin, CORPUS, SCALING_EVALS};
 use stamp_suite::{benchmarks, Benchmark};
 
 #[test]
@@ -78,7 +78,7 @@ fn corpus_results_match_pins_bit_for_bit() {
             .collect();
         panic!(
             "drift from pinned kernel results in {drifted:?}. If intended, replace the \
-             body of `CORPUS` in crates/bench/src/pins.rs with:\n{table}"
+             body of `CORPUS` in crates/suite/src/pins.rs with:\n{table}"
         );
     }
 }
@@ -105,7 +105,7 @@ fn scaling_series_evaluations_match_pins() {
         let table: String = measured.iter().map(|(c, e)| format!("    ({c}, {e}),\n")).collect();
         panic!(
             "E6 scaling series: solver evaluations drifted. If intended, replace the body \
-             of `SCALING_EVALS` in crates/bench/src/pins.rs with:\n{table}"
+             of `SCALING_EVALS` in crates/suite/src/pins.rs with:\n{table}"
         );
     }
 }

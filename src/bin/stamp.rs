@@ -6,8 +6,8 @@
 //! stamp stack  task.s [--entry SYM] [--recursion SYM=N]...
 //! stamp batch  manifest.json | --corpus  [--jobs N] [--out FILE] [--no-timing] [--check-pins]
 //!              [--no-artifact-cache] [--repeat N] [--dry-run] [--store DIR] [--deadline-ms N]
-//! stamp sample manifest.json | --corpus  [--samples N] [--seed N] [--jobs N] [--out FILE]
-//!              [--no-timing] [--store DIR]
+//!              [--samples N] [--seed N]
+//! stamp sample manifest.json | --corpus  [batch flags]   (batch with sampling on)
 //! stamp serve  [--socket PATH] [--store DIR] [--queue N] [--per-client N] [--jobs N]
 //!              [--default-deadline-ms N]
 //! stamp fuzz   [--iterations N] [--seed N] [--jobs N] [--rounds N] [--samples N] [--out FILE]
@@ -18,7 +18,7 @@
 
 use std::process::ExitCode;
 
-use stamp::analyzer::ArtifactStore;
+use stamp::analyzer::{ArtifactStore, SampleParams};
 use stamp::{assemble, Annotations, HwConfig, Simulator, StackAnalysis, WcetAnalysis};
 
 /// A CLI failure, split by exit-code class: `Usage` errors (exit 2) are
@@ -26,8 +26,9 @@ use stamp::{assemble, Annotations, HwConfig, Simulator, StackAnalysis, WcetAnaly
 /// inputs, malformed manifests; `Analysis` errors (exit 1) are problems
 /// with the task — assembly errors, missing loop bounds, pin drift,
 /// failed batch jobs; `Violation` (exit 3) is a soundness
-/// counterexample found by `stamp fuzz` — the one exit code that means
-/// "the analyzer, not the invocation or the task, is wrong".
+/// counterexample found by `stamp fuzz` or by a sampled batch job — the
+/// one exit code that means "the analyzer, not the invocation or the
+/// task, is wrong".
 enum CliError {
     Usage(String),
     Analysis(String),
@@ -68,9 +69,9 @@ fn usage() -> String {
      stamp wcet   <task.s> [--no-cache|--ideal] [--loop-bound SYM=N]... [--json] [--dot FILE]\n  \
      stamp stack  <task.s> [--entry SYM] [--recursion SYM=N]...\n  \
      stamp batch  <manifest.json> | --corpus  [--jobs N] [--out FILE] [--no-timing] [--check-pins]\n               \
-     [--no-artifact-cache] [--repeat N] [--dry-run] [--store DIR] [--deadline-ms N]\n  \
-     stamp sample <manifest.json> | --corpus  [--samples N] [--seed N] [--jobs N] [--out FILE]\n               \
-     [--no-timing] [--store DIR]\n  \
+     [--no-artifact-cache] [--repeat N] [--dry-run] [--store DIR] [--deadline-ms N]\n               \
+     [--samples N] [--seed N]\n  \
+     stamp sample <manifest.json> | --corpus  [batch flags]   (batch with sampling on)\n  \
      stamp serve  [--socket PATH] [--store DIR] [--queue N] [--per-client N] [--jobs N]\n               \
      [--default-deadline-ms N]\n  \
      stamp fuzz   [--iterations N] [--seed N] [--jobs N] [--rounds N] [--samples N] [--out FILE]\n               \
@@ -85,16 +86,16 @@ fn usage() -> String {
      (results stay byte-identical; corrupt or truncated stores are\n                       \
      repaired in place; ignored under --no-artifact-cache)\n  \
      --deadline-ms N      per-job wall-clock budget; an over-deadline job becomes a per-job\n                       \
-     error (`deadline of N ms exceeded`) and the batch exits 1\n\
-     sample flags (probabilistic path sampling: every WCET job also walks the iCFG and reports\n\
-     an observed-max / mean / percentile distribution under the sound ILP bound):\n  \
-     --samples N          loop-bound-weighted path walks per job (default 64)\n  \
+     error (`deadline of N ms exceeded`) and the batch exits 1\n  \
+     --samples N          path sampling: every WCET job also makes N loop-bound-weighted walks\n                       \
+     of its iCFG and reports an observed-max / mean / percentile\n                       \
+     distribution under the sound ILP bound (default 64), overriding any\n                       \
+     manifest `sampling` block\n  \
      --seed N             sampling seed (default 0); results are a pure function of\n                       \
      (manifest, --samples, --seed) — byte-identical across --jobs values\n  \
-     --store DIR          reuse phase artifacts from DIR (sampling never recomputes\n                       \
-     value/cache/pipeline phases a batch already produced)\n                       \
-     an observed maximum above a job's WCET bound is a soundness\n                       \
-     counterexample: the offending jobs are listed and the exit code is 3\n\
+     a sampled maximum above a job's WCET bound (from these flags or a manifest `sampling`\n  \
+     block) is a soundness counterexample: the offending jobs are listed and the exit code is 3\n\
+     stamp sample ARGS is stamp batch ARGS with sampling on (--samples 64 --seed 0 by default)\n\
      serve flags (a long-lived daemon; one JSON request per line, one JSON response per line):\n  \
      --socket PATH        listen on a unix socket instead of stdin/stdout\n  \
      --store DIR          keep the warm artifact store durable in DIR (write faults degrade\n                       \
@@ -120,8 +121,8 @@ fn usage() -> String {
      1  analysis failed (assembly error, missing annotation, failed batch job, pin drift)\n  \
      2  bad arguments (unknown flag or command, unreadable input, malformed manifest,\n        \
      unusable --store directory, bad --samples/--seed value)\n  \
-     3  soundness violation (stamp fuzz found a counterexample, or stamp sample observed a\n        \
-     path costlier than its job's WCET bound)"
+     3  soundness violation (stamp fuzz found a counterexample, or a sampled batch job\n        \
+     observed a path costlier than its WCET bound)"
         .to_string()
 }
 
@@ -130,8 +131,7 @@ fn run(args: &[String]) -> Result<(), CliError> {
     match cmd.as_str() {
         "wcet" => wcet(rest),
         "stack" => stack(rest),
-        "batch" => batch(rest),
-        "sample" => sample(rest),
+        "batch" | "sample" => batch(cmd, rest),
         "serve" => serve(rest),
         "fuzz" => fuzz(rest),
         "disasm" => disasm(rest),
@@ -156,6 +156,19 @@ fn sym_eq_n(s: &str) -> Result<(String, u64), CliError> {
     Ok((sym.to_string(), n))
 }
 
+/// The value following `flag` (e.g. the `FILE` of `--out FILE`).
+fn value(flag: &str, what: &str, v: Option<&String>) -> Result<String, CliError> {
+    v.cloned().ok_or_else(|| Usage(format!("{flag} needs {what}")))
+}
+
+/// The number following `flag`; a missing or malformed one is a usage
+/// error.
+fn number<T: std::str::FromStr>(flag: &str, v: Option<&String>) -> Result<T, CliError> {
+    v.ok_or_else(|| Usage(format!("{flag} needs a number")))?
+        .parse()
+        .map_err(|_| Usage(format!("bad {flag} value")))
+}
+
 fn wcet(args: &[String]) -> Result<(), CliError> {
     let mut file = None;
     let mut hw = HwConfig::default();
@@ -168,10 +181,9 @@ fn wcet(args: &[String]) -> Result<(), CliError> {
             "--no-cache" => hw = HwConfig::no_cache(),
             "--ideal" => hw = HwConfig::ideal(),
             "--json" => json = true,
-            "--dot" => dot = Some(it.next().ok_or(Usage("--dot needs a file".into()))?.clone()),
+            "--dot" => dot = Some(value(a, "a file", it.next())?),
             "--loop-bound" => {
-                let (sym, n) =
-                    sym_eq_n(it.next().ok_or(Usage("--loop-bound needs SYM=N".into()))?)?;
+                let (sym, n) = sym_eq_n(&value(a, "SYM=N", it.next())?)?;
                 ann = ann.loop_bound(sym, n);
             }
             f if !f.starts_with('-') && file.is_none() => file = Some(f.to_string()),
@@ -203,11 +215,9 @@ fn stack(args: &[String]) -> Result<(), CliError> {
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--entry" => {
-                entry = Some(it.next().ok_or(Usage("--entry needs a symbol".into()))?.clone())
-            }
+            "--entry" => entry = Some(value(a, "a symbol", it.next())?),
             "--recursion" => {
-                let (sym, n) = sym_eq_n(it.next().ok_or(Usage("--recursion needs SYM=N".into()))?)?;
+                let (sym, n) = sym_eq_n(&value(a, "SYM=N", it.next())?)?;
                 ann = ann.recursion_depth(sym, n as u32);
             }
             f if !f.starts_with('-') && file.is_none() => file = Some(f.to_string()),
@@ -233,10 +243,19 @@ fn stack(args: &[String]) -> Result<(), CliError> {
     Ok(())
 }
 
-/// `stamp batch`: run a whole job matrix (a JSON manifest or the
-/// built-in EVA32 corpus) across a worker pool and emit one merged
-/// machine-readable report.
-fn batch(args: &[String]) -> Result<(), CliError> {
+/// `stamp batch` and `stamp sample`: run a whole job matrix (a JSON
+/// manifest or the built-in EVA32 corpus) across a worker pool and emit
+/// one merged machine-readable report. `stamp sample` is `stamp batch`
+/// with path sampling forced on.
+///
+/// `--samples`/`--seed` make every WCET job also walk the iCFG —
+/// loop-bound-weighted, seed-pinned — through the same cache/pipeline
+/// cost model the ILP priced, and report the observed-max / mean /
+/// percentile WCET distribution next to the sound bound. Every sampled
+/// path is a feasible ILP point, so `observed-max > WCET`, from these
+/// flags or from a manifest `sampling` block, is a soundness
+/// counterexample (exit 3).
+fn batch(cmd: &str, args: &[String]) -> Result<(), CliError> {
     let mut manifest: Option<String> = None;
     let mut corpus = false;
     let mut jobs = stamp::exec::default_workers();
@@ -248,6 +267,7 @@ fn batch(args: &[String]) -> Result<(), CliError> {
     let mut dry_run = false;
     let mut store_dir: Option<String> = None;
     let mut deadline: Option<std::time::Duration> = None;
+    let mut sampling = (cmd == "sample").then(SampleParams::default);
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
@@ -256,113 +276,106 @@ fn batch(args: &[String]) -> Result<(), CliError> {
             "--no-timing" => no_timing = true,
             "--no-artifact-cache" => artifact_cache = false,
             "--dry-run" => dry_run = true,
-            "--store" => {
-                store_dir =
-                    Some(it.next().ok_or(Usage("--store needs a directory".into()))?.clone());
-            }
+            "--store" => store_dir = Some(value(a, "a directory", it.next())?),
             "--deadline-ms" => {
-                let ms: u64 = it
-                    .next()
-                    .ok_or(Usage("--deadline-ms needs a number".into()))?
-                    .parse()
-                    .map_err(|_| Usage("bad --deadline-ms value".into()))?;
-                deadline = Some(std::time::Duration::from_millis(ms));
+                deadline = Some(std::time::Duration::from_millis(number(a, it.next())?));
             }
-            "--jobs" => {
-                jobs = it
-                    .next()
-                    .ok_or(Usage("--jobs needs a number".into()))?
-                    .parse()
-                    .map_err(|_| Usage("bad --jobs value".into()))?;
-            }
+            "--jobs" => jobs = number(a, it.next())?,
             "--repeat" => {
-                repeat = it
-                    .next()
-                    .ok_or(Usage("--repeat needs a number".into()))?
-                    .parse()
-                    .ok()
-                    .filter(|&n| n >= 1)
-                    .ok_or(Usage("bad --repeat value (need an integer ≥ 1)".into()))?;
+                repeat = number(a, it.next())?;
+                if repeat == 0 {
+                    return Err(Usage("--repeat must be at least 1".into()));
+                }
             }
-            "--out" => out = Some(it.next().ok_or(Usage("--out needs a file".into()))?.clone()),
+            "--samples" => {
+                sampling.get_or_insert_with(SampleParams::default).samples = number(a, it.next())?;
+            }
+            "--seed" => {
+                sampling.get_or_insert_with(SampleParams::default).seed = number(a, it.next())?
+            }
+            "--out" => out = Some(value(a, "a file", it.next())?),
             f if !f.starts_with('-') && manifest.is_none() => manifest = Some(f.to_string()),
             other => return Err(Usage(format!("unexpected argument `{other}`"))),
         }
     }
 
-    let request = load_request("batch", &manifest, corpus)?;
+    let mut request = load_request(cmd, &manifest, corpus)?;
     if check_pins && !corpus {
         return Err(Usage("--check-pins requires --corpus (pins cover the corpus)".into()));
+    }
+    // The CLI's sampling knobs apply uniformly: every WCET job samples
+    // with them, overriding any per-variant manifest `sampling` block.
+    if let Some(params) = sampling {
+        for job in request.jobs.iter_mut().filter(|j| j.wcet) {
+            job.sampling = Some(params);
+        }
     }
     if dry_run {
         print_batch_plan(&request);
         return Ok(());
     }
 
-    let store = if !artifact_cache {
+    let store = if artifact_cache {
+        open_store(cmd, store_dir.as_deref())?
+    } else {
         // `--store` is a cache backend; with the cache off there is
         // nothing to persist, so the flag is documented as ignored.
         if store_dir.is_some() {
-            eprintln!("batch: --no-artifact-cache is set; ignoring --store");
+            eprintln!("{cmd}: --no-artifact-cache is set; ignoring --store");
         }
         ArtifactStore::disabled()
-    } else if let Some(dir) = &store_dir {
-        let (store, warnings) = ArtifactStore::with_disk(std::path::Path::new(dir))
-            .map_err(|e| Usage(format!("--store {dir}: {e}")))?;
-        for w in &warnings {
-            eprintln!("batch: store: {w}");
-        }
-        store
-    } else {
-        ArtifactStore::new()
     };
     let mut report = stamp::analyzer::run_batch_deadline(&request, jobs, &store, deadline)
         .map_err(|e| Analysis(e.to_string()))?;
     for pass in 2..=repeat {
-        eprintln!("{}", batch_pass_summary(&report, &store, pass - 1, repeat));
+        eprintln!("{}", batch_pass_summary(cmd, &report, &store, pass - 1, repeat));
         report = stamp::analyzer::run_batch_deadline(&request, jobs, &store, deadline)
             .map_err(|e| Analysis(e.to_string()))?;
     }
     // A disk fault during any pass degrades the store to in-memory-only;
     // surface its single warning rather than failing the batch.
     if let Some(w) = store.take_disk_warning() {
-        eprintln!("batch: store: {w}");
+        eprintln!("{cmd}: store: {w}");
     }
 
-    let json = if no_timing { report.results_json() } else { report.to_json() };
-    let rendered = format!("{json}\n");
-    match &out {
-        Some(path) => std::fs::write(path, &rendered).map_err(|e| Usage(format!("{path}: {e}")))?,
-        None => print!("{rendered}"),
-    }
-    eprintln!("{}", batch_pass_summary(&report, &store, repeat, repeat));
-
-    let mut drift: Vec<String> = Vec::new();
-    if check_pins {
-        // The corpus pins of stamp_bench::pins, also checked by its
-        // `corpus_pins` test.
-        let measured: Vec<stamp::bench::pins::MeasuredTask> = report
-            .results
+    write_report(out.as_deref(), if no_timing { report.results_json() } else { report.to_json() })?;
+    eprintln!("{}", batch_pass_summary(cmd, &report, &store, repeat, repeat));
+    let sampled: Vec<_> =
+        report.results.iter().filter_map(|r| Some((r, r.sampling.as_ref()?))).collect();
+    if !sampled.is_empty() {
+        let walks: usize = sampled.iter().map(|(_, s)| s.completed).sum();
+        // Tightness: how close the sampled observed-max comes to the
+        // sound bound, at its worst across the matrix (sampling is a
+        // lower bound, so ≤ 100% unless the analyzer is broken).
+        let tightness = sampled
             .iter()
-            .map(|r| stamp::bench::pins::MeasuredTask {
-                name: r.name.clone(),
-                wcet: r.wcet,
-                stack: r.stack,
-                evaluations: r.evaluations,
-                fetch: r.fetch,
-                data: r.data,
-            })
-            .collect();
-        drift = stamp::bench::pins::check_corpus(&measured);
+            .filter_map(|(r, s)| Some(s.observed_max? as f64 / r.wcet? as f64 * 100.0))
+            .fold(f64::NAN, f64::max);
+        eprintln!(
+            "{cmd}: {} sampled jobs, {walks} completed walks, worst observed/WCET {tightness:.0}%",
+            sampled.len()
+        );
     }
+
+    let violations = report.sampling_violations();
+    if !violations.is_empty() {
+        for v in &violations {
+            eprintln!("{cmd}: UNSOUND {v}");
+        }
+        return Err(Violation(format!(
+            "{} job(s) sampled a path above the WCET bound",
+            violations.len()
+        )));
+    }
+    let drift = if check_pins { stamp::suite::pins::check_corpus(&report.results) } else { vec![] };
     if !drift.is_empty() {
         for d in &drift {
-            eprintln!("batch: DRIFT {d}");
+            eprintln!("{cmd}: DRIFT {d}");
         }
         return Err(Analysis(format!("{} job(s) diverged from pins", drift.len())));
     }
     if report.errors() > 0 {
-        return Err(Analysis(format!("{} batch job(s) failed", report.errors())));
+        return Err(Analysis(format!("{} {cmd} job(s) failed", report.errors())));
     }
     Ok(())
 }
@@ -390,127 +403,28 @@ fn load_request(
     }
 }
 
-/// `stamp sample`: the probabilistic path-sampling backend. Every WCET
-/// job of the matrix additionally walks the iCFG `--samples` times —
-/// loop-bound-weighted, seed-pinned — through the same cache/pipeline
-/// cost model the ILP priced, and reports the observed-max / mean /
-/// percentile WCET distribution next to the sound bound. Every sampled
-/// path is a feasible ILP point, so `observed-max > WCET` is a
-/// soundness counterexample (exit 3).
-fn sample(args: &[String]) -> Result<(), CliError> {
-    let mut manifest: Option<String> = None;
-    let mut corpus = false;
-    let mut jobs = stamp::exec::default_workers();
-    let mut out: Option<String> = None;
-    let mut no_timing = false;
-    let mut store_dir: Option<String> = None;
-    let mut samples: usize = 64;
-    let mut seed: u64 = 0;
-    let mut it = args.iter();
-    let parse = |name: &str, v: Option<&String>| -> Result<u64, CliError> {
-        v.ok_or(Usage(format!("{name} needs a number")))?
-            .parse()
-            .map_err(|_| Usage(format!("bad {name} value")))
-    };
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--corpus" => corpus = true,
-            "--no-timing" => no_timing = true,
-            "--samples" => samples = parse(a, it.next())? as usize,
-            "--seed" => seed = parse(a, it.next())?,
-            "--jobs" => jobs = parse(a, it.next())? as usize,
-            "--store" => {
-                store_dir =
-                    Some(it.next().ok_or(Usage("--store needs a directory".into()))?.clone());
-            }
-            "--out" => out = Some(it.next().ok_or(Usage("--out needs a file".into()))?.clone()),
-            f if !f.starts_with('-') && manifest.is_none() => manifest = Some(f.to_string()),
-            other => return Err(Usage(format!("unexpected argument `{other}`"))),
-        }
+/// Opens `cmd`'s artifact store: durable in `dir` when `--store` was
+/// given (a damaged log is repaired with a warning), in memory otherwise.
+fn open_store(cmd: &str, dir: Option<&str>) -> Result<ArtifactStore, CliError> {
+    let Some(dir) = dir else { return Ok(ArtifactStore::new()) };
+    let (store, warnings) = ArtifactStore::with_disk(std::path::Path::new(dir))
+        .map_err(|e| Usage(format!("--store {dir}: {e}")))?;
+    for w in &warnings {
+        eprintln!("{cmd}: store: {w}");
     }
+    Ok(store)
+}
 
-    let mut request = load_request("sample", &manifest, corpus)?;
-    // The CLI's knobs apply uniformly: every WCET job samples with
-    // (--samples, --seed), overriding any per-variant manifest
-    // `sampling` block (use `stamp batch` for mixed matrices).
-    for job in &mut request.jobs {
-        if job.wcet {
-            job.sampling = Some(stamp::analyzer::SampleParams { samples, seed });
-        }
-    }
-
-    let store = match &store_dir {
-        Some(dir) => {
-            let (store, warnings) = ArtifactStore::with_disk(std::path::Path::new(dir))
-                .map_err(|e| Usage(format!("--store {dir}: {e}")))?;
-            for w in &warnings {
-                eprintln!("sample: store: {w}");
-            }
-            store
-        }
-        None => ArtifactStore::new(),
-    };
-    let report = stamp::analyzer::run_batch_deadline(&request, jobs, &store, None)
-        .map_err(|e| Analysis(e.to_string()))?;
-    if let Some(w) = store.take_disk_warning() {
-        eprintln!("sample: store: {w}");
-    }
-
-    let json = if no_timing { report.results_json() } else { report.to_json() };
+/// Writes a JSON report, newline-terminated, to `--out FILE` or stdout.
+fn write_report(out: Option<&str>, json: stamp::analyzer::Json) -> Result<(), CliError> {
     let rendered = format!("{json}\n");
-    match &out {
-        Some(path) => std::fs::write(path, &rendered).map_err(|e| Usage(format!("{path}: {e}")))?,
-        None => print!("{rendered}"),
-    }
-
-    let sampled: Vec<_> = report.results.iter().filter(|r| r.sampling.is_some()).collect();
-    let walks: usize = sampled.iter().map(|r| r.sampling.as_ref().unwrap().completed).sum();
-    // Tightness: how close the sampled observed-max comes to the sound
-    // bound, at its worst across the matrix (sampling is a lower bound,
-    // so ≤ 100% unless the analyzer is broken).
-    let tightness = sampled
-        .iter()
-        .filter_map(|r| {
-            let s = r.sampling.as_ref().unwrap();
-            Some((s.observed_max? as f64 / r.wcet? as f64) * 100.0)
-        })
-        .fold(f64::NAN, f64::max);
-    eprintln!(
-        "sample: {} jobs ({} sampled) × {samples} walks (seed {seed}) on {} workers in {:.1} ms \
-         — {walks} completed walks, worst observed/WCET {:.0}%",
-        report.results.len(),
-        sampled.len(),
-        report.workers,
-        report.wall_ms,
-        tightness,
-    );
-
-    let violations: Vec<String> = sampled
-        .iter()
-        .filter_map(|r| {
-            let s = r.sampling.as_ref().unwrap();
-            match (s.observed_max, r.wcet) {
-                (Some(observed), Some(bound)) if observed > bound => Some(format!(
-                    "{}: sampled path of {observed} cycles exceeds the WCET bound {bound}",
-                    r.name
-                )),
-                _ => None,
-            }
-        })
-        .collect();
-    if !violations.is_empty() {
-        for v in &violations {
-            eprintln!("sample: UNSOUND {v}");
+    match out {
+        Some(path) => std::fs::write(path, rendered).map_err(|e| Usage(format!("{path}: {e}"))),
+        None => {
+            print!("{rendered}");
+            Ok(())
         }
-        return Err(Violation(format!(
-            "{} job(s) sampled a path above the WCET bound",
-            violations.len()
-        )));
     }
-    if report.errors() > 0 {
-        return Err(Analysis(format!("{} sample job(s) failed", report.errors())));
-    }
-    Ok(())
 }
 
 /// `stamp serve`: the fault-tolerant long-lived analysis daemon. One
@@ -526,48 +440,27 @@ fn serve(args: &[String]) -> Result<(), CliError> {
     let mut store_dir: Option<String> = None;
     let mut config = EngineConfig { workers: stamp::exec::default_workers(), ..Default::default() };
     let mut it = args.iter();
-    let parse = |name: &str, v: Option<&String>| -> Result<u64, CliError> {
-        v.ok_or(Usage(format!("{name} needs a number")))?
-            .parse()
-            .map_err(|_| Usage(format!("bad {name} value")))
-    };
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--socket" => {
-                socket = Some(it.next().ok_or(Usage("--socket needs a path".into()))?.clone());
-            }
-            "--store" => {
-                store_dir =
-                    Some(it.next().ok_or(Usage("--store needs a directory".into()))?.clone());
-            }
+            "--socket" => socket = Some(value(a, "a path", it.next())?),
+            "--store" => store_dir = Some(value(a, "a directory", it.next())?),
             "--queue" => {
-                config.queue = parse(a, it.next())? as usize;
+                config.queue = number(a, it.next())?;
                 if config.queue == 0 {
                     return Err(Usage("--queue must be at least 1".into()));
                 }
             }
-            "--per-client" => config.per_client = parse(a, it.next())? as usize,
-            "--jobs" => config.workers = parse(a, it.next())? as usize,
+            "--per-client" => config.per_client = number(a, it.next())?,
+            "--jobs" => config.workers = number(a, it.next())?,
             "--default-deadline-ms" => {
                 config.default_deadline =
-                    Some(std::time::Duration::from_millis(parse(a, it.next())?));
+                    Some(std::time::Duration::from_millis(number(a, it.next())?));
             }
             other => return Err(Usage(format!("unexpected argument `{other}`"))),
         }
     }
 
-    let store = match &store_dir {
-        Some(dir) => {
-            let (store, warnings) = ArtifactStore::with_disk(std::path::Path::new(dir))
-                .map_err(|e| Usage(format!("--store {dir}: {e}")))?;
-            for w in &warnings {
-                eprintln!("serve: store: {w}");
-            }
-            store
-        }
-        None => ArtifactStore::new(),
-    };
-    let engine = Engine::new(store, config);
+    let engine = Engine::new(open_store("serve", store_dir.as_deref())?, config);
     let code = match &socket {
         Some(path) => serve_unix(&engine, std::path::Path::new(path))
             .map_err(|e| Usage(format!("--socket {path}: {e}")))?,
@@ -595,28 +488,20 @@ fn fuzz(args: &[String]) -> Result<(), CliError> {
     let mut no_timing = false;
     let mut repro_dir = std::path::PathBuf::from("proptest-regressions/fuzz");
     let mut it = args.iter();
-    let parse = |name: &str, v: Option<&String>| -> Result<u64, CliError> {
-        v.ok_or(Usage(format!("{name} needs a number")))?
-            .parse()
-            .map_err(|_| Usage(format!("bad {name} value")))
-    };
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--iterations" => cfg.iterations = parse(a, it.next())? as usize,
-            "--seed" => cfg.seed = parse(a, it.next())?,
-            "--rounds" => cfg.rounds = parse(a, it.next())? as usize,
-            "--samples" => cfg.samples = parse(a, it.next())? as usize,
-            "--jobs" => jobs = parse(a, it.next())? as usize,
-            "--max-shrink-evals" => cfg.max_shrink_evals = parse(a, it.next())? as usize,
+            "--iterations" => cfg.iterations = number(a, it.next())?,
+            "--seed" => cfg.seed = number(a, it.next())?,
+            "--rounds" => cfg.rounds = number(a, it.next())?,
+            "--samples" => cfg.samples = number(a, it.next())?,
+            "--jobs" => jobs = number(a, it.next())?,
+            "--max-shrink-evals" => cfg.max_shrink_evals = number(a, it.next())?,
             "--no-shrink" => cfg.shrink = false,
             "--no-timing" => no_timing = true,
-            "--out" => out = Some(it.next().ok_or(Usage("--out needs a file".into()))?.clone()),
-            "--repro-dir" => {
-                repro_dir = it.next().ok_or(Usage("--repro-dir needs a directory".into()))?.into();
-            }
+            "--out" => out = Some(value(a, "a file", it.next())?),
+            "--repro-dir" => repro_dir = value(a, "a directory", it.next())?.into(),
             "--inject-fault" => {
-                let kind = it.next().ok_or(Usage("--inject-fault needs a kind".into()))?;
-                cfg.fault = Some(match kind.as_str() {
+                cfg.fault = Some(match value(a, "a kind", it.next())?.as_str() {
                     "tight-wcet" => FaultInjection::TightenWcet(50),
                     "tight-stack" => FaultInjection::TightenStack(50),
                     "tight-sample" => FaultInjection::TightenSample(1),
@@ -636,12 +521,7 @@ fn fuzz(args: &[String]) -> Result<(), CliError> {
 
     let report = run_campaign(&cfg, jobs).map_err(|e| Analysis(e.to_string()))?;
 
-    let json = if no_timing { report.results_json() } else { report.to_json() };
-    let rendered = format!("{json}\n");
-    match &out {
-        Some(path) => std::fs::write(path, &rendered).map_err(|e| Usage(format!("{path}: {e}")))?,
-        None => print!("{rendered}"),
-    }
+    write_report(out.as_deref(), if no_timing { report.results_json() } else { report.to_json() })?;
     eprintln!(
         "fuzz: {} programs × {} variants on {} workers ({} cores) in {:.1} ms — {:.0} programs/s, \
          {} simulation rounds, {} violation(s)",
@@ -680,13 +560,14 @@ fn fuzz(args: &[String]) -> Result<(), CliError> {
 /// artifact-cache statistics when caching was on and the durable-store
 /// statistics when `--store` was given.
 fn batch_pass_summary(
+    cmd: &str,
     report: &stamp::BatchReport,
     store: &ArtifactStore,
     pass: usize,
     passes: usize,
 ) -> String {
     let mut line = format!(
-        "batch{}: {} jobs on {} workers ({} cores) in {:.1} ms — {:.0} jobs/s, {} failed",
+        "{cmd}{}: {} jobs on {} workers ({} cores) in {:.1} ms — {:.0} jobs/s, {} failed",
         if passes > 1 { format!(" pass {pass}/{passes}") } else { String::new() },
         report.results.len(),
         report.workers,
@@ -784,13 +665,7 @@ fn simulate(args: &[String]) -> Result<(), CliError> {
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--max-insns" => {
-                max_insns = it
-                    .next()
-                    .ok_or(Usage("--max-insns needs a number".into()))?
-                    .parse()
-                    .map_err(|_| Usage("bad --max-insns value".into()))?;
-            }
+            "--max-insns" => max_insns = number(a, it.next())?,
             f if !f.starts_with('-') && file.is_none() => file = Some(f.to_string()),
             other => return Err(Usage(format!("unexpected argument `{other}`"))),
         }

@@ -10,8 +10,8 @@
 //! This crate is the facade: it re-exports the entire workspace. Start
 //! with [`WcetAnalysis`] and [`StackAnalysis`]; see `DESIGN.md` at the
 //! workspace root for the crate DAG and analysis phases, and
-//! `cargo run --release -p stamp_bench --bin experiments` for the
-//! paper's evaluation tables.
+//! `cargo run --release --bin experiments` for the paper's evaluation
+//! tables.
 //!
 //! # Quickstart
 //!
@@ -43,7 +43,6 @@
 
 // The subsystem crates, under their natural names.
 pub use stamp_ai as ai;
-pub use stamp_bench as bench;
 pub use stamp_cache as cache;
 pub use stamp_cfg as cfg;
 pub use stamp_core as analyzer;

@@ -176,6 +176,7 @@ fn usage_text_documents_exit_codes_and_every_flag() {
         "--dry-run",
         "--store",
         "--deadline-ms",
+        "--samples",
         "--socket",
         "--queue",
         "--per-client",
@@ -238,6 +239,11 @@ fn exit_code_table_covers_every_documented_flag() {
         (&["batch", &manifest, "--deadline-ms", "0"], 1),
         (&["batch", &manifest, "--deadline-ms", "x"], 2),
         (&["batch", &manifest, "--deadline-ms"], 2),
+        (&["batch", &manifest, "--samples", "x"], 2),
+        (&["batch", &manifest, "--seed", "x"], 2),
+        // sample: batch with sampling on
+        (&["sample", &manifest, "--samples", "4", "--seed", "1", "--no-timing"], 0),
+        (&["sample", &manifest, "--samples", "x"], 2),
         // serve: bad invocations exit 2 without starting the daemon
         // (healthy daemon lifecycles are covered in tests/serve_daemon.rs)
         (&["serve", "--queue", "x"], 2),

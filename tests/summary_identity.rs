@@ -9,7 +9,7 @@ use std::path::Path;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use stamp::analyzer::{run_batch, ArtifactStore, PhaseId};
-use stamp::bench::pins::SCALING_EVALS;
+use stamp::suite::pins::SCALING_EVALS;
 use stamp::suite::{corpus_matrix, generate, parse_manifest, GenConfig};
 use stamp::{assemble, BatchVariant, WcetAnalysis};
 
