@@ -412,24 +412,47 @@ pub fn decode_value<T: Codec>(bytes: &[u8]) -> Result<T, CodecError> {
 }
 
 /// The IEEE CRC-32 (reflected, polynomial `0xedb88320`) of `bytes` —
-/// the per-record checksum of the on-disk artifact log.
+/// the per-record checksum of the on-disk artifact log, computed on
+/// every append and every read of a record.
 pub fn crc32(bytes: &[u8]) -> u32 {
-    // The 256-entry table costs 1 KiB and is built once.
-    static TABLE: std::sync::OnceLock<[u32; 256]> = std::sync::OnceLock::new();
-    let table = TABLE.get_or_init(|| {
-        let mut t = [0u32; 256];
-        for (i, e) in t.iter_mut().enumerate() {
+    // Slicing-by-8: `t[k][b]` is the CRC of byte `b` followed by `k`
+    // zero bytes, so one step folds eight input bytes. The tables cost
+    // 8 KiB and are built once.
+    static TABLES: std::sync::OnceLock<[[u32; 256]; 8]> = std::sync::OnceLock::new();
+    let t = TABLES.get_or_init(|| {
+        let mut t = [[0u32; 256]; 8];
+        for (i, e) in t[0].iter_mut().enumerate() {
             let mut c = i as u32;
             for _ in 0..8 {
                 c = if c & 1 != 0 { 0xedb8_8320 ^ (c >> 1) } else { c >> 1 };
             }
             *e = c;
         }
+        for k in 1..8 {
+            for i in 0..256 {
+                let prev = t[k - 1][i];
+                t[k][i] = (prev >> 8) ^ t[0][(prev & 0xff) as usize];
+            }
+        }
         t
     });
+    let byte = |crc: u32, k: usize, shift: u32| t[k][((crc >> shift) & 0xff) as usize];
     let mut crc = !0u32;
-    for &b in bytes {
-        crc = table[((crc ^ u32::from(b)) & 0xff) as usize] ^ (crc >> 8);
+    let mut chunks = bytes.chunks_exact(8);
+    for c in &mut chunks {
+        let lo = crc ^ u32::from_le_bytes([c[0], c[1], c[2], c[3]]);
+        let hi = u32::from_le_bytes([c[4], c[5], c[6], c[7]]);
+        crc = byte(lo, 7, 0)
+            ^ byte(lo, 6, 8)
+            ^ byte(lo, 5, 16)
+            ^ byte(lo, 4, 24)
+            ^ byte(hi, 3, 0)
+            ^ byte(hi, 2, 8)
+            ^ byte(hi, 1, 16)
+            ^ byte(hi, 0, 24);
+    }
+    for &b in chunks.remainder() {
+        crc = byte(crc ^ u32::from(b), 0, 0) ^ (crc >> 8);
     }
     !crc
 }
@@ -531,5 +554,27 @@ mod tests {
         assert_eq!(crc32(b""), 0);
         assert_eq!(crc32(b"123456789"), 0xcbf4_3926);
         assert_eq!(crc32(b"The quick brown fox jumps over the lazy dog"), 0x414f_a339);
+    }
+
+    #[test]
+    fn crc32_agrees_with_the_bitwise_definition() {
+        fn bitwise(bytes: &[u8]) -> u32 {
+            let mut crc = !0u32;
+            for &b in bytes {
+                crc ^= u32::from(b);
+                for _ in 0..8 {
+                    crc = if crc & 1 != 0 { 0xedb8_8320 ^ (crc >> 1) } else { crc >> 1 };
+                }
+            }
+            !crc
+        }
+        let bytes: Vec<u8> =
+            (0..300u32).map(|i| (i.wrapping_mul(2_654_435_761) >> 13) as u8).collect();
+        // Every length and alignment around the 8-byte step.
+        for start in 0..8 {
+            for end in start..bytes.len() {
+                assert_eq!(crc32(&bytes[start..end]), bitwise(&bytes[start..end]));
+            }
+        }
     }
 }

@@ -19,8 +19,9 @@
 //! failure must not poison later runs.
 
 use std::collections::HashMap;
-use std::fs::{self, OpenOptions};
-use std::io::{self, Read, Seek, SeekFrom, Write};
+use std::fs::{self, File, OpenOptions};
+use std::io::{self, BufReader, Read, Seek, SeekFrom, Write};
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
@@ -44,7 +45,7 @@ const LOG_NAME: &str = "artifacts.log";
 
 const HEADER_LEN: u64 = 8 + 4 + 16;
 /// Record framing: payload length + CRC32 of the payload.
-const RECORD_HEADER_LEN: u64 = 4 + 4;
+const RECORD_HEADER_LEN: usize = 4 + 4;
 /// Payload prefix: phase byte + 16-byte fingerprint.
 const PAYLOAD_KEY_LEN: usize = 1 + 16;
 
@@ -64,15 +65,19 @@ fn schema_fingerprint() -> Fingerprint {
 pub(crate) trait LogSink: Write + Send {}
 impl<T: Write + Send> LogSink for T {}
 
+/// Where a record sits in the log: its first byte and its payload
+/// length (the framed record is `RECORD_HEADER_LEN` longer).
+type Loc = (u64, u32);
+
 struct Inner {
     sink: Box<dyn LogSink>,
-    /// Every key in the log. A record loaded at open keeps its bytes
-    /// until its first claim takes them to decode; after that, and for
-    /// every record this process appended, the artifact lives in the
-    /// [`crate::ArtifactStore`]'s slot and only the key stays here.
-    index: HashMap<(PhaseId, Fingerprint), Option<Vec<u8>>>,
+    /// Every key in the log, with where its record sits. No record
+    /// bytes are held here: a claim reads its record back from the file.
+    index: HashMap<(PhaseId, Fingerprint), Loc>,
+    /// The log offset the next appended record lands at.
+    end: u64,
     /// Set on the first write failure: persistence is off for the rest
-    /// of this process, reads keep serving from the in-memory index.
+    /// of this process. Records already indexed stay readable.
     degraded: bool,
     /// The degradation warning, waiting to be surfaced exactly once.
     pending_warning: Option<String>,
@@ -86,18 +91,23 @@ struct Inner {
 /// Writes are best-effort: the first append that fails (disk full,
 /// permission lost mid-run) flips the store into *degraded* mode — no
 /// further writes are attempted, one warning is queued for the caller
-/// to surface ([`DiskStore::take_warning`]), and every artifact already
-/// computed or loaded keeps being served from the
-/// [`crate::ArtifactStore`]'s in-memory slots. Analysis results are
-/// never affected; only durability of new artifacts is lost.
+/// to surface ([`DiskStore::take_warning`]), and [`DiskStore::append`]
+/// reports the artifact as not durable, so the
+/// [`crate::ArtifactStore`] keeps serving it from its in-memory slot.
+/// Reads are checked again after open: a record that is short,
+/// unreadable or no longer matches its key (the log was truncated or
+/// rewritten under a running process) is evicted and recomputed.
+/// Analysis results are never affected; only durability is lost.
 pub(crate) struct DiskStore {
     path: PathBuf,
+    /// The log file for positional record reads, taken outside `inner`.
+    log: File,
     inner: Mutex<Inner>,
 }
 
 impl DiskStore {
-    /// Opens (or creates) the artifact log in `dir`, loading every
-    /// valid record into the in-memory index. Recoverable problems —
+    /// Opens (or creates) the artifact log in `dir`, indexing every
+    /// valid record by its offset. Recoverable problems —
     /// version/schema mismatch, CRC failure, truncated tail — are
     /// reported as warnings and resolved by truncating the log back to
     /// its valid prefix; only genuine I/O errors fail the open.
@@ -107,20 +117,45 @@ impl DiskStore {
         let mut file =
             OpenOptions::new().read(true).write(true).create(true).truncate(false).open(&path)?;
         let mut warnings = Vec::new();
+        let file_len = file.metadata()?.len();
 
-        let mut bytes = Vec::new();
-        file.read_to_end(&mut bytes)?;
-
-        let header_ok = bytes.len() >= HEADER_LEN as usize
-            && &bytes[..8] == MAGIC
-            && bytes[8..12] == FORMAT_VERSION.to_le_bytes()
-            && bytes[12..28] == schema_fingerprint().to_bytes();
-        if !bytes.is_empty() && !header_ok {
+        let mut reader = BufReader::new(&file);
+        let mut header = [0u8; HEADER_LEN as usize];
+        let header_ok = file_len >= HEADER_LEN && {
+            reader.read_exact(&mut header)?;
+            &header[..8] == MAGIC
+                && header[8..12] == FORMAT_VERSION.to_le_bytes()
+                && header[12..28] == schema_fingerprint().to_bytes()
+        };
+        if file_len > 0 && !header_ok {
             warnings.push(format!(
                 "artifact store {}: incompatible header; starting fresh",
                 path.display()
             ));
         }
+
+        // Scan records; stop (and truncate) at the first invalid one.
+        let mut index = HashMap::new();
+        let mut end = HEADER_LEN;
+        if header_ok {
+            let mut record = Vec::new();
+            while end < file_len {
+                let Some((key, len)) = scan_record(&mut reader, file_len - end, &mut record)?
+                else {
+                    warnings.push(format!(
+                        "artifact store {}: corrupt or truncated record at byte {end}; \
+                         dropping the log tail ({} artifacts kept)",
+                        path.display(),
+                        index.len()
+                    ));
+                    break;
+                };
+                index.insert(key, (end, len));
+                end += (RECORD_HEADER_LEN + len as usize) as u64;
+            }
+        }
+        drop(reader);
+
         if !header_ok {
             file.set_len(0)?;
             file.seek(SeekFrom::Start(0))?;
@@ -128,41 +163,18 @@ impl DiskStore {
             file.write_all(&FORMAT_VERSION.to_le_bytes())?;
             file.write_all(&schema_fingerprint().to_bytes())?;
             file.flush()?;
-            let inner = Inner {
-                sink: Box::new(file),
-                index: HashMap::new(),
-                degraded: false,
-                pending_warning: None,
-            };
-            return Ok((DiskStore { path, inner: Mutex::new(inner) }, warnings));
+        } else if end < file_len {
+            file.set_len(end)?;
         }
+        file.seek(SeekFrom::Start(end))?;
+        let log = file.try_clone()?;
+        let inner =
+            Inner { sink: Box::new(file), index, end, degraded: false, pending_warning: None };
+        Ok((DiskStore { path, log, inner: Mutex::new(inner) }, warnings))
+    }
 
-        // Scan records; stop (and truncate) at the first invalid one.
-        let mut index = HashMap::new();
-        let mut off = HEADER_LEN as usize;
-        let valid_end = loop {
-            if off == bytes.len() {
-                break off; // clean end of log
-            }
-            let Some(rec) = parse_record(&bytes[off..]) else {
-                warnings.push(format!(
-                    "artifact store {}: corrupt or truncated record at byte {off}; \
-                     dropping the log tail ({} artifacts kept)",
-                    path.display(),
-                    index.len()
-                ));
-                break off;
-            };
-            let (key, payload, consumed) = rec;
-            index.insert(key, Some(payload.to_vec()));
-            off += consumed;
-        };
-        if valid_end < bytes.len() {
-            file.set_len(valid_end as u64)?;
-        }
-        file.seek(SeekFrom::End(0))?;
-        let inner = Inner { sink: Box::new(file), index, degraded: false, pending_warning: None };
-        Ok((DiskStore { path, inner: Mutex::new(inner) }, warnings))
+    fn lock(&self) -> std::sync::MutexGuard<'_, Inner> {
+        self.inner.lock().expect("no thread panics while holding the log index")
     }
 
     /// The log file's path (for warnings and reports).
@@ -172,45 +184,69 @@ impl DiskStore {
 
     /// Number of artifacts currently held on disk.
     pub(crate) fn len(&self) -> usize {
-        self.inner.lock().unwrap().index.len()
+        self.lock().index.len()
     }
 
-    /// Takes the bytes a key's record was loaded with at open, if it has
-    /// not been taken yet. The key stays, so the record is not appended
-    /// again.
-    pub(crate) fn take(&self, phase: PhaseId, fp: Fingerprint) -> Option<Vec<u8>> {
-        self.inner.lock().unwrap().index.get_mut(&(phase, fp))?.take()
+    /// Reads a key's artifact bytes back from the log, as often as
+    /// asked. The record is read with one positional read outside the
+    /// index lock and checked again — framed length, CRC and key — so a
+    /// log truncated or rewritten since open yields `None` and the key is
+    /// evicted (the artifact is then recomputed and appended anew).
+    pub(crate) fn read(&self, phase: PhaseId, fp: Fingerprint) -> Option<Vec<u8>> {
+        let loc = *self.lock().index.get(&(phase, fp))?;
+        let mut record = vec![0; RECORD_HEADER_LEN + loc.1 as usize];
+        let read = self.log.read_exact_at(&mut record, loc.0);
+        if read.is_err() || parse_record(&record) != Some((phase, fp)) {
+            let mut inner = self.lock();
+            // Only the location this read found wanting: a record
+            // appended anew since then stays.
+            if inner.index.get(&(phase, fp)) == Some(&loc) {
+                inner.index.remove(&(phase, fp));
+            }
+            return None;
+        }
+        record.drain(..RECORD_HEADER_LEN + PAYLOAD_KEY_LEN);
+        Some(record)
     }
 
     /// Drops a key from the in-memory index (after a decode failure);
     /// the on-disk record stays but will be recomputed past.
     pub(crate) fn evict(&self, phase: PhaseId, fp: Fingerprint) {
-        self.inner.lock().unwrap().index.remove(&(phase, fp));
+        self.lock().index.remove(&(phase, fp));
     }
 
-    /// Appends one artifact record and flushes it. A key already
-    /// present is not rewritten (same fingerprint ⇒ same bytes).
+    /// Appends one artifact record and flushes it; returns whether the
+    /// artifact is durable — written now, or already in the log (same
+    /// fingerprint ⇒ same bytes, so a key is never written twice).
     ///
     /// Best-effort: a write failure degrades the store to in-memory
     /// operation (see the type docs) instead of surfacing an error —
     /// persistence problems must never fail an analysis job.
-    pub(crate) fn append(&self, phase: PhaseId, fp: Fingerprint, artifact: &[u8]) {
-        let mut inner = self.inner.lock().unwrap();
-        if inner.degraded || inner.index.contains_key(&(phase, fp)) {
-            return;
+    pub(crate) fn append(&self, phase: PhaseId, fp: Fingerprint, artifact: &[u8]) -> bool {
+        let mut inner = self.lock();
+        if inner.index.contains_key(&(phase, fp)) {
+            return true;
         }
-        let mut payload = Vec::with_capacity(PAYLOAD_KEY_LEN + artifact.len());
-        payload.push(phase.index() as u8);
-        payload.extend_from_slice(&fp.to_bytes());
-        payload.extend_from_slice(artifact);
-        let mut record = Vec::with_capacity(RECORD_HEADER_LEN as usize + payload.len());
-        record.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        record.extend_from_slice(&crc32(&payload).to_le_bytes());
-        record.extend_from_slice(&payload);
+        if inner.degraded {
+            return false;
+        }
+        let mut record = vec![0; RECORD_HEADER_LEN];
+        record.reserve(PAYLOAD_KEY_LEN + artifact.len());
+        record.push(phase.index() as u8);
+        record.extend_from_slice(&fp.to_bytes());
+        record.extend_from_slice(artifact);
+        let payload = &record[RECORD_HEADER_LEN..];
+        let len = u32::try_from(payload.len()).expect("an artifact record fits the u32 framing");
+        let crc = crc32(payload);
+        record[..4].copy_from_slice(&len.to_le_bytes());
+        record[4..RECORD_HEADER_LEN].copy_from_slice(&crc.to_le_bytes());
         let wrote = inner.sink.write_all(&record).and_then(|()| inner.sink.flush());
         match wrote {
             Ok(()) => {
-                inner.index.insert((phase, fp), None);
+                let at = inner.end;
+                inner.end += record.len() as u64;
+                inner.index.insert((phase, fp), (at, len));
+                true
             }
             Err(e) => {
                 // A partial record may now sit at the log's tail; the
@@ -221,6 +257,7 @@ impl DiskStore {
                      continuing in-memory",
                     self.path.display()
                 ));
+                false
             }
         }
     }
@@ -229,20 +266,20 @@ impl DiskStore {
     /// operation.
     #[cfg(test)]
     pub(crate) fn is_degraded(&self) -> bool {
-        self.inner.lock().unwrap().degraded
+        self.lock().degraded
     }
 
     /// The degradation warning, delivered at most once (so callers can
     /// surface it without spamming one line per lost artifact).
     pub(crate) fn take_warning(&self) -> Option<String> {
-        self.inner.lock().unwrap().pending_warning.take()
+        self.lock().pending_warning.take()
     }
 
     /// Flushes the log sink (a no-op after degradation). Appends flush
     /// record-by-record already; this is the explicit drain-time sync
     /// for the daemon's shutdown path.
     pub(crate) fn flush(&self) {
-        let mut inner = self.inner.lock().unwrap();
+        let mut inner = self.lock();
         if !inner.degraded {
             let _ = inner.sink.flush();
         }
@@ -251,32 +288,46 @@ impl DiskStore {
     /// Swaps the append sink — test hook for fault injection.
     #[cfg(test)]
     pub(crate) fn set_sink_for_tests(&self, sink: Box<dyn LogSink>) {
-        self.inner.lock().unwrap().sink = sink;
+        self.lock().sink = sink;
     }
 }
 
-/// Parses one record at the start of `bytes`. Returns the key, the
-/// artifact payload and the total bytes consumed — or `None` if the
-/// record is truncated, CRC-corrupt, or names a phase with no stored
-/// type (no claim could ever take its bytes).
-#[allow(clippy::type_complexity)]
-fn parse_record(bytes: &[u8]) -> Option<((PhaseId, Fingerprint), &[u8], usize)> {
-    let head = RECORD_HEADER_LEN as usize;
-    if bytes.len() < head {
-        return None;
+/// Reads the next record of the open-time scan into `record`, with at
+/// most `remaining` bytes left in the log. Returns its key and payload
+/// length — or `None` if the record is truncated, CRC-corrupt, or names
+/// a phase with no stored type (no claim could ever read it back).
+fn scan_record(
+    reader: &mut impl Read,
+    remaining: u64,
+    record: &mut Vec<u8>,
+) -> io::Result<Option<((PhaseId, Fingerprint), u32)>> {
+    if remaining < RECORD_HEADER_LEN as u64 {
+        return Ok(None);
     }
-    let len = u32::from_le_bytes(bytes[..4].try_into().ok()?) as usize;
-    let crc = u32::from_le_bytes(bytes[4..8].try_into().ok()?);
-    if len < PAYLOAD_KEY_LEN || bytes.len() - head < len {
-        return None;
+    record.resize(RECORD_HEADER_LEN, 0);
+    reader.read_exact(record)?;
+    let len = u32::from_le_bytes(record[..4].try_into().expect("4 bytes"));
+    // Bounded by the file's length before allocating for it.
+    if u64::from(len) > remaining - RECORD_HEADER_LEN as u64 {
+        return Ok(None);
     }
-    let payload = &bytes[head..head + len];
-    if crc32(payload) != crc {
+    record.resize(RECORD_HEADER_LEN + len as usize, 0);
+    reader.read_exact(&mut record[RECORD_HEADER_LEN..])?;
+    Ok(parse_record(record).map(|key| (key, len)))
+}
+
+/// The key of one framed record, if `record` is exactly one whole
+/// record whose CRC holds and whose phase has a stored type.
+fn parse_record(record: &[u8]) -> Option<(PhaseId, Fingerprint)> {
+    let (head, payload) = record.split_at_checked(RECORD_HEADER_LEN)?;
+    let len = u32::from_le_bytes(head[..4].try_into().ok()?) as usize;
+    let crc = u32::from_le_bytes(head[4..8].try_into().ok()?);
+    if len != payload.len() || len < PAYLOAD_KEY_LEN || crc32(payload) != crc {
         return None;
     }
     let phase = PhaseId::from_index(payload[0] as usize).filter(|p| STORED.contains(p))?;
-    let fp = Fingerprint::from_bytes(payload[1..17].try_into().ok()?);
-    Some(((phase, fp), &payload[PAYLOAD_KEY_LEN..], head + len))
+    let fp = Fingerprint::from_bytes(payload[1..PAYLOAD_KEY_LEN].try_into().ok()?);
+    Some((phase, fp))
 }
 
 #[cfg(test)]
@@ -301,18 +352,19 @@ mod tests {
         {
             let (store, warnings) = DiskStore::open(&dir).unwrap();
             assert!(warnings.is_empty());
-            store.append(PhaseId::Cfg, fp(1), b"cfg-bytes");
-            store.append(PhaseId::Value, fp(2), b"value-bytes");
+            assert!(store.append(PhaseId::Cfg, fp(1), b"cfg-bytes"));
+            assert!(store.append(PhaseId::Value, fp(2), b"value-bytes"));
             assert_eq!(store.len(), 2);
         }
         let (store, warnings) = DiskStore::open(&dir).unwrap();
         assert!(warnings.is_empty());
         assert_eq!(store.len(), 2);
-        assert_eq!(store.take(PhaseId::Cfg, fp(1)).unwrap(), b"cfg-bytes");
-        assert_eq!(store.take(PhaseId::Value, fp(2)).unwrap(), b"value-bytes");
-        assert!(store.take(PhaseId::Cfg, fp(2)).is_none());
-        // The first take hands the bytes over; the key stays indexed.
-        assert!(store.take(PhaseId::Cfg, fp(1)).is_none());
+        assert!(store.read(PhaseId::Cfg, fp(2)).is_none());
+        // Reads do not consume: every read returns the record's bytes.
+        for _ in 0..2 {
+            assert_eq!(store.read(PhaseId::Cfg, fp(1)).unwrap(), b"cfg-bytes");
+            assert_eq!(store.read(PhaseId::Value, fp(2)).unwrap(), b"value-bytes");
+        }
         assert_eq!(store.len(), 2);
         fs::remove_dir_all(&dir).unwrap();
     }
@@ -321,13 +373,40 @@ mod tests {
     fn duplicate_appends_are_idempotent() {
         let dir = tmp_dir("dedup");
         let (store, _) = DiskStore::open(&dir).unwrap();
-        store.append(PhaseId::Cfg, fp(1), b"once");
+        assert!(store.append(PhaseId::Cfg, fp(1), b"once"));
         let size_after_first = fs::metadata(store.path()).unwrap().len();
-        store.append(PhaseId::Cfg, fp(1), b"once");
+        assert!(store.append(PhaseId::Cfg, fp(1), b"once"), "an indexed key is durable");
         assert_eq!(fs::metadata(store.path()).unwrap().len(), size_after_first);
-        // An appended record keeps only its key in memory, not its bytes.
         assert_eq!(store.len(), 1);
-        assert!(store.take(PhaseId::Cfg, fp(1)).is_none());
+        // An appended record reads back in the same process.
+        assert_eq!(store.read(PhaseId::Cfg, fp(1)).unwrap(), b"once");
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_log_cut_or_rewritten_after_open_evicts_on_read() {
+        let dir = tmp_dir("cut-after-open");
+        let (store, _) = DiskStore::open(&dir).unwrap();
+        store.append(PhaseId::Cfg, fp(1), b"first");
+        store.append(PhaseId::Value, fp(2), b"second");
+        store.append(PhaseId::Cache, fp(3), b"third");
+        let path = store.path().to_path_buf();
+        let len = fs::metadata(&path).unwrap().len();
+
+        // Rewrite one payload byte of the last record: its CRC fails.
+        let mut bytes = fs::read(&path).unwrap();
+        bytes[len as usize - 1] ^= 0x40;
+        fs::write(&path, &bytes).unwrap();
+        assert!(store.read(PhaseId::Cache, fp(3)).is_none());
+        // Cut the log into the middle record: a short read.
+        OpenOptions::new().write(true).open(&path).unwrap().set_len(len - 40).unwrap();
+        assert!(store.read(PhaseId::Value, fp(2)).is_none());
+        assert_eq!(store.len(), 1, "both failed keys are evicted");
+        assert_eq!(store.read(PhaseId::Cfg, fp(1)).unwrap(), b"first");
+
+        // An evicted key is appended anew and reads back.
+        assert!(store.append(PhaseId::Value, fp(2), b"second"));
+        assert_eq!(store.read(PhaseId::Value, fp(2)).unwrap(), b"second");
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -346,8 +425,8 @@ mod tests {
         let (store, warnings) = DiskStore::open(&dir).unwrap();
         assert_eq!(warnings.len(), 1, "{warnings:?}");
         assert!(warnings[0].contains("truncated"), "{warnings:?}");
-        assert!(store.take(PhaseId::Cfg, fp(1)).is_some(), "valid prefix survives");
-        assert!(store.take(PhaseId::Value, fp(2)).is_none(), "cut record dropped");
+        assert!(store.read(PhaseId::Cfg, fp(1)).is_some(), "valid prefix survives");
+        assert!(store.read(PhaseId::Value, fp(2)).is_none(), "cut record dropped");
         // The log was repaired: reopening is clean and appendable again.
         drop(store);
         let (store, warnings) = DiskStore::open(&dir).unwrap();
@@ -372,8 +451,8 @@ mod tests {
         fs::write(&path, &bytes).unwrap();
         let (store, warnings) = DiskStore::open(&dir).unwrap();
         assert_eq!(warnings.len(), 1, "{warnings:?}");
-        assert!(store.take(PhaseId::Cfg, fp(1)).is_some());
-        assert!(store.take(PhaseId::Value, fp(2)).is_none());
+        assert!(store.read(PhaseId::Cfg, fp(1)).is_some());
+        assert!(store.read(PhaseId::Value, fp(2)).is_none());
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -383,18 +462,18 @@ mod tests {
         let path = {
             let (store, _) = DiskStore::open(&dir).unwrap();
             store.append(PhaseId::Cfg, fp(1), b"kept");
-            // CRC-valid, but no claim could ever take a loop-bound record.
+            // CRC-valid, but no claim could ever read a loop-bound record.
             store.append(PhaseId::LoopBound, fp(2), b"unclaimable");
             store.append(PhaseId::Value, fp(3), b"after");
             store.path().to_path_buf()
         };
-        let kept_end = HEADER_LEN + RECORD_HEADER_LEN + (PAYLOAD_KEY_LEN + 4) as u64;
+        let kept_end = HEADER_LEN + (RECORD_HEADER_LEN + PAYLOAD_KEY_LEN + 4) as u64;
         let (store, warnings) = DiskStore::open(&dir).unwrap();
         assert_eq!(warnings.len(), 1, "{warnings:?}");
         assert!(warnings[0].contains(&format!("record at byte {kept_end}")), "{warnings:?}");
         assert_eq!(store.len(), 1, "the log ends before the unstored record");
-        assert_eq!(store.take(PhaseId::Cfg, fp(1)).unwrap(), b"kept");
-        assert!(store.take(PhaseId::Value, fp(3)).is_none());
+        assert_eq!(store.read(PhaseId::Cfg, fp(1)).unwrap(), b"kept");
+        assert!(store.read(PhaseId::Value, fp(3)).is_none());
         assert_eq!(fs::metadata(&path).unwrap().len(), kept_end, "truncated in place");
         drop(store);
         let (_, warnings) = DiskStore::open(&dir).unwrap();
@@ -441,22 +520,23 @@ mod tests {
         assert!(!store.is_degraded());
 
         store.set_sink_for_tests(Box::new(FailingSink));
-        store.append(PhaseId::Value, fp(2), b"lost");
+        assert!(!store.append(PhaseId::Value, fp(2), b"lost"), "a failed write is not durable");
         assert!(store.is_degraded());
         let warning = store.take_warning().expect("first failure queues a warning");
         assert!(warning.contains("persistence disabled"), "{warning}");
         assert!(store.take_warning().is_none(), "the warning is delivered once");
 
-        // The pre-failure key stays indexed, the lost one is simply
-        // absent. Serving the pre-failure artifact is the job of the
-        // `ArtifactStore` slot that holds it decoded (see
-        // `disk_write_failure_degrades_without_failing_jobs`).
+        // The pre-failure record stays indexed and readable, the lost
+        // one is simply absent: the `ArtifactStore` keeps it in its slot
+        // (see `disk_write_failure_degrades_without_failing_jobs`).
         assert_eq!(store.len(), 1);
-        assert!(store.take(PhaseId::Value, fp(2)).is_none());
+        assert_eq!(store.read(PhaseId::Cfg, fp(1)).unwrap(), b"persisted");
+        assert!(store.read(PhaseId::Value, fp(2)).is_none());
+        assert!(store.append(PhaseId::Cfg, fp(1), b"persisted"), "still durable");
 
         // Further appends are skipped silently — no error, no second
         // warning, no growth.
-        store.append(PhaseId::Summary, fp(3), b"also-lost");
+        assert!(!store.append(PhaseId::Summary, fp(3), b"also-lost"));
         assert!(store.take_warning().is_none());
         assert_eq!(store.len(), 1);
         store.flush(); // drain-time flush is a no-op when degraded
@@ -483,7 +563,7 @@ mod tests {
             store.append(PhaseId::Assemble, fp(1), &bytes);
         }
         let (store, _) = DiskStore::open(&dir).unwrap();
-        let loaded = store.take(PhaseId::Assemble, fp(1)).unwrap();
+        let loaded = store.read(PhaseId::Assemble, fp(1)).unwrap();
         let back = decode_value::<stamp_isa::Program>(&loaded).unwrap();
         assert_eq!(back.entry, program.entry);
         assert_eq!(encode_value(&back), bytes);

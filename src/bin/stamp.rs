@@ -579,7 +579,7 @@ fn batch_pass_summary(
     if report.artifacts.enabled {
         line.push_str(&format!(
             "; artifact cache: {} hits / {} misses ({:.0}% reuse)",
-            report.artifacts.hits(),
+            report.artifacts.hits() + report.artifacts.hits_disk(),
             report.artifacts.misses(),
             report.artifacts.hit_rate() * 100.0,
         ));

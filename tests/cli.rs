@@ -471,3 +471,39 @@ fn batch_corpus_smoke_runs_serially() {
     assert!(stdout.contains("\"wcet\":242"), "{stdout}");
     assert!(stdout.contains("\"throughput_jobs_per_s\""), "{stdout}");
 }
+
+/// The `(hits, misses, reuse %)` of a batch stderr summary's
+/// `artifact cache: H hits / M misses (R% reuse)` clause.
+fn cache_clause(stderr: &str) -> (u64, u64, String) {
+    let clause = stderr.split("artifact cache: ").nth(1).expect("summary has a cache clause");
+    let mut words = clause.split_whitespace();
+    let hits = words.next().unwrap().parse().unwrap();
+    let misses = words.nth(2).unwrap().parse().unwrap();
+    let reuse = words.nth(1).unwrap().trim_start_matches('(').trim_end_matches('%').to_string();
+    (hits, misses, reuse)
+}
+
+#[test]
+fn batch_summary_hit_count_matches_its_reuse_percent() {
+    let manifest = write_task(
+        "cli_summary_counts.json",
+        r#"{"targets": [{"benchmark": "fibcall"}, {"benchmark": "crc"}],
+            "variants": [{"name": "default"}, {"name": "no-cache", "hw": "no-cache"}]}"#,
+    );
+    let store = std::env::temp_dir().join(format!("cli_summary_store_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&store);
+    let store = store.to_string_lossy().into_owned();
+    for run in ["cold", "warm"] {
+        let (code, _, stderr) =
+            stamp_coded(&["batch", &manifest, "--no-timing", "--jobs", "1", "--store", &store]);
+        assert_eq!(code, Some(0), "{stderr}");
+        let (hits, misses, reuse) = cache_clause(&stderr);
+        // Disk hits are hits: the count and the percent tell one story.
+        let percent = format!("{:.0}", 100.0 * hits as f64 / (hits + misses) as f64);
+        assert_eq!(percent, reuse, "{run}: {stderr}");
+        if run == "warm" {
+            assert!(hits > 0 && reuse.parse::<u64>().unwrap() >= 50, "{stderr}");
+        }
+    }
+    let _ = std::fs::remove_dir_all(&store);
+}

@@ -229,8 +229,12 @@ fn unix_socket_daemon_reuses_warm_artifacts_across_requests() {
     assert_eq!(warm.get("result").unwrap().to_string(), reference);
 
     let stats = ask(r#"{"id": "stats", "op": "stats"}"#);
-    let hits = stats.get("stats").and_then(|s| s.get("hits")).and_then(Json::as_u64).unwrap();
-    assert!(hits > 0, "the repeated request must reuse warm artifacts: {stats}");
+    // A durable artifact leaves memory once written, so a repeat is
+    // answered from memory or by reading the log back: both are reuse.
+    let count =
+        |key: &str| stats.get("stats").and_then(|s| s.get(key)).and_then(Json::as_u64).unwrap();
+    let reused = count("hits") + count("hits_disk");
+    assert!(reused > 0, "the repeated request must reuse warm artifacts: {stats}");
     assert_eq!(misses(&stats), cold_misses, "the warm request must compute nothing: {stats}");
 
     let term =
