@@ -2,6 +2,82 @@
 
 use crate::graph::{BlockId, Cfg, FuncId};
 
+/// Immediate dominators of a rooted graph over dense node ids `0..n`,
+/// by the Cooper–Harvey–Kennedy iteration over a reverse postorder.
+///
+/// The one dominator routine of the workspace: [`Cfg::dominators`] runs
+/// it per function, and the path analysis runs it over the supergraph.
+#[derive(Clone, Debug)]
+pub struct Idoms {
+    /// Immediate dominator per node (the root maps to itself); `u32::MAX`
+    /// for nodes outside the reverse postorder.
+    idom: Vec<u32>,
+    /// Position of each node in the reverse postorder (`u32::MAX` if
+    /// absent).
+    order: Vec<u32>,
+}
+
+impl Idoms {
+    /// Computes the immediate dominators. `rpo` lists the nodes reached
+    /// from the root in reverse postorder, root first; `preds(v)` yields
+    /// the predecessors of `v` (predecessors outside `rpo` are ignored).
+    pub fn new<I: IntoIterator<Item = usize>>(
+        n: usize,
+        rpo: &[usize],
+        preds: impl Fn(usize) -> I,
+    ) -> Idoms {
+        let mut order = vec![u32::MAX; n];
+        for (i, &v) in rpo.iter().enumerate() {
+            order[v] = i as u32;
+        }
+        let mut doms = Idoms { idom: vec![u32::MAX; n], order };
+        let Some(&root) = rpo.first() else { return doms };
+        doms.idom[root] = root as u32;
+        let mut changed = true;
+        while changed {
+            changed = false;
+            for &v in &rpo[1..] {
+                let mut new_idom = u32::MAX;
+                for p in preds(v) {
+                    if doms.idom[p] == u32::MAX {
+                        continue; // unreached or not yet processed
+                    }
+                    new_idom = if new_idom == u32::MAX {
+                        p as u32
+                    } else {
+                        doms.common(new_idom as usize, p) as u32
+                    };
+                }
+                if new_idom != u32::MAX && doms.idom[v] != new_idom {
+                    doms.idom[v] = new_idom;
+                    changed = true;
+                }
+            }
+        }
+        doms
+    }
+
+    /// The immediate dominator of `v` (the root's is itself); `None`
+    /// for nodes the root does not reach.
+    pub fn idom(&self, v: usize) -> Option<usize> {
+        (self.idom[v] != u32::MAX).then_some(self.idom[v] as usize)
+    }
+
+    /// The nearest common dominator of two reached nodes (the classic
+    /// two-finger walk up the tree).
+    pub fn common(&self, mut a: usize, mut b: usize) -> usize {
+        while a != b {
+            while self.order[a] > self.order[b] {
+                a = self.idom[a] as usize;
+            }
+            while self.order[b] > self.order[a] {
+                b = self.idom[b] as usize;
+            }
+        }
+        a
+    }
+}
+
 /// The dominator tree of one function.
 ///
 /// Built with [`Cfg::dominators`]. Block `a` dominates `b` when every path
@@ -9,11 +85,9 @@ use crate::graph::{BlockId, Cfg, FuncId};
 #[derive(Clone, Debug)]
 pub struct Dominators {
     entry: BlockId,
-    /// Immediate dominator per block (`idom[entry] == entry`); blocks not
-    /// in this function map to `None`.
-    idom: Vec<Option<BlockId>>,
-    /// Reverse post-order used for the computation.
-    rpo: Vec<BlockId>,
+    /// Immediate dominators over all blocks; blocks not in this function
+    /// have none.
+    idoms: Idoms,
     /// Pre- and post-order numbers of each block in the dominator tree
     /// (`u32::MAX` for blocks the tree does not reach): `a` dominates
     /// `b` iff `b`'s interval nests in `a`'s.
@@ -27,53 +101,14 @@ impl Cfg {
         let rpo = self.rpo(f);
         let entry = self.func(f).entry;
         let n = self.blocks().len();
-        let mut order = vec![usize::MAX; n]; // block -> rpo index
-        for (i, &b) in rpo.iter().enumerate() {
-            order[b.index()] = i;
-        }
-        let mut idom: Vec<Option<BlockId>> = vec![None; n];
-        idom[entry.index()] = Some(entry);
-
-        let intersect = |idom: &[Option<BlockId>], mut a: BlockId, mut b: BlockId| -> BlockId {
-            while a != b {
-                while order[a.index()] > order[b.index()] {
-                    a = idom[a.index()].expect("processed");
-                }
-                while order[b.index()] > order[a.index()] {
-                    b = idom[b.index()].expect("processed");
-                }
-            }
-            a
-        };
-
-        let mut changed = true;
-        while changed {
-            changed = false;
-            for &b in rpo.iter().skip(1) {
-                let mut new_idom: Option<BlockId> = None;
-                for (_, e) in self.preds(b) {
-                    let p = e.from;
-                    if order[p.index()] == usize::MAX || idom[p.index()].is_none() {
-                        continue; // unreachable or not yet processed
-                    }
-                    new_idom = Some(match new_idom {
-                        None => p,
-                        Some(cur) => intersect(&idom, cur, p),
-                    });
-                }
-                if let Some(ni) = new_idom {
-                    if idom[b.index()] != Some(ni) {
-                        idom[b.index()] = Some(ni);
-                        changed = true;
-                    }
-                }
-            }
-        }
+        let order: Vec<usize> = rpo.iter().map(|b| b.index()).collect();
+        let idoms =
+            Idoms::new(n, &order, |b| self.preds(BlockId(b as u32)).map(|(_, e)| e.from.index()));
         // Number the tree depth-first so dominance queries are O(1).
         let mut children: Vec<Vec<BlockId>> = vec![Vec::new(); n];
         for &b in rpo.iter().skip(1) {
-            if let Some(p) = idom[b.index()] {
-                children[p.index()].push(b);
+            if let Some(p) = idoms.idom(b.index()) {
+                children[p].push(b);
             }
         }
         let (mut pre, mut post) = (vec![u32::MAX; n], vec![u32::MAX; n]);
@@ -92,23 +127,18 @@ impl Cfg {
                 stack.pop();
             }
         }
-        Dominators { entry, idom, rpo, pre, post }
+        Dominators { entry, idoms, pre, post }
     }
 }
 
 impl Dominators {
-    /// The function entry block.
-    pub fn entry(&self) -> BlockId {
-        self.entry
-    }
-
     /// The immediate dominator of `b` (`None` for the entry or blocks of
     /// other functions).
     pub fn idom(&self, b: BlockId) -> Option<BlockId> {
         if b == self.entry {
             None
         } else {
-            self.idom[b.index()]
+            self.idoms.idom(b.index()).map(|d| BlockId(d as u32))
         }
     }
 
@@ -118,11 +148,6 @@ impl Dominators {
             || (self.pre[b.index()] != u32::MAX
                 && self.pre[a.index()] <= self.pre[b.index()]
                 && self.post[b.index()] <= self.post[a.index()])
-    }
-
-    /// The reverse post-order the tree was computed over.
-    pub fn rpo(&self) -> &[BlockId] {
-        &self.rpo
     }
 }
 

@@ -274,21 +274,6 @@ impl Cfg {
         &self.unresolved
     }
 
-    /// Direct callees of a function (via its call sites).
-    pub fn callees(&self, f: FuncId) -> Vec<FuncId> {
-        let mut out = Vec::new();
-        for cs in &self.call_sites {
-            if self.block(cs.block).func == f {
-                for &t in cs.callee.targets() {
-                    if !out.contains(&t) {
-                        out.push(t);
-                    }
-                }
-            }
-        }
-        out
-    }
-
     /// Reverse post-order of one function's blocks (ignoring `CallFall`
     /// distinction; all intra-procedural edges are followed).
     pub fn rpo(&self, f: FuncId) -> Vec<BlockId> {

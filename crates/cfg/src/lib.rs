@@ -13,9 +13,10 @@
 //! feeding resolved targets back via [`CfgBuilder::indirect_targets`].
 //!
 //! On top of the raw graph the crate provides dominator trees
-//! ([`Dominators`]), natural-loop detection ([`LoopForest`]) and an
-//! annotated DOT export ([`dot::render`]) standing in for the aiSee
-//! visualizations mentioned in the paper.
+//! ([`Dominators`]; [`Idoms`] over any dense-id graph), strongly
+//! connected components ([`sccs`]), natural-loop detection
+//! ([`LoopForest`]) and an annotated DOT export ([`dot::render`])
+//! standing in for the aiSee visualizations mentioned in the paper.
 //!
 //! # Example
 //!
@@ -41,10 +42,12 @@ mod dom;
 pub mod dot;
 mod graph;
 mod loops;
+mod scc;
 
 pub use build::{CfgBuilder, CfgError};
-pub use dom::Dominators;
+pub use dom::{Dominators, Idoms};
 pub use graph::{
     BasicBlock, BlockId, CallSite, Callee, Cfg, Edge, EdgeId, EdgeKind, FuncId, Function,
 };
 pub use loops::{Loop, LoopForest, LoopId};
+pub use scc::sccs;

@@ -103,21 +103,19 @@ impl WcetReport {
         phases: Vec<PhaseStats>,
         summaries: (u64, u64),
     ) -> WcetReport {
-        // Per-block worst-case cycle attribution.
+        // Per-block worst-case cycle attribution: entering a node along
+        // an edge costs the edge's objective coefficient (the node's
+        // time plus any taken-transfer penalty), and the task start
+        // enters the entry node once.
         let mut profile: BTreeMap<BlockId, (u64, u64)> = BTreeMap::new();
         for (&node, &count) in &result.node_counts {
-            let t = pa.time(node).unwrap_or(0);
-            let e = profile.entry(icfg.node(node).block).or_insert((0, 0));
-            e.0 += count;
-            e.1 += count * t;
+            profile.entry(icfg.node(node).block).or_insert((0, 0)).0 += count;
         }
+        let entry = icfg.entry();
+        profile.entry(icfg.node(entry).block).or_insert((0, 0)).1 += pa.time(entry).unwrap_or(0);
         for (&eid, &count) in &result.edge_counts {
-            let e = icfg.edge(eid);
-            let pen = pa.edge_penalty(cfg, icfg, &e);
-            if pen > 0 {
-                let slot = profile.entry(icfg.node(e.to).block).or_insert((0, 0));
-                slot.1 += pen * count;
-            }
+            let slot = profile.entry(icfg.node(icfg.edge(eid).to).block).or_insert((0, 0));
+            slot.1 += count * pa.edge_cost(eid);
         }
         let block_profile: Vec<(u32, u64, u64)> = profile
             .iter()

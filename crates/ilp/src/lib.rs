@@ -23,8 +23,8 @@
 //! # fn main() -> Result<(), stamp_ilp::IlpError> {
 //! // maximize 3x + 2y  s.t.  x + y ≤ 4, x ≤ 2, integers ≥ 0
 //! let mut lp = LpProblem::new();
-//! let x = lp.add_var("x", 3);
-//! let y = lp.add_var("y", 2);
+//! let x = lp.add_var(3);
+//! let y = lp.add_var(2);
 //! lp.add_constraint([(x, 1), (y, 1)], CmpOp::Le, 4);
 //! lp.add_constraint([(x, 1)], CmpOp::Le, 2);
 //! let sol = lp.maximize_integer()?;

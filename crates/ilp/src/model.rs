@@ -78,7 +78,6 @@ pub struct IlpSolution {
 /// example.
 #[derive(Clone, Debug, Default)]
 pub struct LpProblem {
-    names: Vec<String>,
     objective: Vec<i64>,
     constraints: Vec<Constraint>,
 }
@@ -90,10 +89,9 @@ impl LpProblem {
     }
 
     /// Adds a variable `x ≥ 0` with the given objective coefficient.
-    pub fn add_var(&mut self, name: impl Into<String>, objective: i64) -> VarId {
-        self.names.push(name.into());
+    pub fn add_var(&mut self, objective: i64) -> VarId {
         self.objective.push(objective);
-        VarId(self.names.len() - 1)
+        VarId(self.objective.len() - 1)
     }
 
     /// Adds the constraint `Σ coeff·var op rhs`.
@@ -108,17 +106,12 @@ impl LpProblem {
 
     /// Number of variables.
     pub fn num_vars(&self) -> usize {
-        self.names.len()
+        self.objective.len()
     }
 
     /// Number of constraints.
     pub fn num_constraints(&self) -> usize {
         self.constraints.len()
-    }
-
-    /// The name of a variable.
-    pub fn name(&self, v: VarId) -> &str {
-        &self.names[v.0]
     }
 
     /// Solves the LP relaxation.
@@ -277,8 +270,8 @@ mod tests {
     fn textbook_lp() {
         // maximize 3x + 5y s.t. x ≤ 4, 2y ≤ 12, 3x + 2y ≤ 18.
         let mut lp = LpProblem::new();
-        let x = lp.add_var("x", 3);
-        let y = lp.add_var("y", 5);
+        let x = lp.add_var(3);
+        let y = lp.add_var(5);
         lp.add_constraint([(x, 1)], CmpOp::Le, 4);
         lp.add_constraint([(y, 2)], CmpOp::Le, 12);
         lp.add_constraint([(x, 3), (y, 2)], CmpOp::Le, 18);
@@ -292,8 +285,8 @@ mod tests {
     fn equality_and_ge_constraints() {
         // maximize x + y s.t. x + y = 5, x ≥ 2 → objective 5.
         let mut lp = LpProblem::new();
-        let x = lp.add_var("x", 1);
-        let y = lp.add_var("y", 1);
+        let x = lp.add_var(1);
+        let y = lp.add_var(1);
         lp.add_constraint([(x, 1), (y, 1)], CmpOp::Eq, 5);
         lp.add_constraint([(x, 1)], CmpOp::Ge, 2);
         let sol = lp.maximize().unwrap();
@@ -303,7 +296,7 @@ mod tests {
     #[test]
     fn infeasible_detected() {
         let mut lp = LpProblem::new();
-        let x = lp.add_var("x", 1);
+        let x = lp.add_var(1);
         lp.add_constraint([(x, 1)], CmpOp::Ge, 5);
         lp.add_constraint([(x, 1)], CmpOp::Le, 3);
         assert_eq!(lp.maximize().unwrap_err(), IlpError::Infeasible);
@@ -313,7 +306,7 @@ mod tests {
     #[test]
     fn unbounded_detected() {
         let mut lp = LpProblem::new();
-        let x = lp.add_var("x", 1);
+        let x = lp.add_var(1);
         lp.add_constraint([(x, -1)], CmpOp::Le, 0); // x ≥ 0, no upper bound
         assert_eq!(lp.maximize().unwrap_err(), IlpError::Unbounded);
     }
@@ -322,8 +315,8 @@ mod tests {
     fn branch_and_bound_beats_fractional_relaxation() {
         // maximize x + y s.t. 2x + 2y ≤ 5 → LP gives 2.5, ILP gives 2.
         let mut lp = LpProblem::new();
-        let x = lp.add_var("x", 1);
-        let y = lp.add_var("y", 1);
+        let x = lp.add_var(1);
+        let y = lp.add_var(1);
         lp.add_constraint([(x, 2), (y, 2)], CmpOp::Le, 5);
         let relax = lp.maximize().unwrap();
         assert_eq!(relax.objective, Rat::new(5, 2));
@@ -336,9 +329,9 @@ mod tests {
         // maximize 10a + 6b + 4c s.t. a+b+c ≤ 100, 10a+4b+5c ≤ 600,
         // 2a+2b+6c ≤ 300 (classic): optimal LP 733⅓; ILP 732.
         let mut lp = LpProblem::new();
-        let a = lp.add_var("a", 10);
-        let b = lp.add_var("b", 6);
-        let c = lp.add_var("c", 4);
+        let a = lp.add_var(10);
+        let b = lp.add_var(6);
+        let c = lp.add_var(4);
         lp.add_constraint([(a, 1), (b, 1), (c, 1)], CmpOp::Le, 100);
         lp.add_constraint([(a, 10), (b, 4), (c, 5)], CmpOp::Le, 600);
         lp.add_constraint([(a, 2), (b, 2), (c, 6)], CmpOp::Le, 300);
@@ -352,8 +345,8 @@ mod tests {
     fn degenerate_equalities() {
         // x = 0 forced; maximize x + y with y ≤ 3.
         let mut lp = LpProblem::new();
-        let x = lp.add_var("x", 1);
-        let y = lp.add_var("y", 1);
+        let x = lp.add_var(1);
+        let y = lp.add_var(1);
         lp.add_constraint([(x, 1)], CmpOp::Eq, 0);
         lp.add_constraint([(y, 1)], CmpOp::Le, 3);
         let sol = lp.maximize_integer().unwrap();
@@ -365,8 +358,8 @@ mod tests {
     fn negative_rhs_normalized() {
         // x − y ≤ −2 with x,y ≥ 0 and x + y ≤ 10: maximize x → x = 4, y = 6.
         let mut lp = LpProblem::new();
-        let x = lp.add_var("x", 1);
-        let y = lp.add_var("y", 0);
+        let x = lp.add_var(1);
+        let y = lp.add_var(0);
         lp.add_constraint([(x, 1), (y, -1)], CmpOp::Le, -2);
         lp.add_constraint([(x, 1), (y, 1)], CmpOp::Le, 10);
         let sol = lp.maximize().unwrap();
@@ -385,8 +378,7 @@ mod tests {
         ];
         for (obj, cons) in cases {
             let mut lp = LpProblem::new();
-            let vars: Vec<VarId> =
-                obj.iter().enumerate().map(|(i, &c)| lp.add_var(format!("x{i}"), c)).collect();
+            let vars: Vec<VarId> = obj.iter().map(|&c| lp.add_var(c)).collect();
             for (coeffs, rhs) in &cons {
                 let terms: Vec<(VarId, i64)> =
                     vars.iter().zip(coeffs.iter()).map(|(&v, &c)| (v, c)).collect();

@@ -58,12 +58,7 @@ proptest! {
     #[test]
     fn ilp_matches_brute_force(ilp in small_ilp()) {
         let mut lp = LpProblem::new();
-        let vars: Vec<VarId> = ilp
-            .objective
-            .iter()
-            .enumerate()
-            .map(|(i, &c)| lp.add_var(format!("x{i}"), c))
-            .collect();
+        let vars: Vec<VarId> = ilp.objective.iter().map(|&c| lp.add_var(c)).collect();
         for (coeffs, rhs) in &ilp.le_constraints {
             let terms: Vec<(VarId, i64)> =
                 vars.iter().zip(coeffs).map(|(&v, &c)| (v, c)).collect();
@@ -99,12 +94,7 @@ proptest! {
     #[test]
     fn lp_relaxation_dominates_ilp(ilp in small_ilp()) {
         let mut lp = LpProblem::new();
-        let vars: Vec<VarId> = ilp
-            .objective
-            .iter()
-            .enumerate()
-            .map(|(i, &c)| lp.add_var(format!("x{i}"), c))
-            .collect();
+        let vars: Vec<VarId> = ilp.objective.iter().map(|&c| lp.add_var(c)).collect();
         for (coeffs, rhs) in &ilp.le_constraints {
             let terms: Vec<(VarId, i64)> =
                 vars.iter().zip(coeffs).map(|(&v, &c)| (v, c)).collect();

@@ -25,6 +25,10 @@
 //! either, the loop is reported unbounded and WCET analysis refuses to
 //! produce a bound.
 //!
+//! From the bounds and the value analysis's reachability facts the
+//! analysis decides one [`FlowRule`] per loop instance: the flow
+//! constraint the path analysis's ILP and the path sampler both obey.
+//!
 //! # Example
 //!
 //! ```
@@ -69,11 +73,34 @@ pub struct LoopBoundOptions {
 /// reported unbounded.
 const MAX_ITERATIONS: u64 = 1 << 20;
 
+/// How one loop instance constrains the edge counts of a path: the
+/// instance's row of the IPET problem.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum FlowRule {
+    /// The instance has no back edge: nothing to constrain.
+    Acyclic,
+    /// `Σ backs ≤ (bound − 1) · Σ entries`, where the task start counts
+    /// as one more entry when the task starts in the loop
+    /// ([`Icfg::entered_at_start`]).
+    Bounded(u64),
+    /// No bound, but the instance is provably never entered: every entry
+    /// edge is infeasible or leaves an unreachable node, and the task
+    /// does not start in it. Its entry and back edges carry no flow. This
+    /// is a reachability fact, so it holds even when the path analysis
+    /// ignores infeasible edges.
+    NeverEntered,
+    /// No bound, and the instance may be entered: no finite WCET exists
+    /// without an annotation.
+    Unbounded,
+}
+
 /// Loop bounds per loop instance. Build with [`LoopBoundAnalysis::run`].
 #[derive(Clone, Debug)]
 pub struct LoopBoundAnalysis {
     bounds: BTreeMap<LoopKey, u64>,
     unbounded: Vec<LoopKey>,
+    /// One rule per [`Icfg::loop_instances`] entry, in table order.
+    rules: Vec<FlowRule>,
 }
 
 impl LoopBoundAnalysis {
@@ -112,7 +139,29 @@ impl LoopBoundAnalysis {
                 }
             }
         }
-        LoopBoundAnalysis { bounds, unbounded }
+        let rules = icfg
+            .loop_instances()
+            .iter()
+            .map(|inst| {
+                if inst.backs.is_empty() {
+                    return FlowRule::Acyclic;
+                }
+                if let Some(&bound) = bounds.get(&inst.key()) {
+                    return FlowRule::Bounded(bound);
+                }
+                let never_entered = !icfg.entered_at_start(inst)
+                    && inst.entries.iter().all(|e| {
+                        va.infeasible_edges().contains(e)
+                            || va.entry_state(icfg.edge(*e).from).is_none()
+                    });
+                if never_entered {
+                    FlowRule::NeverEntered
+                } else {
+                    FlowRule::Unbounded
+                }
+            })
+            .collect();
+        LoopBoundAnalysis { bounds, unbounded, rules }
     }
 
     /// Bounds per loop instance (max header executions per loop entry).
@@ -129,6 +178,12 @@ impl LoopBoundAnalysis {
     /// require annotations before WCET analysis can proceed.
     pub fn unbounded(&self) -> &[LoopKey] {
         &self.unbounded
+    }
+
+    /// The flow rule of every loop instance, aligned with
+    /// [`Icfg::loop_instances`].
+    pub fn rules(&self) -> &[FlowRule] {
+        &self.rules
     }
 }
 
@@ -383,6 +438,31 @@ mod tests {
         let icfg = Icfg::build(&cfg, &VivuConfig::default()).expect("expands");
         let va = ValueAnalysis::run(&p, &hw, &cfg, &icfg, &ValueOptions::default());
         LoopBoundAnalysis::run(&p, &cfg, &icfg, &va, opts)
+    }
+
+    #[test]
+    fn flow_rules_follow_bounds_and_reachability() {
+        // `dloop` has no bound but sits behind an infeasible branch;
+        // `cloop` counts down from 10.
+        let src = "\
+            .text
+            main:  li r1, 3
+                   bne r1, r0, live
+            dead:  lw r2, 0(r3)
+            dloop: srli r2, r2, 1
+                   bnez r2, dloop
+                   halt
+            live:  li r4, 10
+            cloop: addi r4, r4, -1
+                   bnez r4, cloop
+                   halt
+        ";
+        let rules = bounds_of(src, &LoopBoundOptions::default()).rules().to_vec();
+        assert_eq!(rules, [FlowRule::NeverEntered, FlowRule::Bounded(10)]);
+        // Reached, the unbounded loop has no finite rule.
+        let reached = src.replace("bne r1, r0, live", "beq r1, r0, live");
+        let rules = bounds_of(&reached, &LoopBoundOptions::default()).rules().to_vec();
+        assert_eq!(rules[0], FlowRule::Unbounded);
     }
 
     #[test]

@@ -5,18 +5,29 @@
 //! programming".
 //!
 //! One ILP variable counts the traversals of each supergraph edge. Flow
-//! conservation ties edge counts to block counts, the loop-bound analysis
-//! contributes `Σ back-edges ≤ (bound−1) · Σ entries` per loop instance,
-//! and the value analysis contributes `x_e = 0` for infeasible edges
-//! ("their execution time does not contribute to the overall WCET … and
-//! need not be determined in the first place"). The objective maximizes
+//! conservation ties edge counts to block counts, each loop instance
+//! contributes its [`FlowRule`] (`Σ back-edges ≤ (bound−1) · Σ entries`,
+//! or zero flow for an instance never entered), and the value analysis
+//! contributes `x_e = 0` for infeasible edges ("their execution time does
+//! not contribute to the overall WCET … and need not be determined in the
+//! first place"). The objective maximizes
 //!
 //! ```text
-//! Σ_nodes time(node)·count(node) + Σ_edges penalty(edge)·x_edge
+//! time(entry) + Σ_edges (time(target) + penalty(edge))·x_edge
 //! ```
 //!
+//! whose per-edge coefficients are [`PipelineAnalysis::edge_cost`], and
 //! which the exact solver in `stamp-ilp` turns into the WCET bound and a
 //! witness assignment of worst-case execution counts.
+//!
+//! The problem is data built once per run: the edge objective owned by
+//! the pipeline analysis, the loop rules decided by the loop-bound
+//! analysis ([`LoopBoundAnalysis::rules`]) and the infeasibility pins.
+//! The default solve cuts it into segments and solves each one (see
+//! [`SummaryMemo`]); the whole-supergraph `LpProblem` is built only for
+//! the monolithic solve, which is the test oracle and the fallback. The
+//! path sampler `stamp-sample` walks inside the same problem, reading
+//! the same edge objective and loop rules.
 //!
 //! # Example
 //!
@@ -27,10 +38,10 @@ use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
 
-use stamp_ai::{IEdgeId, Icfg, LoopInstance, NodeId};
+use stamp_ai::{IEdgeId, Icfg, NodeId};
 use stamp_cfg::Cfg;
 use stamp_ilp::{CmpOp, IlpError, LpProblem, VarId};
-use stamp_loopbound::LoopBoundAnalysis;
+use stamp_loopbound::{FlowRule, LoopBoundAnalysis};
 use stamp_pipeline::PipelineAnalysis;
 use stamp_value::ValueAnalysis;
 
@@ -107,8 +118,8 @@ pub struct WcetResult {
     pub edge_counts: HashMap<IEdgeId, u64>,
     /// Worst-case execution count per supergraph node.
     pub node_counts: HashMap<NodeId, u64>,
-    /// Size of the ILP (variables, constraints) — reported as analysis
-    /// statistics.
+    /// Size of the whole-supergraph ILP (variables, constraints) —
+    /// reported as analysis statistics, whichever way it was solved.
     pub ilp_size: (usize, usize),
 }
 
@@ -139,47 +150,116 @@ impl WcetResult {
     }
 }
 
-/// How one loop instance constrains its edge counts.
-enum InstanceRule {
-    /// `Σ backs − (bound−1) · Σ entries ≤ 0`.
-    Bound(u64),
-    /// The instance is provably never entered: every edge pinned to 0.
-    PinUnreachable,
-}
-
-/// One loop instance together with its constraint rule, recorded so
-/// the summarized solve can re-emit the same constraints per segment.
-struct Instance<'a> {
-    instance: &'a LoopInstance,
-    rule: InstanceRule,
-    /// The virtual source is one more entry ([`Icfg::entered_at_start`]).
-    at_start: bool,
-}
-
-impl Instance<'_> {
-    /// Entry edges, then back edges.
-    fn edges(&self) -> impl Iterator<Item = IEdgeId> + '_ {
-        self.instance.entries.iter().chain(&self.instance.backs).copied()
-    }
-}
-
-/// The fully constructed IPET ILP plus the structure the summarized
-/// solve needs: per-edge objective coefficients, loop instances, and
-/// infeasibility pins. The monolithic problem is always built — its
-/// construction is linear and it pins down `ilp_size` identically in
-/// both modes — but in summarized mode only the segments are solved.
-struct Formula<'a> {
-    lp: LpProblem,
-    /// ILP variable per supergraph edge, dense by edge index.
-    evar: Vec<VarId>,
-    /// Objective coefficient per supergraph edge, dense by edge index.
-    coeff: Vec<i64>,
-    /// Objective coefficient of the virtual source (entry node time).
-    entry_time: i64,
-    instances: Vec<Instance<'a>>,
+/// The IPET problem of one run, as data: the supergraph, the objective
+/// per edge, one flow rule per loop instance and the infeasibility pins.
+/// Both solves read it; only the monolithic one turns it into an
+/// [`LpProblem`].
+struct Ipet<'a> {
+    icfg: &'a Icfg,
+    pa: &'a PipelineAnalysis,
+    /// Aligned with [`Icfg::loop_instances`]; no rule is
+    /// [`FlowRule::Unbounded`].
+    rules: &'a [FlowRule],
     /// Infeasible edges pinned to zero (empty when ablated).
-    pins: Vec<IEdgeId>,
-    size: (usize, usize),
+    pins: &'a [IEdgeId],
+}
+
+impl Ipet<'_> {
+    /// Objective coefficient of the virtual source: the entry node's time.
+    fn entry_time(&self) -> i64 {
+        self.pa.time(self.icfg.entry()).unwrap_or(0) as i64
+    }
+
+    /// Objective coefficient of an edge.
+    fn cost(&self, e: IEdgeId) -> i64 {
+        self.pa.edge_cost(e) as i64
+    }
+
+    /// `(variables, constraints)` of the monolithic ILP, counted without
+    /// building it: one variable per edge, the source and one sink per
+    /// exit; the source row, one conservation row per node, the sink row,
+    /// the loop rows and the pins.
+    fn size(&self) -> (usize, usize) {
+        let icfg = self.icfg;
+        let exits = icfg.exits().len();
+        let loop_rows: usize = icfg
+            .loop_instances()
+            .iter()
+            .zip(self.rules)
+            .map(|(inst, rule)| match rule {
+                FlowRule::Bounded(_) => 1,
+                FlowRule::NeverEntered => inst.entries.len() + inst.backs.len(),
+                FlowRule::Acyclic | FlowRule::Unbounded => 0,
+            })
+            .sum();
+        (
+            icfg.edges().len() + 1 + exits,
+            1 + icfg.nodes().len() + usize::from(exits > 0) + loop_rows + self.pins.len(),
+        )
+    }
+
+    /// Builds the monolithic ILP and the variable of each edge (dense by
+    /// edge index).
+    fn monolithic(&self) -> (LpProblem, Vec<VarId>) {
+        let icfg = self.icfg;
+        let mut lp = LpProblem::new();
+        // One variable per supergraph edge, plus a virtual source and one
+        // sink per exit node.
+        let evar: Vec<VarId> = icfg.edges().iter().map(|e| lp.add_var(self.cost(e.id))).collect();
+        let source = lp.add_var(self.entry_time());
+        let mut sink_of: Vec<Option<VarId>> = vec![None; icfg.nodes().len()];
+        for &x in icfg.exits() {
+            sink_of[x.index()] = Some(lp.add_var(0));
+        }
+
+        // Source fires exactly once.
+        lp.add_constraint([(source, 1)], CmpOp::Eq, 1);
+        // Flow conservation at every node.
+        for nd in icfg.nodes() {
+            let mut terms: Vec<(VarId, i64)> =
+                icfg.preds(nd.id).map(|e| (evar[e.id.index()], 1)).collect();
+            if nd.id == icfg.entry() {
+                terms.push((source, 1));
+            }
+            terms.extend(icfg.succs(nd.id).map(|e| (evar[e.id.index()], -1)));
+            if let Some(sink) = sink_of[nd.id.index()] {
+                terms.push((sink, -1));
+            }
+            lp.add_constraint(terms, CmpOp::Eq, 0);
+        }
+        // At most one task exit in total (the task stops at the first halt).
+        if !icfg.exits().is_empty() {
+            let sinks = icfg.exits().iter().filter_map(|x| sink_of[x.index()]);
+            lp.add_constraint(sinks.map(|v| (v, 1)).collect::<Vec<_>>(), CmpOp::Eq, 1);
+        }
+        // Loop rules per loop instance.
+        for (inst, rule) in icfg.loop_instances().iter().zip(self.rules) {
+            match *rule {
+                FlowRule::Bounded(bound) => {
+                    // Σ backs − (bound−1) · Σ entries ≤ 0.
+                    let k = bound.saturating_sub(1).min(i64::MAX as u64) as i64;
+                    let mut terms: Vec<(VarId, i64)> =
+                        inst.backs.iter().map(|b| (evar[b.index()], 1)).collect();
+                    terms.extend(inst.entries.iter().map(|en| (evar[en.index()], -k)));
+                    if icfg.entered_at_start(inst) {
+                        terms.push((source, -k));
+                    }
+                    lp.add_constraint(terms, CmpOp::Le, 0);
+                }
+                FlowRule::NeverEntered => {
+                    for e in inst.entries.iter().chain(&inst.backs) {
+                        lp.add_constraint([(evar[e.index()], 1)], CmpOp::Le, 0);
+                    }
+                }
+                FlowRule::Acyclic | FlowRule::Unbounded => {}
+            }
+        }
+        // Infeasible edges.
+        for e in self.pins {
+            lp.add_constraint([(evar[e.index()], 1)], CmpOp::Le, 0);
+        }
+        (lp, evar)
+    }
 }
 
 /// Runs the IPET path analysis.
@@ -220,16 +300,22 @@ pub fn analyze_with_memo(
     if let Some(&addr) = cfg.unresolved_indirects().first() {
         return Err(PathError::UnresolvedIndirect { addr });
     }
+    let rules = lb.rules();
+    if let Some(i) = rules.iter().position(|r| *r == FlowRule::Unbounded) {
+        let header = icfg.loop_instances()[i].header;
+        return Err(PathError::MissingLoopBound { header_addr: cfg.block(header).start });
+    }
+    let pins = if options.use_infeasible { va.infeasible_edges() } else { &[] };
+    let ipet = Ipet { icfg, pa, rules, pins };
 
-    let formula = prepare(cfg, icfg, va, lb, pa, options)?;
-    let summarized =
-        if options.summaries { summary::solve_summarized(icfg, &formula, memo)? } else { None };
-    let (objective, edge_values) = match summarized {
-        Some(composed) => composed,
+    let summarized = if options.summaries { summary::solve_summarized(&ipet, memo)? } else { None };
+    let (objective, edge_values, ilp_size) = match summarized {
+        Some((objective, values)) => (objective, values, ipet.size()),
         None => {
-            let sol = formula.lp.maximize_integer()?;
-            let values = formula.evar.iter().map(|v| sol.values[v.0]).collect();
-            (sol.objective, values)
+            let (lp, evar) = ipet.monolithic();
+            let sol = lp.maximize_integer()?;
+            let values = evar.iter().map(|v| sol.values[v.0]).collect();
+            (sol.objective, values, (lp.num_vars(), lp.num_constraints()))
         }
     };
 
@@ -261,136 +347,7 @@ pub fn analyze_with_memo(
         wcet: objective.max(0) as u64 + pa.ps_extra_cycles(),
         edge_counts,
         node_counts,
-        ilp_size: formula.size,
-    })
-}
-
-/// Builds the IPET ILP and the summarization structure.
-fn prepare<'a>(
-    cfg: &Cfg,
-    icfg: &'a Icfg,
-    va: &ValueAnalysis,
-    lb: &LoopBoundAnalysis,
-    pa: &PipelineAnalysis,
-    options: &PathOptions,
-) -> Result<Formula<'a>, PathError> {
-    let mut lp = LpProblem::new();
-
-    // One variable per supergraph edge, plus a virtual source and one
-    // sink per exit node.
-    let mut evar: Vec<VarId> = Vec::with_capacity(icfg.edges().len());
-    let mut coeffs: Vec<i64> = Vec::with_capacity(icfg.edges().len());
-    for e in icfg.edges() {
-        // Objective: entering a node costs the node's time; traversing a
-        // taken transfer costs the penalty.
-        let t = pa.time(e.to).unwrap_or(0);
-        let coeff = (t + pa.edge_penalty(cfg, icfg, e)) as i64;
-        let v = lp.add_var(format!("e{}", e.id.index()), coeff);
-        debug_assert_eq!(evar.len(), e.id.index());
-        evar.push(v);
-        coeffs.push(coeff);
-    }
-    let entry_time = pa.time(icfg.entry()).unwrap_or(0);
-    let source = lp.add_var("source", entry_time as i64);
-    let mut sinks: HashMap<NodeId, VarId> = HashMap::new();
-    for &x in icfg.exits() {
-        sinks.insert(x, lp.add_var(format!("sink{}", x.index()), 0));
-    }
-
-    // Source fires exactly once.
-    lp.add_constraint([(source, 1)], CmpOp::Eq, 1);
-
-    // Flow conservation at every node.
-    for nd in icfg.nodes() {
-        let mut terms: Vec<(VarId, i64)> = Vec::new();
-        for e in icfg.preds(nd.id) {
-            terms.push((evar[e.id.index()], 1));
-        }
-        if nd.id == icfg.entry() {
-            terms.push((source, 1));
-        }
-        for e in icfg.succs(nd.id) {
-            terms.push((evar[e.id.index()], -1));
-        }
-        if let Some(&sink) = sinks.get(&nd.id) {
-            terms.push((sink, -1));
-        }
-        lp.add_constraint(terms, CmpOp::Eq, 0);
-    }
-
-    // At most one task exit in total (the task stops at the first halt).
-    let sink_terms: Vec<(VarId, i64)> = sinks.values().map(|&v| (v, 1)).collect();
-    if !sink_terms.is_empty() {
-        lp.add_constraint(sink_terms, CmpOp::Eq, 1);
-    }
-
-    // Loop bounds per loop instance.
-    let infeasible_set: std::collections::HashSet<IEdgeId> =
-        va.infeasible_edges().iter().copied().collect();
-    let mut recorded: Vec<Instance> = Vec::new();
-    for inst in icfg.loop_instances() {
-        if inst.backs.is_empty() {
-            continue;
-        }
-        let at_start = icfg.entered_at_start(inst);
-        let rule = match lb.bound(inst.header, &inst.outer) {
-            Some(bound) => {
-                // Σ backs − (bound−1) · Σ entries ≤ 0.
-                let mut terms: Vec<(VarId, i64)> = Vec::new();
-                for b in &inst.backs {
-                    terms.push((evar[b.index()], 1));
-                }
-                let k = (bound.saturating_sub(1)).min(i64::MAX as u64) as i64;
-                for en in &inst.entries {
-                    terms.push((evar[en.index()], -k));
-                }
-                if at_start {
-                    terms.push((source, -k));
-                }
-                lp.add_constraint(terms, CmpOp::Le, 0);
-                InstanceRule::Bound(bound)
-            }
-            None => {
-                // A bound is unnecessary when the instance is provably
-                // never entered: pin its flow to zero instead. (This is
-                // a genuine reachability fact, so it applies even when
-                // infeasible-path *path constraints* are ablated.)
-                let unreachable = !at_start
-                    && inst.entries.iter().all(|e| {
-                        infeasible_set.contains(e) || va.entry_state(icfg.edge(*e).from).is_none()
-                    });
-                if !unreachable {
-                    return Err(PathError::MissingLoopBound {
-                        header_addr: cfg.block(inst.header).start,
-                    });
-                }
-                for e in inst.entries.iter().chain(inst.backs.iter()) {
-                    lp.add_constraint([(evar[e.index()], 1)], CmpOp::Le, 0);
-                }
-                InstanceRule::PinUnreachable
-            }
-        };
-        recorded.push(Instance { instance: inst, rule, at_start });
-    }
-
-    // Infeasible edges.
-    let mut pins: Vec<IEdgeId> = Vec::new();
-    if options.use_infeasible {
-        for &e in va.infeasible_edges() {
-            lp.add_constraint([(evar[e.index()], 1)], CmpOp::Le, 0);
-            pins.push(e);
-        }
-    }
-
-    let size = (lp.num_vars(), lp.num_constraints());
-    Ok(Formula {
-        lp,
-        evar,
-        coeff: coeffs,
-        entry_time: entry_time as i64,
-        instances: recorded,
-        pins,
-        size,
+        ilp_size,
     })
 }
 

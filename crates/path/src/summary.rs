@@ -40,6 +40,20 @@
 //! procedure called from ten sites yields ten isomorphic segments and
 //! one solve.
 //!
+//! The cut search runs the workspace's one dominator routine
+//! ([`stamp_cfg::Idoms`]) and its one SCC routine ([`stamp_cfg::sccs`])
+//! over the supergraph.
+//!
+//! # Rows
+//!
+//! A segment's rows are read from the run's IPET data (`crate::Ipet`):
+//! conservation from the supergraph, objective coefficients from the
+//! pipeline analysis, loop rules from the loop-bound analysis, and the
+//! infeasibility pins. One pass sorts the loop rules and pins by their
+//! owning segment, and all segments share one scratch numbering, so no
+//! segment scans every rule and pin or allocates a supergraph-sized
+//! buffer.
+//!
 //! # Safety net
 //!
 //! Decomposition is *validated, not trusted*: after assigning every node
@@ -54,10 +68,12 @@ use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
-use stamp_ai::{Frame, IEdge, IEdgeId, Icfg, NodeId};
-use stamp_ilp::{CmpOp, LpProblem};
+use stamp_ai::{Frame, IEdgeId, Icfg, NodeId};
+use stamp_cfg::Idoms;
+use stamp_ilp::{CmpOp, LpProblem, VarId};
+use stamp_loopbound::FlowRule;
 
-use crate::{Formula, InstanceRule, PathError};
+use crate::{Ipet, PathError};
 
 /// The solved optimum of one canonical segment ILP.
 ///
@@ -132,22 +148,36 @@ impl SummaryMemo for LocalMemo {
     }
 }
 
-/// One canonical constraint: `(op, rhs, terms)` with terms as
-/// `(variable, coefficient)` pairs sorted by variable.
-type SegConstraint = (CmpOp, i64, Vec<(u32, i64)>);
-
 /// One segment's ILP in canonical form: variable 0 is the segment
 /// source, variables `1..=edges.len()` are the owned edges in traversal
-/// order, and any remaining variables are sinks. `constraints` hold
-/// canonical variable indices with terms sorted by variable.
+/// order, and any remaining variables are sinks. Row `r` is
+/// `(op, rhs, end)`: its terms are `terms[rows[r-1].end..end]`, holding
+/// canonical variable indices sorted by variable.
 struct SegLp {
     obj: Vec<i64>,
-    constraints: Vec<SegConstraint>,
+    rows: Vec<(CmpOp, i64, usize)>,
+    terms: Vec<(u32, i64)>,
     /// Global edge behind each canonical edge variable.
     edges: Vec<IEdgeId>,
 }
 
 impl SegLp {
+    /// Each row as `(op, rhs, terms)`.
+    fn rows(&self) -> impl Iterator<Item = (CmpOp, i64, &[(u32, i64)])> + '_ {
+        let starts = std::iter::once(0).chain(self.rows.iter().map(|r| r.2));
+        self.rows
+            .iter()
+            .zip(starts)
+            .map(|(&(op, rhs, end), start)| (op, rhs, &self.terms[start..end]))
+    }
+
+    /// Closes the row whose terms were pushed since the previous one.
+    fn row(&mut self, op: CmpOp, rhs: i64) {
+        let start = self.rows.last().map_or(0, |r| r.2);
+        self.terms[start..].sort_by_key(|&(v, _)| v);
+        self.rows.push((op, rhs, self.terms.len()));
+    }
+
     /// Serializes the segment ILP into its canonical byte form — the
     /// memo key. Isomorphic segments (same shape, same objective
     /// coefficients, same bounds) produce identical bytes regardless of
@@ -160,14 +190,14 @@ impl SegLp {
         for &c in &self.obj {
             e.u64(c as u64);
         }
-        e.u32(self.constraints.len() as u32);
-        for (op, rhs, terms) in &self.constraints {
+        e.u32(self.rows.len() as u32);
+        for (op, rhs, terms) in self.rows() {
             e.u8(match op {
                 CmpOp::Eq => 0,
                 CmpOp::Le => 1,
                 CmpOp::Ge => 2,
             });
-            e.u64(*rhs as u64);
+            e.u64(rhs as u64);
             e.u32(terms.len() as u32);
             for &(v, c) in terms {
                 e.u32(v);
@@ -180,69 +210,19 @@ impl SegLp {
     /// Builds and solves the concrete ILP for this segment.
     fn solve(&self) -> Result<SegmentSummary, PathError> {
         let mut lp = LpProblem::new();
-        for (i, &c) in self.obj.iter().enumerate() {
-            lp.add_var(format!("v{i}"), c);
+        for &c in &self.obj {
+            lp.add_var(c);
         }
-        for (op, rhs, terms) in &self.constraints {
-            lp.add_constraint(
-                terms.iter().map(|&(v, c)| (stamp_ilp::VarId(v as usize), c)),
-                *op,
-                *rhs,
-            );
+        for (op, rhs, terms) in self.rows() {
+            lp.add_constraint(terms.iter().map(|&(v, c)| (VarId(v as usize), c)), op, rhs);
         }
         let sol = lp.maximize_integer()?;
         Ok(SegmentSummary { objective: sol.objective, values: sol.values })
     }
 }
 
-/// Cooper–Harvey–Kennedy iterative dominators over a reverse postorder.
-/// Returns the immediate dominator per node (entry maps to itself).
-fn dominators(icfg: &Icfg, rpo: &[u32], rpo_num: &[u32]) -> Vec<u32> {
-    let n = icfg.nodes().len();
-    let entry = icfg.entry().index();
-    let mut idom = vec![u32::MAX; n];
-    idom[entry] = entry as u32;
-    let mut changed = true;
-    while changed {
-        changed = false;
-        for &u in rpo.iter().skip(1) {
-            let mut new_idom = u32::MAX;
-            for e in icfg.preds(NodeId(u)) {
-                let p = e.from.index();
-                if idom[p] == u32::MAX {
-                    continue;
-                }
-                new_idom = if new_idom == u32::MAX {
-                    p as u32
-                } else {
-                    intersect(new_idom, p as u32, &idom, rpo_num)
-                };
-            }
-            if new_idom != u32::MAX && idom[u as usize] != new_idom {
-                idom[u as usize] = new_idom;
-                changed = true;
-            }
-        }
-    }
-    idom
-}
-
-/// Nearest common dominator of two nodes (the classic two-finger walk).
-fn intersect(mut a: u32, mut b: u32, idom: &[u32], rpo_num: &[u32]) -> u32 {
-    while a != b {
-        while rpo_num[a as usize] > rpo_num[b as usize] {
-            a = idom[a as usize];
-        }
-        while rpo_num[b as usize] > rpo_num[a as usize] {
-            b = idom[b as usize];
-        }
-    }
-    a
-}
-
 /// Marks every node that lies on some cycle: members of a non-trivial
-/// strongly connected component, or targets of a self-loop. Iterative
-/// Tarjan, since generated call chains can be deep.
+/// strongly connected component, or targets of a self-loop.
 fn on_cycle(icfg: &Icfg) -> Vec<bool> {
     let n = icfg.nodes().len();
     let mut cyclic = vec![false; n];
@@ -251,65 +231,17 @@ fn on_cycle(icfg: &Icfg) -> Vec<bool> {
             cyclic[e.to.index()] = true;
         }
     }
-    let mut index = vec![u32::MAX; n];
-    let mut low = vec![0u32; n];
-    let mut on_stack = vec![false; n];
-    let mut scc_stack: Vec<u32> = Vec::new();
-    let mut next_index = 0u32;
-    let mut dfs: Vec<(u32, usize)> = Vec::new();
-    for root in 0..n as u32 {
-        if index[root as usize] != u32::MAX {
-            continue;
-        }
-        dfs.push((root, 0));
-        index[root as usize] = next_index;
-        low[root as usize] = next_index;
-        next_index += 1;
-        on_stack[root as usize] = true;
-        scc_stack.push(root);
-        while let Some(top) = dfs.last_mut() {
-            let (u, cursor) = (top.0, top.1);
-            match icfg.succs(NodeId(u)).nth(cursor) {
-                Some(e) => {
-                    dfs.last_mut().expect("nonempty").1 += 1;
-                    let v = e.to.index();
-                    if index[v] == u32::MAX {
-                        index[v] = next_index;
-                        low[v] = next_index;
-                        next_index += 1;
-                        on_stack[v] = true;
-                        scc_stack.push(v as u32);
-                        dfs.push((v as u32, 0));
-                    } else if on_stack[v] {
-                        low[u as usize] = low[u as usize].min(index[v]);
-                    }
-                }
-                None => {
-                    dfs.pop();
-                    if let Some(&(p, _)) = dfs.last() {
-                        low[p as usize] = low[p as usize].min(low[u as usize]);
-                    }
-                    if low[u as usize] == index[u as usize] {
-                        // Pop the component; size ≥ 2 means a cycle.
-                        let mut members: Vec<u32> = Vec::new();
-                        loop {
-                            let w = scc_stack.pop().expect("scc stack");
-                            on_stack[w as usize] = false;
-                            members.push(w);
-                            if w == u {
-                                break;
-                            }
-                        }
-                        if members.len() >= 2 {
-                            for w in members {
-                                cyclic[w as usize] = true;
-                            }
-                        }
-                    }
+    stamp_cfg::sccs(
+        n,
+        |u| icfg.succs(NodeId(u as u32)).map(|e| e.to.index()),
+        |members| {
+            if members.len() >= 2 {
+                for &w in members {
+                    cyclic[w] = true;
                 }
             }
-        }
-    }
+        },
+    );
     cyclic
 }
 
@@ -328,109 +260,14 @@ fn in_loop_context(icfg: &Icfg, node: u32) -> bool {
 /// ILP) and `Ok(Some((objective, edge_values)))` on success, with
 /// `edge_values` indexed densely by supergraph edge.
 pub(crate) fn solve_summarized(
-    icfg: &Icfg,
-    formula: &Formula,
+    ipet: &Ipet,
     memo: &dyn SummaryMemo,
 ) -> Result<Option<(i64, Vec<i64>)>, PathError> {
-    let n = icfg.nodes().len();
-    let exits = icfg.exits();
-    if exits.is_empty() || n == 0 {
-        return Ok(None);
-    }
-    // Reverse postorder; decomposition steps aside when some node is
-    // unreachable from the entry.
-    let rpo_num: Vec<u32> = icfg.nodes().iter().map(|nd| icfg.rpo_index(nd.id)).collect();
-    if rpo_num.contains(&u32::MAX) {
-        return Ok(None);
-    }
-    let mut rpo = vec![0u32; n];
-    for (u, &i) in rpo_num.iter().enumerate() {
-        rpo[i as usize] = u as u32;
-    }
-    let idom = dominators(icfg, &rpo, &rpo_num);
-    let cyclic = on_cycle(icfg);
-    let mut is_exit = vec![false; n];
-    for &x in exits {
-        is_exit[x.index()] = true;
-    }
-
-    // Candidate cuts: the dominator chain of the exits' nearest common
-    // dominator, entry-side first, filtered to valid series points.
-    let entry = icfg.entry().index() as u32;
-    let mut ncd = exits[0].index() as u32;
-    for &x in &exits[1..] {
-        ncd = intersect(ncd, x.index() as u32, &idom, &rpo_num);
-    }
-    let mut chain: Vec<u32> = Vec::new();
-    let mut c = ncd;
-    while c != entry {
-        chain.push(c);
-        c = idom[c as usize];
-    }
-    chain.reverse();
-    let cuts: Vec<u32> = chain
-        .into_iter()
-        .filter(|&c| !cyclic[c as usize] && !is_exit[c as usize] && !in_loop_context(icfg, c))
-        .collect();
-    if cuts.is_empty() {
-        return Ok(None);
-    }
-    let k = cuts.len();
-
-    // Segment index per node: one more than the number of cuts strictly
-    // dominating it. Cut j itself lands in segment j (its in-edges close
-    // segment j; its out-edges open segment j+1).
-    let mut cut_no = vec![usize::MAX; n];
-    for (j, &c) in cuts.iter().enumerate() {
-        cut_no[c as usize] = j;
-    }
-    let mut seg = vec![0usize; n];
-    for &u in rpo.iter().skip(1) {
-        let d = idom[u as usize] as usize;
-        seg[u as usize] = seg[d] + usize::from(cut_no[d] != usize::MAX);
-    }
-
-    // An edge belongs to the segment of its target; a cut's out-edges
-    // must open the next segment and every other edge must stay inside
-    // its source's segment — otherwise the decomposition is invalid.
-    let owner = |e: &IEdge| seg[e.to.index()];
-    for e in icfg.edges() {
-        let f = e.from.index();
-        let expected = if cut_no[f] != usize::MAX { cut_no[f] + 1 } else { seg[f] };
-        if owner(e) != expected {
-            return Ok(None);
-        }
-    }
-    if exits.iter().any(|x| seg[x.index()] != k) {
-        return Ok(None);
-    }
-    // Every loop instance and every infeasibility pin must fall within
-    // a single segment.
-    for inst in &formula.instances {
-        let mut edges = inst.edges();
-        let first = match edges.next() {
-            Some(e) => seg[icfg.edge(e).to.index()],
-            None => continue,
-        };
-        if edges.any(|e| seg[icfg.edge(e).to.index()] != first) {
-            return Ok(None);
-        }
-    }
-    let mut owned_edges = vec![0usize; k + 1];
-    for e in icfg.edges() {
-        owned_edges[owner(e)] += 1;
-    }
-
+    let Some(mut segments) = Segments::cut(ipet) else { return Ok(None) };
     let mut total_objective: i64 = 0;
-    let mut edge_values = vec![0i64; icfg.edges().len()];
-    for i in 0..=k {
-        let boundary = if i == 0 { entry } else { cuts[i - 1] };
-        let sink_boundary = if i < k { Some(cuts[i]) } else { None };
-        let Some(seglp) =
-            build_segment(icfg, formula, i, boundary, sink_boundary, &seg, &cut_no, owned_edges[i])
-        else {
-            return Ok(None);
-        };
+    let mut edge_values = vec![0i64; ipet.icfg.edges().len()];
+    for i in 0..=segments.cuts.len() {
+        let Some(seglp) = segments.build(ipet, i) else { return Ok(None) };
         let canonical = seglp.canonical_bytes();
         let summary = memo.summarize(&canonical, &mut || seglp.solve())?;
         // A recalled summary of the wrong shape (corrupt or stale store
@@ -448,161 +285,280 @@ pub(crate) fn solve_summarized(
     Ok(Some((total_objective, edge_values)))
 }
 
-/// Builds segment `i`'s canonical ILP: breadth-first traversal from the
-/// boundary over owned edges fixes the canonical numbering, then the
-/// constraints are emitted in a fixed order. Returns `None` when the
-/// traversal fails to cover every owned edge.
-#[allow(clippy::too_many_arguments)]
-fn build_segment(
-    icfg: &Icfg,
-    formula: &Formula,
-    i: usize,
-    boundary: u32,
-    sink_boundary: Option<u32>,
-    seg: &[usize],
-    cut_no: &[usize],
-    owned_edges: usize,
-) -> Option<SegLp> {
-    let n = icfg.nodes().len();
-    let mut canon_node = vec![u32::MAX; n];
-    let mut visit_order: Vec<u32> = vec![boundary];
-    canon_node[boundary as usize] = 0;
-    let mut edges: Vec<IEdgeId> = Vec::new();
-    let mut canon_edge: HashMap<IEdgeId, u32> = HashMap::new();
-    let mut queue: VecDeque<u32> = VecDeque::from([boundary]);
-    while let Some(u) = queue.pop_front() {
-        // A cut's out-edges belong to the next segment.
-        if cut_no[u as usize] != usize::MAX && u != boundary {
-            continue;
-        }
-        for e in icfg.succs(NodeId(u)) {
-            if seg[e.to.index()] != i {
-                continue;
-            }
-            canon_edge.insert(e.id, edges.len() as u32);
-            edges.push(e.id);
-            let v = e.to.index();
-            if canon_node[v] == u32::MAX {
-                canon_node[v] = visit_order.len() as u32;
-                visit_order.push(v as u32);
-                queue.push_back(v as u32);
-            }
-        }
-    }
-    if edges.len() != owned_edges {
-        return None;
-    }
+/// A validated decomposition of the supergraph at series cuts, with the
+/// scratch numbering its segments are built in. Segment `i` runs from
+/// cut `i − 1` (the entry for `i = 0`) to cut `i` (the exits for the
+/// last segment).
+struct Segments {
+    /// The cuts, entry-side first.
+    cuts: Vec<u32>,
+    /// Position in `cuts` per node (`usize::MAX` for other nodes).
+    cut_no: Vec<usize>,
+    /// Segment per node; an edge belongs to its target's segment.
+    seg: Vec<usize>,
+    /// Number of edges per segment.
+    owned_edges: Vec<usize>,
+    /// `(segment, instance index)` of every loop rule, sorted by
+    /// segment and in table order within one.
+    rules: Vec<(usize, u32)>,
+    /// `(segment, edge id)` of every pin, sorted by segment.
+    pins: Vec<(usize, u32)>,
+    /// Canonical number per node, with the segment that numbered it (a
+    /// cut is numbered by both segments it bounds).
+    canon_node: Vec<(usize, u32)>,
+    /// Canonical number per edge, given by its owning segment.
+    canon_edge: Vec<u32>,
+}
 
-    // Variables: 0 = source, 1..=E = edges, then sinks (last segment).
-    let source = 0u32;
-    let evar = |eid: IEdgeId| 1 + canon_edge[&eid];
-    let mut obj: Vec<i64> = Vec::with_capacity(1 + edges.len());
-    obj.push(if i == 0 { formula.entry_time } else { 0 });
-    for &eid in &edges {
-        obj.push(formula.coeff[eid.index()]);
-    }
-    let mut sinks: Vec<(u32, u32)> = Vec::new(); // (node, var)
-    if sink_boundary.is_none() {
-        let mut xs: Vec<u32> = icfg.exits().iter().map(|x| x.index() as u32).collect();
-        xs.sort_by_key(|&x| canon_node[x as usize]);
-        for x in xs {
-            if canon_node[x as usize] == u32::MAX {
+impl Segments {
+    /// Finds the cuts and assigns every node, loop rule and pin a
+    /// segment. `None` when the program offers no valid decomposition.
+    fn cut(ipet: &Ipet) -> Option<Segments> {
+        let icfg = ipet.icfg;
+        let n = icfg.nodes().len();
+        let exits = icfg.exits();
+        if exits.is_empty() || n == 0 {
+            return None;
+        }
+        // Reverse postorder; decomposition steps aside when some node is
+        // unreachable from the entry.
+        let rpo_num: Vec<u32> = icfg.nodes().iter().map(|nd| icfg.rpo_index(nd.id)).collect();
+        if rpo_num.contains(&u32::MAX) {
+            return None;
+        }
+        let mut rpo = vec![0usize; n];
+        for (u, &i) in rpo_num.iter().enumerate() {
+            rpo[i as usize] = u;
+        }
+        let doms = Idoms::new(n, &rpo, |u| icfg.preds(NodeId(u as u32)).map(|e| e.from.index()));
+        let idom = |u: usize| doms.idom(u).expect("every node is reached");
+        let cyclic = on_cycle(icfg);
+        let mut is_exit = vec![false; n];
+        for &x in exits {
+            is_exit[x.index()] = true;
+        }
+
+        // Candidate cuts: the dominator chain of the exits' nearest
+        // common dominator, entry-side first, filtered to valid series
+        // points.
+        let entry = icfg.entry().index();
+        let mut chain: Vec<u32> = Vec::new();
+        let mut c = exits[1..].iter().fold(exits[0].index(), |d, x| doms.common(d, x.index()));
+        while c != entry {
+            chain.push(c as u32);
+            c = idom(c);
+        }
+        chain.reverse();
+        let cuts: Vec<u32> = chain
+            .into_iter()
+            .filter(|&c| !cyclic[c as usize] && !is_exit[c as usize] && !in_loop_context(icfg, c))
+            .collect();
+        if cuts.is_empty() {
+            return None;
+        }
+        let k = cuts.len();
+
+        // Segment index per node: one more than the number of cuts
+        // strictly dominating it. Cut j itself lands in segment j (its
+        // in-edges close segment j; its out-edges open segment j+1).
+        let mut cut_no = vec![usize::MAX; n];
+        for (j, &c) in cuts.iter().enumerate() {
+            cut_no[c as usize] = j;
+        }
+        let mut seg = vec![0usize; n];
+        for &u in &rpo[1..] {
+            let d = idom(u);
+            seg[u] = seg[d] + usize::from(cut_no[d] != usize::MAX);
+        }
+
+        // A cut's out-edges must open the next segment and every other
+        // edge must stay inside its source's segment — otherwise the
+        // decomposition is invalid.
+        let mut owned_edges = vec![0usize; k + 1];
+        for e in icfg.edges() {
+            let f = e.from.index();
+            let expected = if cut_no[f] != usize::MAX { cut_no[f] + 1 } else { seg[f] };
+            if seg[e.to.index()] != expected {
                 return None;
             }
-            sinks.push((x, obj.len() as u32));
-            obj.push(0);
+            owned_edges[expected] += 1;
         }
-    }
-    let sink_of: HashMap<u32, u32> = sinks.iter().copied().collect();
-
-    let mut cons: Vec<SegConstraint> = Vec::new();
-    let push = |cons: &mut Vec<SegConstraint>, mut terms: Vec<(u32, i64)>, op: CmpOp, rhs: i64| {
-        terms.sort_by_key(|&(v, _)| v);
-        cons.push((op, rhs, terms));
-    };
-
-    // The segment source fires exactly once.
-    push(&mut cons, vec![(source, 1)], CmpOp::Eq, 1);
-    // Conservation, boundary first, then interior nodes in canonical
-    // order. The boundary receives the source; in segment 0 the entry
-    // may also have (owned) in-edges. The sink boundary's conservation
-    // belongs to the next segment; here its inflow is pinned to one.
-    for &u in &visit_order {
-        if Some(u) == sink_boundary {
-            let terms: Vec<(u32, i64)> = icfg.preds(NodeId(u)).map(|e| (evar(e.id), 1)).collect();
-            push(&mut cons, terms, CmpOp::Eq, 1);
-            continue;
+        if exits.iter().any(|x| seg[x.index()] != k) {
+            return None;
         }
-        let mut terms: Vec<(u32, i64)> = Vec::new();
-        if u == boundary {
-            terms.push((source, 1));
-            if i == 0 {
-                for e in icfg.preds(NodeId(u)) {
-                    terms.push((evar(e.id), 1));
-                }
+        // Every loop rule must fall within a single segment.
+        let owner = |e: &IEdgeId| seg[icfg.edge(*e).to.index()];
+        let mut rules: Vec<(usize, u32)> = Vec::new();
+        for (i, (inst, rule)) in icfg.loop_instances().iter().zip(ipet.rules).enumerate() {
+            if *rule == FlowRule::Acyclic {
+                continue;
             }
-        } else {
-            for e in icfg.preds(NodeId(u)) {
-                terms.push((evar(e.id), 1));
+            let mut segs = inst.entries.iter().chain(&inst.backs).map(owner);
+            let first = segs.next().expect("a rule's instance has a back edge");
+            if segs.any(|s| s != first) {
+                return None;
             }
+            rules.push((first, i as u32));
         }
-        for e in icfg.succs(NodeId(u)) {
-            terms.push((evar(e.id), -1));
-        }
-        if let Some(&s) = sink_of.get(&u) {
-            terms.push((s, -1));
-        }
-        push(&mut cons, terms, CmpOp::Eq, 0);
-    }
-    // Exactly one sink fires (last segment only).
-    if sink_boundary.is_none() && !sinks.is_empty() {
-        push(&mut cons, sinks.iter().map(|&(_, v)| (v, 1i64)).collect(), CmpOp::Eq, 1);
+        let mut pins: Vec<(usize, u32)> = ipet.pins.iter().map(|e| (owner(e), e.0)).collect();
+        rules.sort_by_key(|&(s, _)| s);
+        pins.sort_by_key(|&(s, _)| s);
+        Some(Segments {
+            cuts,
+            cut_no,
+            seg,
+            owned_edges,
+            rules,
+            pins,
+            canon_node: vec![(usize::MAX, 0); n],
+            canon_edge: vec![0; icfg.edges().len()],
+        })
     }
 
-    // Owned loop instances, ordered by their smallest canonical edge so
-    // isomorphic segments emit identical constraint sequences.
-    let mut owned: Vec<&crate::Instance> = formula
-        .instances
-        .iter()
-        .filter(|inst| inst.edges().next().is_some_and(|e| seg[icfg.edge(e).to.index()] == i))
-        .collect();
-    owned.sort_by_key(|inst| inst.edges().map(evar).min());
-    for inst in owned {
-        match inst.rule {
-            InstanceRule::Bound(bound) => {
-                let mut terms: Vec<(u32, i64)> =
-                    inst.instance.backs.iter().map(|&b| (evar(b), 1)).collect();
-                let mul = bound.saturating_sub(1).min(i64::MAX as u64) as i64;
-                for &en in &inst.instance.entries {
-                    terms.push((evar(en), -mul));
-                }
-                // The task starts in the loop: the entry node heads it,
-                // so it is owned by segment 0, whose source is the task's.
-                if inst.at_start {
-                    terms.push((source, -mul));
-                }
-                push(&mut cons, terms, CmpOp::Le, 0);
+    /// Builds segment `i`'s canonical ILP: breadth-first traversal from
+    /// the boundary over owned edges fixes the canonical numbering, then
+    /// the rows are emitted in a fixed order. Returns `None` when the
+    /// traversal fails to cover every owned edge and exit.
+    fn build(&mut self, ipet: &Ipet, i: usize) -> Option<SegLp> {
+        let icfg = ipet.icfg;
+        let boundary = if i == 0 { icfg.entry().0 } else { self.cuts[i - 1] };
+        let sink_boundary = self.cuts.get(i).copied();
+        let (seg, cut_no) = (&self.seg, &self.cut_no);
+        let (canon_node, canon_edge) = (&mut self.canon_node, &mut self.canon_edge);
+        let mut visit_order: Vec<u32> = vec![boundary];
+        canon_node[boundary as usize] = (i, 0);
+        let mut edges: Vec<IEdgeId> = Vec::new();
+        let mut queue: VecDeque<u32> = VecDeque::from([boundary]);
+        while let Some(u) = queue.pop_front() {
+            // A cut's out-edges belong to the next segment.
+            if cut_no[u as usize] != usize::MAX && u != boundary {
+                continue;
             }
-            InstanceRule::PinUnreachable => {
-                let mut pinned: Vec<u32> = inst.edges().map(evar).collect();
-                pinned.sort_unstable();
-                for v in pinned {
-                    push(&mut cons, vec![(v, 1)], CmpOp::Le, 0);
+            for e in icfg.succs(NodeId(u)) {
+                if seg[e.to.index()] != i {
+                    continue;
+                }
+                canon_edge[e.id.index()] = edges.len() as u32;
+                edges.push(e.id);
+                let v = e.to.index();
+                if canon_node[v].0 != i {
+                    canon_node[v] = (i, visit_order.len() as u32);
+                    visit_order.push(v as u32);
+                    queue.push_back(v as u32);
                 }
             }
         }
-    }
-    // Owned infeasibility pins, by canonical edge.
-    let mut pins: Vec<u32> = formula
-        .pins
-        .iter()
-        .filter(|&&e| seg[icfg.edge(e).to.index()] == i)
-        .map(|&e| evar(e))
-        .collect();
-    pins.sort_unstable();
-    for v in pins {
-        push(&mut cons, vec![(v, 1)], CmpOp::Le, 0);
-    }
+        if edges.len() != self.owned_edges[i] {
+            return None;
+        }
 
-    Some(SegLp { obj, constraints: cons, edges })
+        // Variables: 0 = source, 1..=E = edges, then sinks (last segment).
+        let source = 0u32;
+        let canon_edge = &self.canon_edge;
+        let var = |e: &IEdgeId| 1 + canon_edge[e.index()];
+        let mut obj: Vec<i64> = Vec::with_capacity(1 + edges.len());
+        obj.push(if i == 0 { ipet.entry_time() } else { 0 });
+        obj.extend(edges.iter().map(|&e| ipet.cost(e)));
+        let mut sinks: Vec<(u32, u32)> = Vec::new(); // (node, var)
+        if sink_boundary.is_none() {
+            let number = |x: &u32| match self.canon_node[*x as usize] {
+                (s, num) if s == i => num,
+                _ => u32::MAX,
+            };
+            let mut xs: Vec<u32> = icfg.exits().iter().map(|x| x.0).collect();
+            xs.sort_by_key(number);
+            for x in xs {
+                if number(&x) == u32::MAX {
+                    return None;
+                }
+                sinks.push((x, obj.len() as u32));
+                obj.push(0);
+            }
+        }
+        let mut lp = SegLp { obj, rows: Vec::new(), terms: Vec::new(), edges };
+
+        // The segment source fires exactly once.
+        lp.terms.push((source, 1));
+        lp.row(CmpOp::Eq, 1);
+        // Conservation, boundary first, then interior nodes in canonical
+        // order. The boundary receives the source; in segment 0 the entry
+        // may also have (owned) in-edges. The sink boundary's
+        // conservation belongs to the next segment; here its inflow is
+        // pinned to one.
+        for &u in &visit_order {
+            let node = NodeId(u);
+            if Some(u) == sink_boundary {
+                lp.terms.extend(icfg.preds(node).map(|e| (var(&e.id), 1)));
+                lp.row(CmpOp::Eq, 1);
+                continue;
+            }
+            if u == boundary {
+                lp.terms.push((source, 1));
+            }
+            if u != boundary || i == 0 {
+                lp.terms.extend(icfg.preds(node).map(|e| (var(&e.id), 1)));
+            }
+            lp.terms.extend(icfg.succs(node).map(|e| (var(&e.id), -1)));
+            if let Some(&(_, s)) = sinks.iter().find(|&&(x, _)| x == u) {
+                lp.terms.push((s, -1));
+            }
+            lp.row(CmpOp::Eq, 0);
+        }
+        // Exactly one sink fires (last segment only).
+        if !sinks.is_empty() {
+            lp.terms.extend(sinks.iter().map(|&(_, v)| (v, 1i64)));
+            lp.row(CmpOp::Eq, 1);
+        }
+
+        // Owned loop rules, ordered by their instance's smallest
+        // canonical edge so isomorphic segments emit identical rows.
+        let instances = icfg.loop_instances();
+        let mut owned: Vec<u32> = owned_by(&self.rules, i).collect();
+        owned.sort_by_key(|&r| {
+            let inst = &instances[r as usize];
+            inst.entries.iter().chain(&inst.backs).map(var).min()
+        });
+        for r in owned {
+            let inst = &instances[r as usize];
+            match ipet.rules[r as usize] {
+                FlowRule::Bounded(bound) => {
+                    let mul = bound.saturating_sub(1).min(i64::MAX as u64) as i64;
+                    lp.terms.extend(inst.backs.iter().map(|b| (var(b), 1)));
+                    lp.terms.extend(inst.entries.iter().map(|en| (var(en), -mul)));
+                    // The task starts in the loop: the entry node heads
+                    // it, so it is owned by segment 0, whose source is
+                    // the task's.
+                    if icfg.entered_at_start(inst) {
+                        lp.terms.push((source, -mul));
+                    }
+                    lp.row(CmpOp::Le, 0);
+                }
+                FlowRule::NeverEntered => {
+                    let mut pinned: Vec<u32> =
+                        inst.entries.iter().chain(&inst.backs).map(var).collect();
+                    pinned.sort_unstable();
+                    for v in pinned {
+                        lp.terms.push((v, 1));
+                        lp.row(CmpOp::Le, 0);
+                    }
+                }
+                FlowRule::Acyclic | FlowRule::Unbounded => {}
+            }
+        }
+        // Owned infeasibility pins, by canonical edge.
+        let mut pins: Vec<u32> = owned_by(&self.pins, i).map(|e| var(&IEdgeId(e))).collect();
+        pins.sort_unstable();
+        for v in pins {
+            lp.terms.push((v, 1));
+            lp.row(CmpOp::Le, 0);
+        }
+        Some(lp)
+    }
+}
+
+/// The items segment `i` owns in a `(segment, item)` list sorted by
+/// segment.
+fn owned_by(list: &[(usize, u32)], i: usize) -> impl Iterator<Item = u32> + '_ {
+    let start = list.partition_point(|&(s, _)| s < i);
+    list[start..].iter().take_while(move |&&(s, _)| s == i).map(|&(_, item)| item)
 }

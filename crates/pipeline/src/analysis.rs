@@ -2,7 +2,7 @@
 
 use std::collections::HashMap;
 
-use stamp_ai::{solve, IEdge, IEdgeKind, Icfg, NodeId, Transfer};
+use stamp_ai::{solve, IEdge, IEdgeId, IEdgeKind, Icfg, NodeId, Transfer};
 use stamp_cache::{CacheAnalysis, Classification};
 use stamp_cfg::{Cfg, EdgeKind};
 use stamp_hw::HwConfig;
@@ -11,7 +11,7 @@ use stamp_isa::Insn;
 use crate::state::{PipeSet, PipeState};
 
 /// Results of the pipeline analysis: a worst-case cycle bound per
-/// supergraph node plus per-edge control-transfer penalties.
+/// supergraph node, and the IPET objective per supergraph edge.
 ///
 /// Persistent references are priced as hits in the per-node times; the
 /// one-time miss each persistent line can still take is accounted for by
@@ -19,7 +19,8 @@ use crate::state::{PipeSet, PipeState};
 /// analysis adds to the ILP optimum.
 pub struct PipelineAnalysis {
     times: HashMap<NodeId, u64>,
-    branch_penalty: u64,
+    /// Objective coefficient per supergraph edge, dense by edge index.
+    edge_costs: Vec<u64>,
     ps_extra: u64,
     /// Solver node evaluations (scaling experiment).
     pub evaluations: u64,
@@ -148,11 +149,25 @@ impl PipelineAnalysis {
                 transfer.transfer(icfg, nd.id, &PipeSet::universe());
             }
         }
+        // Entering a node costs its time; leaving along a taken transfer
+        // (every call and return, and a taken branch) adds the penalty.
+        let edge_costs = icfg
+            .edges()
+            .iter()
+            .map(|e| {
+                let taken = match e.kind {
+                    IEdgeKind::Call { .. } | IEdgeKind::Return { .. } => true,
+                    IEdgeKind::Intra { cfg_edge, .. } => cfg.edge(cfg_edge).kind == EdgeKind::Taken,
+                };
+                let penalty = if taken { hw.timing.branch_penalty as u64 } else { 0 };
+                transfer.times.get(&e.to).copied().unwrap_or(0) + penalty
+            })
+            .collect();
         let ps_extra = ca.ps_fetch_lines().len() as u64 * hw.timing.i_miss_penalty as u64
             + ca.ps_data_lines().len() as u64 * hw.timing.d_miss_penalty as u64;
         PipelineAnalysis {
             times: transfer.times,
-            branch_penalty: hw.timing.branch_penalty as u64,
+            edge_costs,
             ps_extra,
             evaluations: fixpoint.evaluations,
         }
@@ -184,21 +199,12 @@ impl PipelineAnalysis {
         self.times.get(&node).copied()
     }
 
-    /// Extra cycles charged when execution leaves a node along `edge`
-    /// (the taken-transfer penalty of the hardware model).
-    pub fn edge_penalty(&self, cfg: &Cfg, icfg: &Icfg, edge: &IEdge) -> u64 {
-        let _ = icfg;
-        match edge.kind {
-            // Calls and returns are always taken transfers.
-            IEdgeKind::Call { .. } | IEdgeKind::Return { .. } => self.branch_penalty,
-            IEdgeKind::Intra { cfg_edge, .. } => {
-                let e = cfg.edge(cfg_edge);
-                match e.kind {
-                    EdgeKind::Taken => self.branch_penalty,
-                    EdgeKind::Fall | EdgeKind::CallFall => 0,
-                }
-            }
-        }
+    /// The IPET objective coefficient of one supergraph edge: the time
+    /// of its target node plus the taken-transfer penalty of the
+    /// hardware model when the edge is a taken transfer. The path
+    /// analysis maximizes, and the path sampler sums, exactly these.
+    pub fn edge_cost(&self, edge: IEdgeId) -> u64 {
+        self.edge_costs[edge.index()]
     }
 }
 
@@ -211,26 +217,25 @@ mod tests {
     use stamp_sim::Simulator;
     use stamp_value::{ValueAnalysis, ValueOptions};
 
-    fn analyze(src: &str, hw: &HwConfig) -> (stamp_isa::Program, Cfg, Icfg, PipelineAnalysis) {
+    fn analyze(src: &str, hw: &HwConfig) -> (stamp_isa::Program, Icfg, PipelineAnalysis) {
         let p = assemble(src).expect("assembles");
         let cfg = CfgBuilder::new(&p).build().expect("builds");
         let icfg = Icfg::build(&cfg, &VivuConfig::default()).expect("expands");
         let va = ValueAnalysis::run(&p, hw, &cfg, &icfg, &ValueOptions::default());
         let ca = CacheAnalysis::run(hw, &cfg, &icfg, &va);
         let pa = PipelineAnalysis::run(hw, &cfg, &icfg, &ca, &va);
-        (p, cfg, icfg, pa)
+        (p, icfg, pa)
     }
 
-    /// Sums node times plus edge penalties along the unique path of a
+    /// Sums the entry time and the edge costs along the unique path of a
     /// straight-line (single-path) program.
-    fn straight_line_bound(icfg: &Icfg, cfg: &Cfg, pa: &PipelineAnalysis) -> u64 {
-        let mut total = 0;
+    fn straight_line_bound(icfg: &Icfg, pa: &PipelineAnalysis) -> u64 {
+        let mut total = pa.time(icfg.entry()).expect("reachable");
         let mut node = icfg.entry();
         loop {
-            total += pa.time(node).expect("reachable");
             let mut next = None;
             for e in icfg.succs(node) {
-                total += pa.edge_penalty(cfg, icfg, &e);
+                total += pa.edge_cost(e.id);
                 next = Some(e.to);
             }
             match next {
@@ -260,8 +265,8 @@ mod tests {
             v:    .word 123
         ";
         for hw in [HwConfig::ideal(), HwConfig::default(), HwConfig::no_cache()] {
-            let (p, cfg, icfg, pa) = analyze(src, &hw);
-            let bound = straight_line_bound(&icfg, &cfg, &pa);
+            let (p, icfg, pa) = analyze(src, &hw);
+            let bound = straight_line_bound(&icfg, &pa);
             let mut sim = Simulator::new(&p, &hw);
             let res = sim.run(10_000).expect("no fault");
             assert_eq!(
@@ -285,8 +290,8 @@ mod tests {
             v:    .word 1
         ";
         let hw = HwConfig::ideal();
-        let (p, cfg, icfg, pa) = analyze(src, &hw);
-        let bound = straight_line_bound(&icfg, &cfg, &pa);
+        let (p, icfg, pa) = analyze(src, &hw);
+        let bound = straight_line_bound(&icfg, &pa);
         let mut sim = Simulator::new(&p, &hw);
         assert_eq!(bound, sim.run(1000).unwrap().cycles);
     }
@@ -308,15 +313,14 @@ mod tests {
             v:    .word 5
         ";
         let hw = HwConfig::ideal();
-        let (p, _cfg, icfg, pa) = analyze(src, &hw);
+        let (p, icfg, pa) = analyze(src, &hw);
         let mut sim = Simulator::new(&p, &hw);
         let simulated = sim.run(1000).unwrap().cycles;
         // Follow the taken path only.
-        let mut total = 0;
+        let mut total = pa.time(icfg.entry()).unwrap();
         let mut node = icfg.entry();
         let cfg = CfgBuilder::new(&p).build().unwrap();
         loop {
-            total += pa.time(node).unwrap();
             // Prefer the taken edge (this program's actual path).
             let mut next = None;
             for e in icfg.succs(node) {
@@ -325,7 +329,7 @@ mod tests {
                     _ => true,
                 };
                 if feasible {
-                    total += pa.edge_penalty(&cfg, &icfg, &e);
+                    total += pa.edge_cost(e.id);
                     next = Some(e.to);
                 }
             }
@@ -344,7 +348,7 @@ mod tests {
         let src = "\
             .text\nmain: li r1, 50\n.align 16\nloop: addi r1, r1, -1\nbnez r1, loop\nhalt\n";
         let hw = HwConfig::default();
-        let (_p, _cfg, icfg, pa) = analyze(src, &hw);
+        let (_p, icfg, pa) = analyze(src, &hw);
         // Find the loop-body nodes: iteration 0 (cold) and ≥1 (warm).
         let mut times: Vec<u64> = Vec::new();
         for nd in icfg.nodes() {

@@ -16,10 +16,12 @@
 //! evaluation, which sees its final input. Only nodes the solver never
 //! reaches are walked afterwards, over all pipeline states.
 //!
-//! Taken-branch penalties are attributed to supergraph *edges*
-//! ([`PipelineAnalysis::edge_penalty`]) so that the path analysis charges
-//! them only on taken transitions, mirroring the hardware model in
-//! `stamp-hw` cycle for cycle.
+//! Taken-branch penalties are attributed to supergraph *edges*, so that
+//! they are charged only on taken transitions, mirroring the hardware
+//! model in `stamp-hw` cycle for cycle. Each edge's IPET objective
+//! coefficient ([`PipelineAnalysis::edge_cost`]: target time plus
+//! penalty) is computed once here; the path analysis maximizes those
+//! coefficients and the path sampler sums them.
 
 mod analysis;
 mod state;

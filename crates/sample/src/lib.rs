@@ -21,19 +21,22 @@
 //! # Soundness (why `observed_max ≤ WCET` always)
 //!
 //! Every sampled path is, by construction, a feasible point of the
-//! ILP that produced the WCET bound:
+//! ILP that produced the WCET bound, because the walk reads the same
+//! IPET data the ILP is built from:
 //!
 //! * it is one source→sink flow, so flow conservation holds;
 //! * a back edge is only taken while `backs + 1 ≤ (bound−1) · entries`
-//!   for its loop instance — the same `Icfg::loop_instances` table the
-//!   ILP builds its loop constraints from;
+//!   for its loop instance, where the bound is that instance's
+//!   [`FlowRule::Bounded`] in [`LoopBoundAnalysis::rules`] — the rule
+//!   the ILP's loop row is written from;
 //! * edges the ILP pins to zero are never traversed: value-analysis
 //!   infeasible edges (when `use_infeasible` is on, matching
-//!   [`PathOptions::use_infeasible`]) and the edges of unbounded
-//!   never-entered loop instances;
+//!   [`PathOptions::use_infeasible`]) and the edges of loop instances
+//!   without a bound ([`FlowRule::NeverEntered`]; on
+//!   [`FlowRule::Unbounded`] the ILP refuses to solve);
 //! * its cost is the ILP objective evaluated at that point: entry node
-//!   time, plus `time(target) + edge_penalty` per traversed edge, plus
-//!   the same `ps_extra_cycles()` term.
+//!   time, plus [`PipelineAnalysis::edge_cost`] per traversed edge,
+//!   plus the same `ps_extra_cycles()` term.
 //!
 //! The WCET is the maximum of the objective over all feasible points,
 //! so each sampled cost — and hence the observed maximum — is `≤ WCET`.
@@ -44,9 +47,9 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use stamp_ai::{Icfg, NodeId};
+use stamp_ai::{IEdgeId, Icfg, NodeId};
 use stamp_cfg::Cfg;
-use stamp_loopbound::LoopBoundAnalysis;
+use stamp_loopbound::{FlowRule, LoopBoundAnalysis};
 use stamp_pipeline::PipelineAnalysis;
 use stamp_value::ValueAnalysis;
 
@@ -121,7 +124,7 @@ pub fn percentile(sorted: &[u64], pct: u32) -> Option<u64> {
 /// their cost distribution. Reuses the already-computed analysis
 /// artifacts — no phase is re-run.
 pub fn sample_paths(
-    cfg: &Cfg,
+    _cfg: &Cfg,
     icfg: &Icfg,
     va: &ValueAnalysis,
     lb: &LoopBoundAnalysis,
@@ -130,20 +133,11 @@ pub fn sample_paths(
 ) -> SampleSummary {
     let n_edges = icfg.edges().len();
 
-    // ---- Precompute the per-edge walk tables.
-    // Cost of traversing an edge: the target node's time plus the
-    // taken-transfer penalty — the edge's ILP objective coefficient.
-    let mut edge_cost: Vec<u64> = Vec::with_capacity(n_edges);
-    for e in icfg.edges() {
-        edge_cost.push(pa.time(e.to).unwrap_or(0) + pa.edge_penalty(cfg, icfg, e));
-    }
-
-    // Per loop instance: its bound, `None` when unbounded. Per edge:
-    // Some((instance index, is_back)) when the edge targets a
-    // loop-header node.
+    // ---- Per-edge walk tables: Some((instance index, is_back)) when
+    // the edge targets a loop-header node, and whether the ILP pins the
+    // edge to zero as infeasible.
     let instances = icfg.loop_instances();
-    let bounds: Vec<Option<u64>> =
-        instances.iter().map(|inst| lb.bound(inst.header, &inst.outer)).collect();
+    let rules = lb.rules();
     // The instance the task starts in: the walk's start is one entry.
     let at_start = instances.iter().position(|inst| icfg.entered_at_start(inst));
     let mut edge_loop: Vec<Option<(usize, bool)>> = vec![None; n_edges];
@@ -155,23 +149,10 @@ pub fn sample_paths(
             edge_loop[e.index()] = Some((idx, true));
         }
     }
-
-    // Edges a walk must never traverse: value-analysis infeasible edges
-    // (when the ILP pins them too) and every edge of an unbounded loop
-    // instance that has back edges — the ILP either pinned that
-    // instance's flow to zero (provably never entered) or refused to
-    // solve; both ways those edges carry no feasible flow.
-    let mut blocked = vec![false; n_edges];
+    let mut pinned = vec![false; n_edges];
     if options.use_infeasible {
         for &e in va.infeasible_edges() {
-            blocked[e.index()] = true;
-        }
-    }
-    for (idx, bl) in edge_loop.iter().zip(blocked.iter_mut()) {
-        if let Some((inst, _)) = idx {
-            if !instances[*inst].backs.is_empty() && bounds[*inst].is_none() {
-                *bl = true;
-            }
+            pinned[e.index()] = true;
         }
     }
 
@@ -187,9 +168,9 @@ pub fn sample_paths(
     let mut dead_ends = 0usize;
     // (entries, backs) per loop instance, reset per walk.
     let mut counters: Vec<(u64, u64)> = vec![(0, 0); instances.len()];
-    // Eligible successors of the current node: (edge index, target,
-    // weight). Reused across steps.
-    let mut eligible: Vec<(usize, NodeId, u64)> = Vec::new();
+    // Eligible successors of the current node: (edge, target, weight).
+    // Reused across steps.
+    let mut eligible: Vec<(IEdgeId, NodeId, u64)> = Vec::new();
 
     for _ in 0..options.samples {
         counters.iter_mut().for_each(|c| *c = (0, 0));
@@ -210,15 +191,17 @@ pub fn sample_paths(
             let mut total_w: u64 = 0;
             for e in icfg.succs(cur) {
                 let idx = e.id.index();
-                if blocked[idx] {
+                if pinned[idx] {
                     continue;
                 }
-                let w = match edge_loop[idx] {
-                    Some((inst, true)) => {
+                let w = match edge_loop[idx].map(|(inst, is_back)| (inst, is_back, rules[inst])) {
+                    // Neither entry nor back edges of an instance without
+                    // a bound carry flow.
+                    Some((_, _, FlowRule::NeverEntered | FlowRule::Unbounded)) => continue,
+                    Some((inst, true, FlowRule::Bounded(bound))) => {
                         // Back edge: weight = remaining iteration budget
                         // of the ILP constraint Σbacks ≤ (bound−1)·Σentries.
                         let (entries, backs) = counters[inst];
-                        let bound = bounds[inst].expect("unbounded backs are blocked");
                         let budget =
                             bound.saturating_sub(1).saturating_mul(entries).saturating_sub(backs);
                         if budget == 0 {
@@ -229,7 +212,7 @@ pub fn sample_paths(
                     _ => 1,
                 };
                 total_w = total_w.saturating_add(w);
-                eligible.push((idx, e.to, w));
+                eligible.push((e.id, e.to, w));
             }
             if eligible.is_empty() {
                 break false;
@@ -244,8 +227,9 @@ pub fn sample_paths(
                 }
                 pick -= w;
             }
-            let (idx, to, _) = eligible[sel];
-            cost = cost.saturating_add(edge_cost[idx]);
+            let (e_id, to, _) = eligible[sel];
+            let idx = e_id.index();
+            cost = cost.saturating_add(pa.edge_cost(e_id));
             if let Some((inst, is_back)) = edge_loop[idx] {
                 if is_back {
                     counters[inst].1 += 1;

@@ -37,7 +37,8 @@ pub fn analyze_callgraph(
     let _ = program;
     // ---- Per-function local frame analysis.
     let mut local: BTreeMap<FuncId, i64> = BTreeMap::new(); // deepest (≥ 0)
-    let mut call_disp: BTreeMap<BlockId, i64> = BTreeMap::new(); // at call insn
+                                                            // Displacement at the end of each block (at a call block's call).
+    let mut end_disp: Vec<i64> = vec![0; cfg.blocks().len()];
     for f in cfg.functions() {
         let mut deltas: BTreeMap<BlockId, i64> = BTreeMap::new();
         deltas.insert(f.entry, 0);
@@ -61,9 +62,7 @@ pub fn analyze_callgraph(
                     _ => {}
                 }
             }
-            if cfg.call_site_of(b).is_some() {
-                call_disp.insert(b, d);
-            }
+            end_disp[b.index()] = d;
             for (_, e) in cfg.succs(b) {
                 match deltas.get(&e.to) {
                     None => {
@@ -82,44 +81,59 @@ pub fn analyze_callgraph(
         local.insert(f.id, -deepest);
     }
 
-    // ---- Call-graph SCCs (Tarjan).
+    // ---- Each function's call sites with their stack displacement and
+    // its callees, grouped once; then the call-graph SCCs, callee-first.
     let n = cfg.functions().len();
-    let callees: Vec<Vec<FuncId>> = cfg.functions().iter().map(|f| cfg.callees(f.id)).collect();
-    let sccs = tarjan(n, &callees);
-    let scc_of: BTreeMap<FuncId, usize> = sccs
-        .iter()
-        .enumerate()
-        .flat_map(|(i, members)| members.iter().map(move |&f| (f, i)))
-        .collect();
-
-    // ---- Usage per function, processing SCCs in reverse topological
-    // order (Tarjan emits them callee-first).
-    let mut usage: BTreeMap<FuncId, u64> = BTreeMap::new();
-    for members in &sccs {
-        let cyclic = members.len() > 1 || callees[members[0].index()].contains(&members[0]);
-        // Worst external contribution from any member's call site.
-        let mut external: u64 = 0;
-        for &f in members {
-            for cs in cfg.call_sites().iter().filter(|c| cfg.block(c.block).func == f) {
-                let disp = (-call_disp.get(&cs.block).copied().unwrap_or(0)).max(0) as u64;
-                for &g in cs.callee.targets() {
-                    if scc_of[&g] != scc_of[&f] {
-                        external = external.max(disp + usage[&g]);
-                    }
-                }
+    let mut sites: Vec<Vec<(u64, &[FuncId])>> = vec![Vec::new(); n];
+    let mut callees: Vec<Vec<FuncId>> = vec![Vec::new(); n];
+    for cs in cfg.call_sites() {
+        let f = cfg.block(cs.block).func.index();
+        sites[f].push(((-end_disp[cs.block.index()]).max(0) as u64, cs.callee.targets()));
+        for &g in cs.callee.targets() {
+            if !callees[f].contains(&g) {
+                callees[f].push(g);
             }
         }
+    }
+    let mut sccs: Vec<Vec<FuncId>> = Vec::new();
+    stamp_cfg::sccs(
+        n,
+        |f| callees[f].iter().map(|g| g.index()),
+        |members| sccs.push(members.iter().map(|&f| FuncId(f as u32)).collect()),
+    );
+    let mut scc_of = vec![0usize; n];
+    for (i, members) in sccs.iter().enumerate() {
+        for f in members {
+            scc_of[f.index()] = i;
+        }
+    }
+
+    // ---- Usage per function, processing SCCs in reverse topological
+    // order.
+    let mut usage: Vec<u64> = vec![0; n];
+    for members in &sccs {
+        let cyclic = members.len() > 1 || callees[members[0].index()].contains(&members[0]);
         if !cyclic {
             let f = members[0];
             let mut u = local[&f] as u64;
-            for cs in cfg.call_sites().iter().filter(|c| cfg.block(c.block).func == f) {
-                let disp = (-call_disp.get(&cs.block).copied().unwrap_or(0)).max(0) as u64;
-                for &g in cs.callee.targets() {
-                    u = u.max(disp + usage[&g]);
+            for &(disp, targets) in &sites[f.index()] {
+                for g in targets {
+                    u = u.max(disp + usage[g.index()]);
                 }
             }
-            usage.insert(f, u);
+            usage[f.index()] = u;
         } else {
+            // Worst external contribution from any member's call site.
+            let mut external: u64 = 0;
+            for f in members {
+                for &(disp, targets) in &sites[f.index()] {
+                    for g in targets {
+                        if scc_of[g.index()] != scc_of[f.index()] {
+                            external = external.max(disp + usage[g.index()]);
+                        }
+                    }
+                }
+            }
             // Recursive cycle: needs a depth annotation on some member.
             let depth = members
                 .iter()
@@ -130,8 +144,8 @@ pub fn analyze_callgraph(
                 })?;
             let per_level: u64 = members.iter().map(|&f| local[&f] as u64).sum();
             let bound = depth as u64 * per_level + external;
-            for &f in members {
-                usage.insert(f, bound);
+            for f in members {
+                usage[f.index()] = bound;
             }
         }
     }
@@ -143,69 +157,11 @@ pub fn analyze_callgraph(
         .map(|f| {
             (
                 f.name.clone(),
-                FunctionStack { local: local[&f.id] as u32, usage: usage[&f.id] as u32 },
+                FunctionStack { local: local[&f.id] as u32, usage: usage[f.id.index()] as u32 },
             )
         })
         .collect();
-    Ok(StackResult { total: usage[&entry] as u32, per_function })
-}
-
-/// Tarjan's SCC algorithm; emits components callee-first.
-fn tarjan(n: usize, succs: &[Vec<FuncId>]) -> Vec<Vec<FuncId>> {
-    struct St<'a> {
-        succs: &'a [Vec<FuncId>],
-        index: Vec<Option<u32>>,
-        low: Vec<u32>,
-        on_stack: Vec<bool>,
-        stack: Vec<usize>,
-        next: u32,
-        out: Vec<Vec<FuncId>>,
-    }
-    fn visit(st: &mut St<'_>, v: usize) {
-        st.index[v] = Some(st.next);
-        st.low[v] = st.next;
-        st.next += 1;
-        st.stack.push(v);
-        st.on_stack[v] = true;
-        for w in st.succs[v].clone() {
-            let w = w.index();
-            match st.index[w] {
-                None => {
-                    visit(st, w);
-                    st.low[v] = st.low[v].min(st.low[w]);
-                }
-                Some(wi) if st.on_stack[w] => st.low[v] = st.low[v].min(wi),
-                _ => {}
-            }
-        }
-        if Some(st.low[v]) == st.index[v] {
-            let mut comp = Vec::new();
-            loop {
-                let w = st.stack.pop().expect("non-empty");
-                st.on_stack[w] = false;
-                comp.push(FuncId(w as u32));
-                if w == v {
-                    break;
-                }
-            }
-            st.out.push(comp);
-        }
-    }
-    let mut st = St {
-        succs,
-        index: vec![None; n],
-        low: vec![0; n],
-        on_stack: vec![false; n],
-        stack: Vec::new(),
-        next: 0,
-        out: Vec::new(),
-    };
-    for v in 0..n {
-        if st.index[v].is_none() {
-            visit(&mut st, v);
-        }
-    }
-    st.out
+    Ok(StackResult { total: usage[entry.index()] as u32, per_function })
 }
 
 #[cfg(test)]
@@ -246,6 +202,35 @@ mod tests {
         assert_eq!(r.per_function["g"].usage, 8);
         assert_eq!(r.per_function["f"].usage, 40);
         assert_eq!(r.per_function["f"].local, 32);
+    }
+
+    #[test]
+    fn a_deep_call_chain_fits_a_small_stack() {
+        // `main` and `f0 … f{n-1}` each push 8 bytes and call the next;
+        // the call graph is a chain far deeper than a recursive walk
+        // could follow on a 256 KiB thread stack.
+        let n = 20_000;
+        let mut src = String::from(".text\nmain: addi sp, sp, -8\ncall f0\naddi sp, sp, 8\nhalt\n");
+        for i in 0..n {
+            src.push_str(&format!("f{i}: addi sp, sp, -8\n"));
+            if i + 1 < n {
+                src.push_str(&format!("call f{}\n", i + 1));
+            }
+            src.push_str("addi sp, sp, 8\nret\n");
+        }
+        let p = assemble(&src).expect("assembles");
+        let cfg = CfgBuilder::new(&p).build().expect("builds");
+        let r = std::thread::scope(|s| {
+            std::thread::Builder::new()
+                .stack_size(256 * 1024)
+                .spawn_scoped(s, || analyze_callgraph(&p, &cfg, &StackOptions::default()))
+                .expect("spawns")
+                .join()
+                .expect("no stack overflow")
+        })
+        .expect("no recursion");
+        assert_eq!(r.total, 8 * (n as u32 + 1));
+        assert_eq!(r.per_function["f0"].usage, 8 * n as u32);
     }
 
     #[test]

@@ -40,8 +40,10 @@ fn summarized_corpus_results_match_monolithic_at_every_worker_count() {
 /// from one `0xE6`-seeded rng in size order exactly as the
 /// `corpus_pins` test draws it, checked at the sizes `keep` selects:
 /// the summarized and the monolithic solver must agree on the WCET
-/// bound and the ILP size. Every program is generated, so a selected
-/// size is the same program whatever the selection.
+/// bound and the ILP size — counted from the IPET data by the one,
+/// read off the built `LpProblem` by the other. Every program is
+/// generated, so a selected size is the same program whatever the
+/// selection.
 fn assert_e6_series_exact(keep: impl Fn(usize) -> bool) {
     let mut rng = StdRng::seed_from_u64(0xE6);
     for &(constructs, _) in SCALING_EVALS {
